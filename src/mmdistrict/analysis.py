@@ -162,11 +162,13 @@ def optimize_fair(tree: SampleTree, scores: dict, y_r: float):
             split = _find_split(sample, target, sets)
             if split is not None:
                 for child, t in zip(sample, split):
-                    assert witness(child, t)
+                    if not witness(child, t):
+                        return False
                 return True
         return False
 
-    assert witness(tree.root, best)
+    if not witness(tree.root, best):
+        raise RuntimeError(f"no witness plan for the achievable R-seat total {best}")
     return leaves, best, abs(best / n - y_r)
 
 

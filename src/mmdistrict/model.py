@@ -259,8 +259,12 @@ def save_state(state: StateInstance, path) -> None:
 
 
 def load_plan(path) -> Plan:
-    with open(path) as f:
-        data = json.load(f)
+    """Load a plan JSON file; a malformed file raises StateFormatError naming it."""
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except json.JSONDecodeError as e:
+        raise StateFormatError(f"{path}: invalid JSON: {e}") from e
     try:
         districts = tuple(
             District(block_ids=frozenset(int(b) for b in d["blocks"]), seats=int(d["seats"]))

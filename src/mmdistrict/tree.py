@@ -5,15 +5,23 @@ small (j-seat) and large (j+1-seat) districts.  A node carries several
 sampled subdivisions of its region; leaves are single districts that are
 contiguous and population balanced against the statewide per-seat target.
 The tree therefore encodes a product-sum number of distinct plans.
+
+A subdivision attempt runs one breadth-first search per center, inside the
+node's region: ``select_centers`` runs it as it picks the center, and the
+Voronoi cell populations and the growth heaps of ``split_region`` reuse those
+distance maps.  Every child region stays contiguous from growth through
+repair, so repair checks a boundary swap locally, around the moved block,
+rather than searching the whole donor district.
 """
 from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
-from .model import BalanceTolerance, District, Plan, is_connected
+# is_connected is not called here; it stays bound in this module because
+# perfbench/tracer.py times the calls made through this name.
+from .model import BalanceTolerance, District, Plan, is_connected  # noqa: F401
 
 
 class TreeBuildError(RuntimeError):
@@ -66,16 +74,29 @@ def sample_counts(k: int):
     return (max(1, round((1000 / k) ** 1.2)), max(1, round((300 / k) ** 0.5)))
 
 
-def _bfs_distances(adjacency, region, sources):
-    dist = {s: 0 for s in sources}
-    queue = deque(sources)
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        for v in adjacency[u]:
-            if v in region and v not in dist:
-                dist[v] = d
-                queue.append(v)
+def region_neighbors(region, adjacency):
+    """Each block of ``region`` with its neighbours inside ``region``.
+
+    ``select_centers``, ``split_region`` and the searches under them walk
+    these lists, so they never test region membership themselves.
+    """
+    return {b: tuple(v for v in adjacency[b] if v in region) for b in region}
+
+
+def _bfs_distances(neighbors, source):
+    """Hop distance from ``source`` to every block it reaches over ``neighbors``."""
+    dist = {source: 0}
+    frontier = [source]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for u in frontier:
+            for v in neighbors[u]:
+                if v not in dist:
+                    dist[v] = d
+                    reached.append(v)
+        frontier = reached
     return dist
 
 
@@ -90,24 +111,40 @@ def _weighted_choice(items, weights, rng):
     return items[-1]
 
 
-def select_centers(region, adjacency, pops, n_children: int, rng):
-    """Spread centers: first population-weighted, then pop * hop-distance^2."""
+def select_centers(region, neighbors, pops, n_children: int, rng):
+    """Spread centers: first population-weighted, then pop * hop-distance^2.
+
+    ``neighbors`` lists each block's neighbours inside ``region`` (see
+    ``region_neighbors``).  One breadth-first search runs from each center as
+    it is picked.  The distance that weights the next pick, a block's hop
+    distance to the nearest center so far, is the element-wise minimum of
+    those maps.  Returns ``(centers, dist_maps)``: ``dist_maps[i]`` maps every
+    block ``centers[i]`` reaches to its hop distance, for
+    ``_voronoi_cell_pops`` and ``split_region`` to reuse.
+    """
     blocks = sorted(region)
     if n_children > len(blocks):
         raise ValueError(f"region of {len(blocks)} blocks cannot host {n_children} centers")
     if n_children == len(blocks):
-        return blocks
+        return blocks, [_bfs_distances(neighbors, b) for b in blocks]
     centers = [_weighted_choice(blocks, [pops[b] for b in blocks], rng)]
-    region_set = set(region)
+    dist_maps = [_bfs_distances(neighbors, centers[0])]
+    nearest = dict(dist_maps[0])
+    unreached = len(blocks)
     while len(centers) < n_children:
-        dist = _bfs_distances(adjacency, region_set, centers)
         rest = [b for b in blocks if b not in centers]
-        weights = [pops[b] * dist.get(b, 0) ** 2 for b in rest]
+        weights = [pops[b] * nearest.get(b, 0) ** 2 for b in rest]
         if sum(weights) == 0:
             centers.append(_weighted_choice(rest, [1.0] * len(rest), rng))
         else:
             centers.append(_weighted_choice(rest, weights, rng))
-    return centers
+        dist = _bfs_distances(neighbors, centers[-1])
+        dist_maps.append(dist)
+        if len(centers) < n_children:
+            for b, d in dist.items():
+                if d < nearest.get(b, unreached):
+                    nearest[b] = d
+    return centers, dist_maps
 
 
 def assign_child_sizes(n_districts, n_small, n_large, cell_pops):
@@ -135,33 +172,71 @@ def assign_child_sizes(n_districts, n_small, n_large, cell_pops):
     return [(counts[i] - larges[i], larges[i]) for i in range(f)]
 
 
-def split_region(region, adjacency, pops, centers, child_seats,
+def _stays_connected(blocks, b, neighbors):
+    """Whether ``blocks`` without ``b`` is connected, given that ``blocks`` is.
+
+    ``neighbors`` may list blocks outside ``blocks``; they are skipped.  A
+    block with at most one neighbour in ``blocks`` can always leave.
+    Otherwise every remaining block still reaches one of those neighbours,
+    so a search from the first of them, avoiding ``b``, decides: it stops as
+    soon as it has reached the others, and only at a cut block does it
+    search the whole of its side.
+    """
+    ends = [v for v in neighbors[b] if v in blocks]
+    if len(ends) <= 1:
+        return True
+    missing = set(ends[1:])
+    seen = {b, ends[0]}
+    frontier = [ends[0]]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in neighbors[u]:
+                if v in blocks and v not in seen:
+                    if v in missing:
+                        missing.discard(v)
+                        if not missing:
+                            return True
+                    seen.add(v)
+                    reached.append(v)
+        frontier = reached
+    return False
+
+
+def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
                  state_pop, total_seats, epsilon):
     """Grow child regions from centers, then boundary-swap toward balance.
 
     Each child targets state_pop * seats / total_seats people.  Growth is
-    capacity-weighted nearest-frontier accretion; repair moves boundary
-    blocks between adjacent children when that lowers total balance error
-    and keeps the donor contiguous.  Returns child block sets, or None if
-    any child misses its tolerance.
+    capacity-weighted nearest-frontier accretion, ordered by the hop
+    distances ``dist_maps`` that ``select_centers`` returned with the
+    centers; ``neighbors`` lists each block's neighbours inside ``region``.
+    Repair moves boundary blocks between adjacent children when that lowers
+    total balance error and keeps the donor contiguous.  Growth only adds
+    blocks next to a child and repair keeps every donor contiguous, so the
+    children are contiguous before each swap, and ``_stays_connected``
+    decides a swap from the moved block's surroundings.  Returns child block
+    sets, or None if any child misses its tolerance.
     """
     f = len(centers)
-    region_set = set(region)
     targets = [state_pop * s / total_seats for s in child_seats]
-    dist_maps = [_bfs_distances(adjacency, region_set, [c]) for c in centers]
+    unreached = len(region)
 
     owner = {}
     child_blocks = [set() for _ in range(f)]
     child_pop = [0.0] * f
+    fullness = [0.0] * f  # child_pop / target: the least full child grows next
     heaps = [[] for _ in range(f)]
 
     def assign(b, c):
         owner[b] = c
         child_blocks[c].add(b)
         child_pop[c] += pops[b]
-        for v in adjacency[b]:
-            if v in region_set and v not in owner:
-                heapq.heappush(heaps[c], (dist_maps[c].get(v, len(region_set)), v))
+        fullness[c] = child_pop[c] / targets[c]
+        dist, heap = dist_maps[c], heaps[c]
+        for v in neighbors[b]:
+            if v not in owner:
+                heapq.heappush(heap, (dist.get(v, unreached), v))
 
     for c, center in enumerate(centers):
         if center in owner:
@@ -169,20 +244,17 @@ def split_region(region, adjacency, pops, centers, child_seats,
         assign(center, c)
 
     n_assigned = f
-    while n_assigned < len(region_set):
-        order = sorted(range(f), key=lambda c: (child_pop[c] / targets[c], c))
-        progressed = False
-        for c in order:
+    while n_assigned < len(region):
+        # a stable sort: equally full children take turns by index
+        for c in sorted(range(f), key=fullness.__getitem__):
             h = heaps[c]
             while h and h[0][1] in owner:
                 heapq.heappop(h)
             if h:
-                _, b = heapq.heappop(h)
-                assign(b, c)
+                assign(heapq.heappop(h)[1], c)
                 n_assigned += 1
-                progressed = True
                 break
-        if not progressed:
+        else:
             return None
 
     err = [child_pop[i] - targets[i] for i in range(f)]
@@ -190,15 +262,18 @@ def split_region(region, adjacency, pops, centers, child_seats,
     def balanced():
         return all(abs(err[i]) <= epsilon * targets[i] + 1e-9 for i in range(f))
 
-    max_swaps = 10 * len(region_set)
+    max_swaps = 10 * len(region)
     swaps = 0
+    scan = sorted(region)
     while not balanced() and swaps < max_swaps:
         improved = False
-        for b in sorted(region_set):
+        for b in scan:
             a = owner[b]
-            if len(child_blocks[a]) <= 1:
+            donor = child_blocks[a]
+            if len(donor) <= 1:
                 continue
-            nbr_children = {owner[v] for v in adjacency[b] if v in region_set} - {a}
+            nbr_children = {owner[v] for v in neighbors[b]}
+            nbr_children.discard(a)
             if not nbr_children:
                 continue
             p = pops[b]
@@ -209,9 +284,9 @@ def split_region(region, adjacency, pops, centers, child_seats,
                     best_delta, best_t = delta, t
             if best_t is None:
                 continue
-            if not is_connected(child_blocks[a] - {b}, adjacency):
+            if not _stays_connected(donor, b, neighbors):
                 continue
-            child_blocks[a].discard(b)
+            donor.discard(b)
             child_blocks[best_t].add(b)
             owner[b] = best_t
             err[a] -= p
@@ -263,17 +338,17 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
                         seats=n_small * j + n_large * (j + 1),
                         n_districts=n_small + n_large, n_small=n_small, n_large=n_large)
 
-    def try_sample(node, depth):
+    def try_sample(node, neighbors, depth):
         fanout = rng.randint(2, min(MAX_FANOUT, node.n_districts))
         if fanout > len(node.region):
             return None
         parts = sizes = None
         for _ in range(SPLIT_RETRIES):
-            centers = select_centers(node.region, adjacency, pops, fanout, rng)
-            cell_pops = _voronoi_cell_pops(node.region, adjacency, pops, centers)
+            centers, dist_maps = select_centers(node.region, neighbors, pops, fanout, rng)
+            cell_pops = _voronoi_cell_pops(node.region, pops, dist_maps)
             sizes = assign_child_sizes(node.n_districts, node.n_small, node.n_large, cell_pops)
             child_seats = [s * j + l * (j + 1) for s, l in sizes]
-            parts = split_region(node.region, adjacency, pops, centers, child_seats,
+            parts = split_region(node.region, neighbors, pops, centers, dist_maps, child_seats,
                                  state_pop, n_seats, tol.epsilon)
             if parts is not None:
                 break
@@ -289,9 +364,10 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
 
     def fill(node, depth):
         n_samples = n_root if depth == 0 else n_internal
+        neighbors = region_neighbors(node.region, adjacency)
         for _ in range(n_samples):
             attempts[depth] = attempts.get(depth, 0) + 1
-            children = try_sample(node, depth)
+            children = try_sample(node, neighbors, depth)
             if children is None:
                 failures[depth] = failures.get(depth, 0) + 1
             else:
@@ -304,10 +380,14 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
             raise TreeBuildError(f"no feasible {k}-district map found for seed {seed}")
 
     tree = SampleTree(root, alloc, tol, seed, {})
+    node_count = leaf_count = 0
+    for node in walk_nodes(tree):
+        node_count += 1
+        leaf_count += node.is_leaf
     tree.diagnostics = {
         "k": k,
-        "node_count": counter[0],
-        "leaf_count": sum(1 for n in walk_nodes(tree) if n.is_leaf),
+        "node_count": node_count,
+        "leaf_count": leaf_count,
         "sample_attempts_per_depth": attempts,
         "sample_failures_per_depth": failures,
         "implicit_plan_count": count_plans(root),
@@ -315,13 +395,21 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
     return tree
 
 
-def _voronoi_cell_pops(region, adjacency, pops, centers):
-    region_set = set(region)
-    dist_maps = [_bfs_distances(adjacency, region_set, [c]) for c in centers]
-    cell_pops = [0.0] * len(centers)
-    big = len(region_set) + 1
-    for b in region_set:
-        i = min(range(len(centers)), key=lambda i: (dist_maps[i].get(b, big), i))
+def _voronoi_cell_pops(region, pops, dist_maps):
+    """Population of each center's Voronoi cell, from the centers' distance maps.
+
+    A block joins its nearest center by hop distance, the earliest center on
+    a tie.
+    """
+    nearest = dict.fromkeys(region, len(region) + 1)
+    cell = dict.fromkeys(region, 0)
+    for i, dist in enumerate(dist_maps):
+        for b, d in dist.items():
+            if d < nearest[b]:
+                nearest[b] = d
+                cell[b] = i
+    cell_pops = [0.0] * len(dist_maps)
+    for b, i in cell.items():
         cell_pops[i] += pops[b]
     return cell_pops
 

@@ -144,6 +144,14 @@ def test_stv_rejects_invalid_plan(state_file, tmp_path):
                 "--out", str(tmp_path / "x")]) == 1
 
 
+def test_stv_reports_invalid_plan_json_with_its_path(state_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    assert run(["stv", "--state", str(state_file), "--plan", str(bad),
+                "--out", str(tmp_path / "x")]) == 1
+    assert f"error: {bad}: invalid JSON" in capsys.readouterr().err
+
+
 def test_diversity_csv(state_file, tmp_path):
     out = tmp_path / "div.csv"
     assert run(["diversity", "--state", str(state_file), "--k", "1,4", "--seed", "6",

@@ -178,6 +178,13 @@ def test_plan_file_round_trip(tmp_path):
         {(d.block_ids, d.seats) for d in plan.districts}
 
 
+def test_load_plan_rejects_bad_json_naming_the_file(tmp_path):
+    path = tmp_path / "bad_plan.json"
+    path.write_text("{not json")
+    with pytest.raises(StateFormatError, match=r"bad_plan\.json: invalid JSON"):
+        load_plan(path)
+
+
 def test_synthetic_state_hits_target_share():
     state = generate_synthetic_state(100, 4, 0.4, 0, seed=7)
     assert 0.39 <= state.statewide_vote_share() <= 0.41

@@ -43,10 +43,12 @@ def test_select_centers_exhaustion_and_determinism():
     state = make_path_state([10] * 6, [0.5] * 6, seats=2)
     pops = {b.id: b.population for b in state.blocks}
     region = frozenset(range(6))
-    assert sorted(select_centers(region, state.adjacency, pops, 6, random.Random(0))) == list(range(6))
-    a = select_centers(region, state.adjacency, pops, 3, random.Random(5))
-    b = select_centers(region, state.adjacency, pops, 3, random.Random(5))
+    centers, maps = select_centers(region, state.adjacency, pops, 6, random.Random(0))
+    assert sorted(centers) == list(range(6))
+    a, maps_a = select_centers(region, state.adjacency, pops, 3, random.Random(5))
+    b, maps_b = select_centers(region, state.adjacency, pops, 3, random.Random(5))
     assert a == b
+    assert maps_a == maps_b
     with pytest.raises(ValueError):
         select_centers(region, state.adjacency, pops, 7, random.Random(0))
 
@@ -59,8 +61,8 @@ def test_select_centers_prefers_far_heavy_blocks():
     region = frozenset(range(12))
     hits = 0
     for seed in range(400):
-        centers = set(select_centers(region, state.adjacency, pop_map, 2, random.Random(seed)))
-        if centers == {0, 11}:
+        centers, maps = select_centers(region, state.adjacency, pop_map, 2, random.Random(seed))
+        if set(centers) == {0, 11}:
             hits += 1
     assert hits / 400 > 0.9
 
@@ -175,3 +177,15 @@ def test_nonempty_on_benign_grids():
     for k in range(1, 7):
         tree = build_tree(state, k, seed=k, root_samples=4, internal_samples=2)
         assert count_plans(tree.root) >= 1
+
+
+def test_node_count_excludes_nodes_of_rejected_samples():
+    # Here some samples are rejected after their children were created (a
+    # child none of whose own samples worked out), so the node ids run past
+    # the nodes the tree keeps.
+    state = generate_synthetic_state(36, 6, 0.4, 0, seed=1)
+    tree = build_tree(state, 6, seed=1, root_samples=6, internal_samples=2)
+    kept = list(walk_nodes(tree))
+    assert max(n.node_id for n in kept) > len(kept)
+    assert tree.diagnostics["node_count"] == len(kept)
+    assert tree.diagnostics["leaf_count"] == sum(1 for n in kept if n.is_leaf)

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import voters as voters_mod
-from .model import BalanceTolerance, district_vote_share
+from .model import BalanceTolerance, district_vote_share, vote_share
 from .rules import SeatShareRule, UncertaintyModel, deterministic_seats, expected_seats
 from .stv import run_stv
-from .tree import SampleTree, build_tree, sample_plans, walk_nodes
+from .tree import (SampleTree, TreeBuildError, build_tree, plan_from_leaves, sample_plans,
+                   walk_nodes)
 
 
 @dataclass(frozen=True)
@@ -55,22 +56,12 @@ def score_leaves(tree: SampleTree, state, rule: SeatShareRule,
     for node in walk_nodes(tree):
         if not node.is_leaf or node.node_id in scores:
             continue
-        y = _region_vote_share(state, node.region)
+        y = vote_share(state.block_map[bid] for bid in node.region)
         scores[node.node_id] = LeafScore(
             leaf_id=node.node_id, vote_share=y, seats=node.seats,
             expected_r_seats=expected_seats(y, node.seats, rule, u),
             deterministic_r_seats=deterministic_seats(y, node.seats, rule).seats_r)
     return scores
-
-
-def _region_vote_share(state, region):
-    r = d = 0.0
-    for bid in region:
-        b = state.block_map[bid]
-        r += b.votes_r
-        d += b.votes_d
-    total = r + d
-    return 0.5 if total == 0 else r / total
 
 
 def optimize_partisan(tree: SampleTree, scores: dict, party: str):
@@ -190,8 +181,8 @@ def plan_deterministic_seats(plan, state, rule: SeatShareRule) -> int:
         for d in plan.districts)
 
 
-def ensemble_metrics(tree: SampleTree, state, rule: SeatShareRule,
-                     u: UncertaintyModel, n_samples: int, seed: int = 0):
+def ensemble_metrics(tree: SampleTree, state, rule: SeatShareRule, n_samples: int,
+                     seed: int = 0):
     """Distribution of deterministic R seat share and gap over sampled plans."""
     y = state.statewide_vote_share()
     n = state.total_seats
@@ -209,21 +200,18 @@ def ensemble_metrics(tree: SampleTree, state, rule: SeatShareRule,
 
 def sweep_k(state, rule: SeatShareRule, k_set, u: UncertaintyModel,
             seed: int = 0, ensemble_size: int = 200,
-            tol: BalanceTolerance = BalanceTolerance(),
             root_samples=None, internal_samples=None):
     """Optimized and ensemble records for each requested district count.
 
     Returns (records, failures): one max_R / max_D / min_gap / median record
     per k that built, and a reason string per k that did not.
     """
-    from .tree import TreeBuildError, plan_from_leaves
-
     y = state.statewide_vote_share()
     n = state.total_seats
     records, failures = [], {}
     for k in sorted(k_set):
         try:
-            tree = build_tree(state, k, tol, seed=seed * 100003 + k,
+            tree = build_tree(state, k, BalanceTolerance(), seed=seed * 100003 + k,
                               root_samples=root_samples, internal_samples=internal_samples)
         except TreeBuildError as e:
             failures[k] = str(e)
@@ -236,7 +224,7 @@ def sweep_k(state, rule: SeatShareRule, k_set, u: UncertaintyModel,
                                          seats / n, abs(seats / n - y)))
         leaves, total, gap = optimize_fair(tree, scores, y)
         records.append(MetricsRecord(k, rule.name, "min_gap", float(total), total / n, gap))
-        median = [r for r in ensemble_metrics(tree, state, rule, u, ensemble_size,
+        median = [r for r in ensemble_metrics(tree, state, rule, ensemble_size,
                                               seed=seed * 100003 + k)
                   if r.statistic == "median"][0]
         records.append(median)
@@ -262,6 +250,20 @@ def _district_centroid(state, district):
     return float(np.average(xs, weights=pops)), float(np.average(ys, weights=pops))
 
 
+def elect(district, voter_file, mode: str, per_party: int, seed: int):
+    """One district's STV election with ``per_party`` (default seats + 2) candidates a party.
+
+    Returns (candidates, district voters, result); the result is None when no
+    voter lives in the district.
+    """
+    district_voters = voter_file.in_district(district)
+    candidates = voters_mod.generate_candidates(
+        district_voters, district.seats, max(per_party or district.seats + 2, district.seats))
+    ballots = voters_mod.build_ballots(district_voters, candidates, mode)
+    result = run_stv(ballots, candidates, district.seats, seed=seed) if ballots else None
+    return candidates, district_voters, result
+
+
 def intra_party_analysis(state, plans, voter_file, mode: str,
                          per_party: int, seed: int = 0):
     """Simulate STV for every district of every plan and summarize diversity.
@@ -281,16 +283,10 @@ def intra_party_analysis(state, plans, voter_file, mode: str,
         coalition_score = {"R": [], "D": []}
         coalition_geo = {"R": [], "D": []}
         for district in plan.districts:
-            election_seed = rng.randrange(2 ** 32)
-            n_per = per_party if per_party else district.seats + 2
-            candidates = voters_mod.generate_candidates(
-                district, state, max(n_per, district.seats), voter_file,
-                seed=election_seed)
-            district_voters = voter_file.in_district(district)
-            if not district_voters:
+            candidates, _, result = elect(district, voter_file, mode, per_party,
+                                          rng.randrange(2 ** 32))
+            if result is None:
                 continue
-            ballots = voters_mod.build_ballots(district_voters, candidates, mode)
-            result = run_stv(ballots, candidates, district.seats, seed=election_seed)
             cand_by_id = {c.id: c for c in candidates}
             cx, cy = _district_centroid(state, district)
             for winner_id in result.winners:

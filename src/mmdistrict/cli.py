@@ -1,8 +1,8 @@
 """Command-line entry point: synth, sweep, optimize, ensemble, stv, diversity.
 
 Outputs are plain JSON/CSV.  Every command is deterministic given its full
-flag set including --seed.  An optional JSON config file can supply any
-flag value; explicit flags win on conflict.
+flag set including --seed.  An optional JSON config file can supply any of
+the subcommand's flags; explicit flags win on conflict.
 """
 from __future__ import annotations
 
@@ -15,7 +15,9 @@ from pathlib import Path
 from . import analysis, model, tree as tree_mod, voters as voters_mod
 from .model import BalanceTolerance, load_plan, load_state, save_plan, save_state, validate_plan
 from .rules import RULES, UncertaintyModel, get_rule
-from .stv import partisan_split, run_stv
+# run_stv is not called here; it stays bound in this module because
+# perfbench/tracer.py times the calls made through this name.
+from .stv import partisan_split, run_stv  # noqa: F401
 
 
 def _parse_k_set(text: str, n_seats: int):
@@ -28,17 +30,37 @@ def _parse_k_set(text: str, n_seats: int):
     return ks
 
 
-def _merged(args, defaults):
-    """Layer defaults, then config-file values, then explicit flags."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        with open(args.config) as f:
-            merged.update(json.load(f))
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+def _options(args):
+    """Layer the command's defaults, then --config values, then explicit flags."""
+    _, _, defaults, required = COMMANDS[args.command]
+    opts = dict(defaults)
+    if args.config:
+        config = model.read_json(args.config)
+        if not isinstance(config, dict):
+            raise model.StateFormatError(f"{args.config}: config must be a JSON object")
+        unknown = sorted(set(config) - set(defaults))
+        if unknown:
+            raise model.StateFormatError(f"{args.config}: not flags of {args.command}: {unknown}")
+        opts.update(config)
+    opts.update((key, val) for key, val in vars(args).items()
+                if key in defaults and val is not None)
+    missing = ["--" + key.replace("_", "-") for key in required if opts[key] is None]
+    if missing:
+        raise SystemExit(f"error: {args.command} requires {', '.join(missing)}")
+    return opts
+
+
+def _build(opts, state, k, seed):
+    return tree_mod.build_tree(state, k, BalanceTolerance(), seed=seed,
+                               root_samples=opts["root_samples"],
+                               internal_samples=opts["internal_samples"])
+
+
+def _voter_file(opts, state):
+    if opts["voter_file"]:
+        return voters_mod.load_voter_file(opts["voter_file"])
+    return voters_mod.generate_voter_file(
+        state, int(opts["voters_per_block"]), float(opts["score_spread"]), int(opts["seed"]))
 
 
 def _write_csv(path, header, rows):
@@ -56,12 +78,7 @@ def _metric_rows(records):
 METRICS_HEADER = ["k", "rule", "statistic", "seats_r", "seat_share_r", "gap"]
 
 
-def cmd_synth(args):
-    opts = _merged(args, {"blocks": None, "seats": None, "r_share": None,
-                          "corr": 0.0, "seed": 0, "out": None})
-    for key in ("blocks", "seats", "r_share", "out"):
-        if opts[key] is None:
-            raise SystemExit(f"error: synth requires --{key.replace('_', '-')}")
+def cmd_synth(opts):
     state = model.generate_synthetic_state(
         int(opts["blocks"]), int(opts["seats"]), float(opts["r_share"]),
         float(opts["corr"]), int(opts["seed"]))
@@ -69,12 +86,7 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_sweep(args):
-    opts = _merged(args, {"state": None, "rule": "stv", "k": "all", "sigma": 0.05,
-                          "seed": 0, "ensemble_size": 200, "out": None,
-                          "root_samples": None, "internal_samples": None})
-    if opts["state"] is None or opts["out"] is None:
-        raise SystemExit("error: sweep requires --state and --out")
+def cmd_sweep(opts):
     state = load_state(opts["state"])
     rule = get_rule(opts["rule"])
     k_set = _parse_k_set(str(opts["k"]), state.total_seats)
@@ -91,19 +103,11 @@ def cmd_sweep(args):
     return 1 if len(failures) == len(k_set) else 0
 
 
-def cmd_optimize(args):
-    opts = _merged(args, {"state": None, "rule": "stv", "k": None, "sigma": 0.05,
-                          "seed": 0, "objective": "fair", "out": None,
-                          "root_samples": None, "internal_samples": None})
-    for key in ("state", "k", "out"):
-        if opts[key] is None:
-            raise SystemExit(f"error: optimize requires --{key}")
+def cmd_optimize(opts):
     state = load_state(opts["state"])
     rule = get_rule(opts["rule"])
     k = int(opts["k"])
-    built = tree_mod.build_tree(state, k, BalanceTolerance(), seed=int(opts["seed"]),
-                                root_samples=opts["root_samples"],
-                                internal_samples=opts["internal_samples"])
+    built = _build(opts, state, k, int(opts["seed"]))
     scores = analysis.score_leaves(built, state, rule, UncertaintyModel(float(opts["sigma"])))
     y = state.statewide_vote_share()
     objective = opts["objective"]
@@ -128,63 +132,37 @@ def cmd_optimize(args):
         "seats_r": seats, "seat_share_r": seats / state.total_seats,
         "proportionality_gap": abs(seats / state.total_seats - y),
     }
-    with open(out / "summary.json", "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    model.write_json(summary, out / "summary.json")
     return 0
 
 
-def cmd_ensemble(args):
-    opts = _merged(args, {"state": None, "rule": "stv", "k": None, "sigma": 0.05,
-                          "seed": 0, "ensemble_size": 200, "out": None,
-                          "root_samples": None, "internal_samples": None})
-    for key in ("state", "k", "out"):
-        if opts[key] is None:
-            raise SystemExit(f"error: ensemble requires --{key}")
+def cmd_ensemble(opts):
     state = load_state(opts["state"])
     rule = get_rule(opts["rule"])
-    built = tree_mod.build_tree(state, int(opts["k"]), BalanceTolerance(),
-                                seed=int(opts["seed"]),
-                                root_samples=opts["root_samples"],
-                                internal_samples=opts["internal_samples"])
-    records = analysis.ensemble_metrics(
-        built, state, rule, UncertaintyModel(float(opts["sigma"])),
-        int(opts["ensemble_size"]), seed=int(opts["seed"]))
+    built = _build(opts, state, int(opts["k"]), int(opts["seed"]))
+    records = analysis.ensemble_metrics(built, state, rule, int(opts["ensemble_size"]),
+                                        seed=int(opts["seed"]))
     _write_csv(opts["out"], METRICS_HEADER, _metric_rows(records))
     return 0
 
 
-def cmd_stv(args):
-    opts = _merged(args, {"state": None, "plan": None, "voters_per_block": 20,
-                          "score_spread": 0.5, "mode": "partisan_score",
-                          "per_party": None, "seed": 0, "out": None,
-                          "voter_file": None, "verbose": None})
-    for key in ("state", "plan", "out"):
-        if opts[key] is None:
-            raise SystemExit(f"error: stv requires --{key}")
+def cmd_stv(opts):
     state = load_state(opts["state"])
     plan = load_plan(opts["plan"])
     report = validate_plan(state, plan)
     if not report.ok:
         print("error: plan failed validation:", report.violations, file=sys.stderr)
         return 1
-    if opts["voter_file"]:
-        vfile = voters_mod.load_voter_file(opts["voter_file"])
-    else:
-        vfile = voters_mod.generate_voter_file(
-            state, int(opts["voters_per_block"]), float(opts["score_spread"]),
-            int(opts["seed"]))
+    vfile = _voter_file(opts, state)
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
     districts_out = []
     log_lines = []
     for i, district in enumerate(plan.districts):
-        per_party = int(opts["per_party"]) if opts["per_party"] else district.seats + 2
-        candidates = voters_mod.generate_candidates(
-            district, state, max(per_party, district.seats), vfile, seed=int(opts["seed"]) + i)
-        dvoters = vfile.in_district(district)
-        ballots = voters_mod.build_ballots(dvoters, candidates, opts["mode"])
-        result = run_stv(ballots, candidates, district.seats, seed=int(opts["seed"]) + i)
+        candidates, _, result = analysis.elect(district, vfile, opts["mode"],
+                                               int(opts["per_party"] or 0), int(opts["seed"]) + i)
+        if result is None:
+            raise ValueError(f"district {i} has no voters")
         split = partisan_split(result, candidates)
         districts_out.append({
             "district": i, "seats": district.seats, "quota": result.quota,
@@ -197,45 +175,27 @@ def cmd_stv(args):
             for entry in result.round_log():
                 entry["district"] = i
                 log_lines.append(json.dumps(entry, sort_keys=True))
-    with open(out / "election.json", "w") as f:
-        json.dump({"districts": districts_out,
-                   "seats_r": sum(d["seats_r"] for d in districts_out),
-                   "seats_d": sum(d["seats_d"] for d in districts_out)},
-                  f, indent=2, sort_keys=True)
-        f.write("\n")
+    model.write_json({"districts": districts_out,
+                      "seats_r": sum(d["seats_r"] for d in districts_out),
+                      "seats_d": sum(d["seats_d"] for d in districts_out)},
+                     out / "election.json")
     if opts["verbose"]:
         with open(out / "rounds.jsonl", "w") as f:
             f.write("\n".join(log_lines) + "\n")
     return 0
 
 
-def cmd_diversity(args):
-    opts = _merged(args, {"state": None, "k": "all", "ensemble_size": 3,
-                          "voters_per_block": 20, "score_spread": 0.5,
-                          "mode": "partisan_score", "per_party": None, "seed": 0,
-                          "out": None, "voter_file": None,
-                          "root_samples": None, "internal_samples": None})
-    if opts["state"] is None or opts["out"] is None:
-        raise SystemExit("error: diversity requires --state and --out")
+def cmd_diversity(opts):
     state = load_state(opts["state"])
     k_set = _parse_k_set(str(opts["k"]), state.total_seats)
-    if opts["voter_file"]:
-        vfile = voters_mod.load_voter_file(opts["voter_file"])
-    else:
-        vfile = voters_mod.generate_voter_file(
-            state, int(opts["voters_per_block"]), float(opts["score_spread"]),
-            int(opts["seed"]))
+    vfile = _voter_file(opts, state)
+    seed = int(opts["seed"])
     rows = []
     for k in k_set:
-        built = tree_mod.build_tree(state, k, BalanceTolerance(),
-                                    seed=int(opts["seed"]) * 100003 + k,
-                                    root_samples=opts["root_samples"],
-                                    internal_samples=opts["internal_samples"])
-        plans = tree_mod.sample_plans(built, int(opts["ensemble_size"]),
-                                      seed=int(opts["seed"]) + k)
-        per_party = int(opts["per_party"]) if opts["per_party"] else 0
+        built = _build(opts, state, k, seed * 100003 + k)
+        plans = tree_mod.sample_plans(built, int(opts["ensemble_size"]), seed=seed + k)
         records = analysis.intra_party_analysis(
-            state, plans, vfile, opts["mode"], per_party, seed=int(opts["seed"]) + k)
+            state, plans, vfile, opts["mode"], int(opts["per_party"] or 0), seed=seed + k)
         for r in records:
             rows.append([k, r.party, repr(r.winner_score_stddev),
                          repr(r.coalition_score_stddev), repr(r.coalition_geo_dispersion)])
@@ -244,94 +204,81 @@ def cmd_diversity(args):
     return 0
 
 
+#: flag dest -> argparse kwargs; the flag itself is the dest with dashes.
+FLAGS = {
+    "config": {"help": "JSON config file of flag values; explicit flags win"},
+    "seed": {"type": int},
+    "out": {},
+    "blocks": {"type": int},
+    "seats": {"type": int},
+    "r_share": {"type": float},
+    "corr": {"type": float},
+    "state": {},
+    "plan": {},
+    "rule": {"choices": sorted(RULES)},
+    "k": {"help": "district count; sweep and diversity take a comma-separated list or 'all'"},
+    "sigma": {"type": float, "help": "vote-share noise; moves only the max-R/max-D picks"},
+    "objective": {"choices": ["max-r", "max-d", "fair"]},
+    "ensemble_size": {"type": int},
+    "voters_per_block": {"type": int},
+    "score_spread": {"type": float},
+    "voter_file": {},
+    "mode": {"choices": list(voters_mod.RANKING_MODES)},
+    "per_party": {"type": int},
+    "verbose": {"action": "store_const", "const": True},
+    "root_samples": {"type": int},
+    "internal_samples": {"type": int},
+}
+
+COMMON = {"seed": 0, "out": None}
+TREE = {"root_samples": None, "internal_samples": None}
+ELECTION = {"voters_per_block": 20, "score_spread": 0.5, "voter_file": None,
+            "mode": "partisan_score", "per_party": None}
+
+#: subcommand -> (function, help, flag defaults, required flags).  Every
+#: subcommand also takes --config.
+COMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic state file",
+              {**COMMON, "blocks": None, "seats": None, "r_share": None, "corr": 0.0},
+              ("blocks", "seats", "r_share", "out")),
+    "sweep": (cmd_sweep, "metrics across district counts",
+              {**COMMON, "state": None, "rule": "stv", "k": "all", "sigma": 0.05,
+               "ensemble_size": 200, **TREE},
+              ("state", "out")),
+    "optimize": (cmd_optimize, "extract an optimized plan",
+                 {**COMMON, "state": None, "rule": "stv", "k": None, "sigma": 0.05,
+                  "objective": "fair", **TREE},
+                 ("state", "k", "out")),
+    "ensemble": (cmd_ensemble, "ensemble metrics for one district count",
+                 {**COMMON, "state": None, "rule": "stv", "k": None, "ensemble_size": 200,
+                  **TREE},
+                 ("state", "k", "out")),
+    "stv": (cmd_stv, "simulate full STV elections for a plan",
+            {**COMMON, "state": None, "plan": None, **ELECTION, "verbose": None},
+            ("state", "plan", "out")),
+    "diversity": (cmd_diversity, "intra-party diversity over ensemble plans",
+                  {**COMMON, "state": None, "k": "all", "ensemble_size": 3, **ELECTION, **TREE},
+                  ("state", "out")),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mmdistrict",
         description="Multi-member redistricting: map sampling, seat-share scoring, "
                     "optimization, and STV simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; explicit flags win")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker parallelism bound (currently serial)")
-        p.add_argument("--out")
-
-    p = sub.add_parser("synth", help="generate a synthetic state file")
-    common(p)
-    p.add_argument("--blocks", type=int)
-    p.add_argument("--seats", type=int)
-    p.add_argument("--r-share", dest="r_share", type=float)
-    p.add_argument("--corr", type=float)
-    p.set_defaults(func=cmd_synth)
-
-    def tree_flags(p):
-        p.add_argument("--root-samples", dest="root_samples", type=int)
-        p.add_argument("--internal-samples", dest="internal_samples", type=int)
-
-    p = sub.add_parser("sweep", help="metrics across district counts")
-    common(p)
-    p.add_argument("--state")
-    p.add_argument("--rule", choices=sorted(RULES))
-    p.add_argument("--k", help="comma-separated list or 'all'")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--ensemble-size", dest="ensemble_size", type=int)
-    tree_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("optimize", help="extract an optimized plan")
-    common(p)
-    p.add_argument("--state")
-    p.add_argument("--rule", choices=sorted(RULES))
-    p.add_argument("--k", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--objective", choices=["max-r", "max-d", "fair"])
-    tree_flags(p)
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("ensemble", help="ensemble metrics for one district count")
-    common(p)
-    p.add_argument("--state")
-    p.add_argument("--rule", choices=sorted(RULES))
-    p.add_argument("--k", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--ensemble-size", dest="ensemble_size", type=int)
-    tree_flags(p)
-    p.set_defaults(func=cmd_ensemble)
-
-    p = sub.add_parser("stv", help="simulate full STV elections for a plan")
-    common(p)
-    p.add_argument("--state")
-    p.add_argument("--plan")
-    p.add_argument("--voters-per-block", dest="voters_per_block", type=int)
-    p.add_argument("--score-spread", dest="score_spread", type=float)
-    p.add_argument("--voter-file", dest="voter_file")
-    p.add_argument("--mode", choices=list(voters_mod.RANKING_MODES))
-    p.add_argument("--per-party", dest="per_party", type=int)
-    p.add_argument("--verbose", action="store_const", const=True)
-    p.set_defaults(func=cmd_stv)
-
-    p = sub.add_parser("diversity", help="intra-party diversity over ensemble plans")
-    common(p)
-    p.add_argument("--state")
-    p.add_argument("--k", help="comma-separated list or 'all'")
-    p.add_argument("--ensemble-size", dest="ensemble_size", type=int)
-    p.add_argument("--voters-per-block", dest="voters_per_block", type=int)
-    p.add_argument("--score-spread", dest="score_spread", type=float)
-    p.add_argument("--voter-file", dest="voter_file")
-    p.add_argument("--mode", choices=list(voters_mod.RANKING_MODES))
-    p.add_argument("--per-party", dest="per_party", type=int)
-    tree_flags(p)
-    p.set_defaults(func=cmd_diversity)
-
+    for name, (_, help_text, defaults, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in ("config", *defaults):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, **FLAGS[key])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](_options(args))
     except (model.StateFormatError, tree_mod.TreeBuildError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ import numpy as np
 
 
 class StateFormatError(ValueError):
-    """Raised when a state or plan file violates the schema or an invariant."""
+    """Raised when an input file violates its schema or an invariant."""
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,7 @@ class StateInstance:
 
     def statewide_vote_share(self) -> float:
         """Statewide R share of the two-party vote."""
-        r = sum(b.votes_r for b in self.blocks)
-        total = r + sum(b.votes_d for b in self.blocks)
-        return 0.5 if total == 0 else r / total
+        return vote_share(self.blocks)
 
 
 @dataclass(frozen=True)
@@ -141,17 +139,19 @@ def is_connected(region, adjacency) -> bool:
     return len(seen) == len(region)
 
 
-def district_vote_share(state: StateInstance, district: District) -> float:
-    """Two-party R vote share over the district's blocks; 0.5 when no votes."""
+def vote_share(blocks) -> float:
+    """Two-party R vote share of the blocks, summed in iteration order; 0.5 when no votes."""
     r = d = 0.0
-    for bid in district.block_ids:
-        if bid not in state.block_map:
-            raise KeyError(f"unknown block id {bid}")
-        b = state.block_map[bid]
+    for b in blocks:
         r += b.votes_r
         d += b.votes_d
     total = r + d
     return 0.5 if total == 0 else r / total
+
+
+def district_vote_share(state: StateInstance, district: District) -> float:
+    """Two-party R vote share over the district's blocks; KeyError on an unknown block."""
+    return vote_share(state.block_map[bid] for bid in district.block_ids)
 
 
 def district_population(state: StateInstance, district: District) -> int:
@@ -217,13 +217,25 @@ def validate_plan(state: StateInstance, plan: Plan, tol: BalanceTolerance = Bala
 # ---------------------------------------------------------------------------
 # File I/O
 
-def load_state(path) -> StateInstance:
-    """Load and validate a state JSON file."""
+def read_json(path):
+    """Parse a JSON file; invalid JSON raises StateFormatError naming the path."""
     try:
         with open(path) as f:
-            data = json.load(f)
+            return json.load(f)
     except json.JSONDecodeError as e:
         raise StateFormatError(f"{path}: invalid JSON: {e}") from e
+
+
+def write_json(data, path) -> None:
+    """Write indented JSON with sorted keys and a final newline."""
+    with open(path, "w") as f:
+        json.dump(data, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def load_state(path) -> StateInstance:
+    """Load and validate a state JSON file."""
+    data = read_json(path)
     try:
         total_seats = data["total_seats"]
         raw_blocks = data["blocks"]
@@ -253,18 +265,12 @@ def save_state(state: StateInstance, path) -> None:
             for b in sorted(state.blocks, key=lambda b: b.id)
         ],
     }
-    with open(path, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(data, path)
 
 
 def load_plan(path) -> Plan:
     """Load a plan JSON file; a malformed file raises StateFormatError naming it."""
-    try:
-        with open(path) as f:
-            data = json.load(f)
-    except json.JSONDecodeError as e:
-        raise StateFormatError(f"{path}: invalid JSON: {e}") from e
+    data = read_json(path)
     try:
         districts = tuple(
             District(block_ids=frozenset(int(b) for b in d["blocks"]), seats=int(d["seats"]))
@@ -277,9 +283,7 @@ def load_plan(path) -> Plan:
 def save_plan(plan: Plan, path) -> None:
     data = {"districts": [
         {"seats": d.seats, "blocks": sorted(d.block_ids)} for d in plan.districts]}
-    with open(path, "w") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(data, path)
 
 
 # ---------------------------------------------------------------------------

@@ -436,7 +436,7 @@ def count_plans(node: TreeNode) -> int:
     return total
 
 
-def _leaves_to_plan(leaves) -> Plan:
+def plan_from_leaves(leaves) -> Plan:
     return Plan(tuple(District(block_ids=n.region, seats=n.seats) for n in leaves))
 
 
@@ -453,7 +453,7 @@ def sample_plans(tree: SampleTree, count: int, seed: int = 0):
             leaves.extend(descend(child))
         return leaves
 
-    return [_leaves_to_plan(descend(tree.root)) for _ in range(count)]
+    return [plan_from_leaves(descend(tree.root)) for _ in range(count)]
 
 
 def enumerate_plans(tree: SampleTree, limit: int = 100000):
@@ -474,6 +474,3 @@ def enumerate_plans(tree: SampleTree, limit: int = 100000):
 
     return expand(tree.root)
 
-
-def plan_from_leaves(leaves) -> Plan:
-    return _leaves_to_plan(leaves)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import StateFormatError, vote_share
 from .stv import Ballot, Candidate
 
 #: Voters are jittered uniformly within this radius (km) of the block centroid.
@@ -42,11 +43,6 @@ class VoterFile:
         return [v for v in self.voters if v.block_id in district.block_ids]
 
 
-def _block_share(block) -> float:
-    total = block.votes_r + block.votes_d
-    return 0.5 if total == 0 else block.votes_r / total
-
-
 def generate_voter_file(state, voters_per_block: int, score_spread: float,
                         seed: int) -> VoterFile:
     """Sample voters calibrated to each block's vote share.
@@ -68,7 +64,7 @@ def generate_voter_file(state, voters_per_block: int, score_spread: float,
         n = int(round(voters_per_block * block.population / mean_pop))
         if n == 0:
             continue
-        share = _block_share(block)
+        share = vote_share((block,))
         n_r = int(round(share * n))
         shift = BLOCK_LEAN_SHIFT * (share - 0.5)
         parties = ["R"] * n_r + ["D"] * (n - n_r)
@@ -85,18 +81,15 @@ def generate_voter_file(state, voters_per_block: int, score_spread: float,
     return VoterFile(tuple(voters))
 
 
-def generate_candidates(district, state, per_party: int, voter_file: VoterFile,
-                        seed: int = 0):
-    """Quantile-spread candidate slates for both parties in a district.
+def generate_candidates(voters, seats: int, per_party: int):
+    """Quantile-spread candidate slates for both parties from a district's voters.
 
     Candidate j of a party sits at the (j + 0.5) / per_party quantile of that
     party's voter score distribution in the district, and at the matching
-    quantile of distance from the district's voter centroid.  Deterministic;
-    the seed is accepted for interface uniformity.
+    quantile of distance from the district's voter centroid.  Deterministic.
     """
-    if per_party < district.seats:
-        raise ValueError(f"per_party {per_party} < district seats {district.seats}")
-    voters = voter_file.in_district(district)
+    if per_party < seats:
+        raise ValueError(f"per_party {per_party} < district seats {seats}")
     if voters:
         cx = float(np.mean([v.x for v in voters]))
         cy = float(np.mean([v.y for v in voters]))
@@ -153,15 +146,20 @@ def build_ballots(voters, candidates, mode: str):
 # Voter file CSV: voter_id, block_id, party, partisan_score, x, y
 
 def load_voter_file(path) -> VoterFile:
+    """Load a voter file; a malformed one raises StateFormatError naming the path and line."""
     voters = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        if header[0] != "voter_id":
-            raise ValueError(f"{path}: unexpected header {header}")
+        header = next(reader, None)
+        if not header or header[0] != "voter_id":
+            raise StateFormatError(f"{path}: line 1: expected a voter_id header, got {header}")
         for row in reader:
-            voters.append(Voter(id=int(row[0]), block_id=int(row[1]), party=row[2],
-                                partisan_score=float(row[3]), x=float(row[4]), y=float(row[5])))
+            try:
+                if len(row) != 6 or row[2] not in ("R", "D"):
+                    raise ValueError(f"expected 6 fields with party R or D, got {row}")
+                voters.append(Voter(int(row[0]), int(row[1]), row[2], *map(float, row[3:])))
+            except ValueError as e:
+                raise StateFormatError(f"{path}: line {reader.line_num}: {e}") from e
     return VoterFile(tuple(voters))
 
 

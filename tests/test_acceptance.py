@@ -321,7 +321,7 @@ def test_criterion_10_pipeline_byte_determinism(capsys, tmp_path):
             else:
                 out.mkdir()
                 target = str(out / "result.out") if name != "optimize" else str(out)
-            assert cli.main(argv + ["--out", target, "--threads", "1"]) == 0
+            assert cli.main(argv + ["--out", target]) == 0
             runs.append(out)
         a, b = (outputs(r) for r in runs)
         if [p.name for p in a] != [p.name for p in b] or \

@@ -5,6 +5,7 @@ import pytest
 
 from mmdistrict.analysis import (
     _weighted_std,
+    elect,
     ensemble_metrics,
     intra_party_analysis,
     optimize_fair,
@@ -16,7 +17,8 @@ from mmdistrict.analysis import (
 from mmdistrict.model import District, Plan, district_vote_share, generate_synthetic_state
 from mmdistrict.rules import RULES, STV, UncertaintyModel, deterministic_seats, expected_seats
 from mmdistrict.tree import build_tree, enumerate_plans, plan_from_leaves, sample_plans
-from mmdistrict.voters import VoterFile, generate_voter_file
+from mmdistrict.stv import run_stv
+from mmdistrict.voters import VoterFile, build_ballots, generate_candidates, generate_voter_file
 
 NO_NOISE = UncertaintyModel(0.0)
 
@@ -98,7 +100,7 @@ def test_optimize_partisan_rejects_unknown_party(grid_state, scored_tree):
 
 def test_ensemble_metrics_are_ordered_quantiles(grid_state, scored_tree):
     tree, _ = scored_tree
-    records = ensemble_metrics(tree, grid_state, STV, NO_NOISE, 50, seed=3)
+    records = ensemble_metrics(tree, grid_state, STV, 50, seed=3)
     stats = {r.statistic: r for r in records}
     assert list(stats) == ["min", "q1", "median", "q3", "max"]
     seats = [stats[s].seats_r for s in ("min", "q1", "median", "q3", "max")]
@@ -179,3 +181,28 @@ def test_intra_party_analysis_reports_both_parties(grid_state):
     for r in records:
         assert r.coalition_geo_dispersion >= 0
         assert r.coalition_score_stddev >= 0
+
+
+def test_elect_is_one_scan_of_the_voter_file_then_the_stv_count(grid_state, monkeypatch):
+    vf = generate_voter_file(grid_state, voters_per_block=6, score_spread=0.5, seed=2)
+    district = District(block_ids=frozenset(range(8)), seats=2)
+    in_district = VoterFile.in_district
+    scans = []
+    monkeypatch.setattr(VoterFile, "in_district",
+                        lambda self, d: scans.append(d) or in_district(self, d))
+    candidates, voters, result = elect(district, vf, "geographic", None, seed=7)
+    assert scans == [district]
+    assert voters == in_district(vf, district)
+    assert candidates == generate_candidates(voters, 2, per_party=4)  # seats + 2
+    ballots = build_ballots(voters, candidates, "geographic")
+    assert result == run_stv(ballots, candidates, 2, seed=7)
+    assert len(elect(district, vf, "geographic", 3, seed=7)[0]) == 6
+    assert len(elect(district, vf, "geographic", 1, seed=7)[0]) == 4  # never below seats
+
+
+def test_elect_without_voters_has_no_result(grid_state):
+    vf = VoterFile(tuple(v for v in generate_voter_file(grid_state, 4, 0.5, seed=0).voters
+                         if v.block_id != 0))
+    candidates, voters, result = elect(District(frozenset({0}), 1), vf, "partisan_score", 0, 0)
+    assert voters == [] and result is None
+    assert {c.party for c in candidates} == {"R", "D"}

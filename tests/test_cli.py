@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -5,6 +6,7 @@ import pytest
 
 from mmdistrict import cli
 from mmdistrict.model import load_plan, load_state, validate_plan
+from mmdistrict.voters import generate_voter_file, save_voter_file
 
 
 def run(argv):
@@ -110,7 +112,7 @@ def test_optimize_fair_summary_matches_rescoring(state_file, tmp_path):
 
 def test_ensemble_csv(state_file, tmp_path):
     out = tmp_path / "ens.csv"
-    assert run(["ensemble", "--state", str(state_file), "--k", "2", "--sigma", "0.05",
+    assert run(["ensemble", "--state", str(state_file), "--k", "2",
                 "--seed", "4", "--ensemble-size", "25", "--root-samples", "6",
                 "--internal-samples", "2", "--out", str(out)]) == 0
     rows = read_csv(out)
@@ -177,3 +179,77 @@ def test_config_file_supplies_defaults_but_flags_win(state_file, tmp_path):
     assert run(["sweep", "--state", str(state_file), "--config", str(config),
                 "--k", "2", "--out", str(out_flag)]) == 0
     assert {r[0] for r in read_csv(out_flag)[1:]} == {"2"}
+
+
+#: subcommand -> every flag it accepts, besides -h/--help.
+CLI_SURFACE = {
+    "synth": {"--config", "--seed", "--out", "--blocks", "--seats", "--r-share", "--corr"},
+    "sweep": {"--config", "--seed", "--out", "--state", "--rule", "--k", "--sigma",
+              "--ensemble-size", "--root-samples", "--internal-samples"},
+    "optimize": {"--config", "--seed", "--out", "--state", "--rule", "--k", "--sigma",
+                 "--objective", "--root-samples", "--internal-samples"},
+    "ensemble": {"--config", "--seed", "--out", "--state", "--rule", "--k",
+                 "--ensemble-size", "--root-samples", "--internal-samples"},
+    "stv": {"--config", "--seed", "--out", "--state", "--plan", "--voters-per-block",
+            "--score-spread", "--voter-file", "--mode", "--per-party", "--verbose"},
+    "diversity": {"--config", "--seed", "--out", "--state", "--k", "--ensemble-size",
+                  "--voters-per-block", "--score-spread", "--voter-file", "--mode",
+                  "--per-party", "--root-samples", "--internal-samples"},
+}
+
+
+def test_cli_surface_is_exactly_the_documented_flags():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(CLI_SURFACE)
+    for name, sub in subparsers.choices.items():
+        flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == CLI_SURFACE[name], name
+
+
+@pytest.fixture(scope="module")
+def plan_file(state_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("plan")
+    assert run(["optimize", "--state", str(state_file), "--k", "2", "--seed", "2",
+                "--root-samples", "8", "--internal-samples", "3", "--out", str(out)]) == 0
+    return out / "plan.json"
+
+
+def _corrupt(lines, i, row):
+    return lines[:i] + [row] + lines[i + 1:]
+
+
+@pytest.mark.parametrize("corrupt, line, reason", [
+    (lambda lines: [], 1, "voter_id header"),
+    (lambda lines: _corrupt(lines, 2, lines[2].rsplit(",", 2)[0]), 3, "6 fields"),
+    (lambda lines: _corrupt(lines, 1, lines[1].replace(",D,", ",X,").replace(",R,", ",X,")),
+     2, "party R or D"),
+], ids=["empty", "short_row", "unknown_party"])
+def test_stv_rejects_malformed_voter_file_naming_path_and_line(
+        state_file, plan_file, tmp_path, capsys, corrupt, line, reason):
+    voters = tmp_path / "voters.csv"
+    save_voter_file(generate_voter_file(load_state(state_file), 4, 0.5, seed=1), voters)
+    voters.write_text("".join(f"{row}\n" for row in corrupt(voters.read_text().splitlines())))
+    assert run(["stv", "--state", str(state_file), "--plan", str(plan_file),
+                "--voter-file", str(voters), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {voters}: line {line}: " in err and reason in err
+
+
+def test_config_must_be_a_json_object(state_file, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps([["k", "1"]]))
+    assert run(["sweep", "--state", str(state_file), "--config", str(config),
+                "--out", str(tmp_path / "m.csv")]) == 1
+    assert f"error: {config}: config must be a JSON object" in capsys.readouterr().err
+
+
+def test_config_rejects_keys_that_are_not_flags_of_the_command(state_file, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    # "sed" is a typo of "seed"; "objective" is a flag of optimize, not of sweep.
+    config.write_text(json.dumps({"sed": 3, "objective": "fair", "k": "1"}))
+    out = tmp_path / "m.csv"
+    assert run(["sweep", "--state", str(state_file), "--config", str(config),
+                "--out", str(out)]) == 1
+    assert "['objective', 'sed']" in capsys.readouterr().err
+    assert not out.exists()

@@ -53,8 +53,11 @@ CASES = {
     "optimize144_fair": ("optimize", "state144.json",
                          ["--k", "6", "--objective", "fair", "--seed", "4",
                           "--root-samples", "12", "--internal-samples", "3"], "plan"),
+    "optimize72_max_d": ("optimize", "state72.json",
+                         ["--k", "6", "--objective", "max-d", "--seed", "3",
+                          "--root-samples", "8", "--internal-samples", "3"], "plan"),
     "ensemble16": ("ensemble", "state16.json",
-                   ["--k", "2", "--sigma", "0.05", "--seed", "4", "--ensemble-size", "25",
+                   ["--k", "2", "--seed", "4", "--ensemble-size", "25",
                     "--root-samples", "6", "--internal-samples", "2"], "ensemble.csv"),
     "diversity16": ("diversity", "state16.json",
                     ["--k", "1,4", "--seed", "6", "--voters-per-block", "8",
@@ -64,6 +67,18 @@ CASES = {
                     ["--k", "2,3", "--seed", "7", "--voters-per-block", "4",
                      "--ensemble-size", "2", "--root-samples", "4",
                      "--internal-samples", "2"], "diversity.csv"),
+    "stv72_partisan": ("stv", "state72.json",
+                       ["--plan", str(GOLDEN / "optimize72_max_r" / "plan" / "plan.json"),
+                        "--mode", "partisan_score", "--seed", "9", "--voters-per-block", "10",
+                        "--verbose"], "election"),
+    "stv72_geographic": ("stv", "state72.json",
+                         ["--plan", str(GOLDEN / "optimize72_max_r" / "plan" / "plan.json"),
+                          "--mode", "geographic", "--seed", "9", "--voters-per-block", "10",
+                          "--per-party", "4", "--verbose"], "election"),
+    # Two-seat districts, so the round logs carry surplus transfers.
+    "stv72_fair": ("stv", "state72.json",
+                   ["--plan", str(GOLDEN / "optimize72_fair" / "plan" / "plan.json"),
+                    "--seed", "4", "--voters-per-block", "6", "--verbose"], "election"),
 }
 
 

@@ -80,7 +80,7 @@ def test_generation_argument_validation(grid_state):
 def test_candidate_slates_cover_both_parties(grid_state):
     vf = generate_voter_file(grid_state, voters_per_block=20, score_spread=0.5, seed=3)
     d = whole_state_district(grid_state)
-    cands = generate_candidates(d, grid_state, per_party=5, voter_file=vf, seed=0)
+    cands = generate_candidates(vf.in_district(d), d.seats, per_party=5)
     assert len(cands) == 10
     assert sum(1 for c in cands if c.party == "R") == 5
     assert len({c.id for c in cands}) == 10
@@ -89,7 +89,7 @@ def test_candidate_slates_cover_both_parties(grid_state):
 def test_candidate_scores_spread_across_quantiles(grid_state):
     vf = generate_voter_file(grid_state, voters_per_block=20, score_spread=0.5, seed=3)
     d = whole_state_district(grid_state)
-    cands = generate_candidates(d, grid_state, per_party=4, voter_file=vf, seed=0)
+    cands = generate_candidates(vf.in_district(d), d.seats, per_party=4)
     for party in ("R", "D"):
         scores = [c.score for c in cands if c.party == party]
         assert scores == sorted(scores)
@@ -100,13 +100,13 @@ def test_candidates_require_enough_per_party(grid_state):
     vf = generate_voter_file(grid_state, voters_per_block=10, score_spread=0.5, seed=0)
     d = whole_state_district(grid_state)
     with pytest.raises(ValueError):
-        generate_candidates(d, grid_state, per_party=2, voter_file=vf, seed=0)
+        generate_candidates(vf.in_district(d), d.seats, per_party=2)
 
 
 def test_ballots_are_party_line(grid_state):
     vf = generate_voter_file(grid_state, voters_per_block=10, score_spread=0.5, seed=6)
     d = whole_state_district(grid_state)
-    cands = generate_candidates(d, grid_state, per_party=5, voter_file=vf, seed=0)
+    cands = generate_candidates(vf.in_district(d), d.seats, per_party=5)
     party_of = {c.id: c.party for c in cands}
     voters = vf.in_district(d)
     for mode in ("partisan_score", "geographic"):
@@ -121,7 +121,7 @@ def test_ballots_are_party_line(grid_state):
 def test_ranking_modes_produce_different_orders(grid_state):
     vf = generate_voter_file(grid_state, voters_per_block=20, score_spread=0.5, seed=6)
     d = whole_state_district(grid_state)
-    cands = generate_candidates(d, grid_state, per_party=5, voter_file=vf, seed=0)
+    cands = generate_candidates(vf.in_district(d), d.seats, per_party=5)
     voters = vf.in_district(d)
     by_score = build_ballots(voters, cands, "partisan_score")
     by_geo = build_ballots(voters, cands, "geographic")
@@ -131,7 +131,7 @@ def test_ranking_modes_produce_different_orders(grid_state):
 def test_build_ballots_validation(grid_state):
     vf = generate_voter_file(grid_state, voters_per_block=10, score_spread=0.5, seed=0)
     d = whole_state_district(grid_state)
-    cands = generate_candidates(d, grid_state, per_party=4, voter_file=vf, seed=0)
+    cands = generate_candidates(vf.in_district(d), d.seats, per_party=4)
     with pytest.raises(ValueError):
         build_ballots(vf.voters, cands, "alphabetical")
     with pytest.raises(ValueError):

@@ -2,12 +2,15 @@
 
 The sample tree is scored once per rule and then traversed by two exact
 dynamic programs: a max-sum over expected seats for partisan optimization,
-and an achievable-seat-total DP whose root pick minimizes the
-proportionality gap.  Ensemble and intra-party metrics are computed on
-plans drawn from the same tree.
+and a per-node histogram of plans by R-seat total, which gives both the plan
+minimizing the proportionality gap and exact ensemble quantiles over every
+encoded plan.  Intra-party metrics are computed on plans drawn from the tree.
 """
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -18,8 +21,10 @@ from . import voters as voters_mod
 from .model import BalanceTolerance, district_vote_share, vote_share
 from .rules import SeatShareRule, UncertaintyModel, deterministic_seats, expected_seats
 from .stv import run_stv
-from .tree import (SampleTree, TreeBuildError, build_tree, plan_from_leaves, sample_plans,
-                   walk_nodes)
+from .tree import SampleTree, TreeBuildError, build_tree, plan_from_leaves, walk_nodes
+# sample_plans is not called here; it stays bound in this module because
+# perfbench/tracer.py times the calls made through this name.
+from .tree import sample_plans  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -74,104 +79,78 @@ def optimize_partisan(tree: SampleTree, scores: dict, party: str):
     if party not in ("R", "D"):
         raise ValueError(f"party must be R or D, got {party!r}")
     value, choice = {}, {}
-
-    def leaf_value(node):
-        s = scores[node.node_id]
-        return s.expected_r_seats if party == "R" else node.seats - s.expected_r_seats
-
-    def solve(node):
-        if node.node_id in value:
-            return value[node.node_id]
+    for node in reversed(list(walk_nodes(tree))):  # children before parents
         if node.is_leaf:
-            v = leaf_value(node)
-        else:
-            if not node.samples:
-                raise ValueError("empty tree node")
-            best, best_i = -math.inf, 0
-            for i, sample in enumerate(node.samples):
-                total = sum(solve(child) for child in sample)
-                if total > best:
-                    best, best_i = total, i
-            v = best
-            choice[node.node_id] = best_i
-        value[node.node_id] = v
-        return v
-
-    total = solve(tree.root)
-    leaves = []
-
-    def backtrack(node):
+            s = scores[node.node_id]
+            value[node.node_id] = (s.expected_r_seats if party == "R"
+                                   else node.seats - s.expected_r_seats)
+            continue
+        totals = [sum(value[child.node_id] for child in sample) for sample in node.samples]
+        best = totals.index(max(totals))  # the first best sample
+        value[node.node_id], choice[node.node_id] = totals[best], best
+    leaves, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
         if node.is_leaf:
             leaves.append(node)
-            return
-        for child in node.samples[choice[node.node_id]]:
-            backtrack(child)
+        else:
+            stack.extend(reversed(node.samples[choice[node.node_id]]))
+    return leaves, value[tree.root.node_id]
 
-    backtrack(tree.root)
-    return leaves, total
+
+def _convolve(a: dict, b: dict) -> dict:
+    """Table of the sums of one total from each table, counts multiplied."""
+    out = {}
+    for s, x in a.items():
+        for t, y in b.items():
+            out[s + t] = out.get(s + t, 0) + x * y
+    return out
+
+
+def seat_histograms(tree: SampleTree, scores: dict) -> dict:
+    """Per node id, {deterministic R-seat total: number of encoded plans}: a leaf
+    counts its own total once, an internal node sums its samples' convolutions."""
+    tables = {}
+    for node in reversed(list(walk_nodes(tree))):  # children before parents
+        table = tables[node.node_id] = {}
+        if node.is_leaf:
+            table[scores[node.node_id].deterministic_r_seats] = 1
+        for sample in node.samples:
+            for total, count in functools.reduce(
+                    _convolve, [tables[c.node_id] for c in sample]).items():
+                table[total] = table.get(total, 0) + count
+    return tables
 
 
 def optimize_fair(tree: SampleTree, scores: dict, y_r: float):
     """Plan whose deterministic R-seat total is closest to proportional.
 
-    Computes the set of achievable R-seat totals per node (union over
-    samples of children's Minkowski sums), picks the root total minimizing
-    |total/N - y_r| with ties toward fewer R seats, and backtracks a
-    witness plan.  Returns (leaf nodes, total R seats, gap).
+    Picks the root total of ``seat_histograms`` minimizing |total/N - y_r|,
+    ties toward fewer R seats, and backtracks a witness: at each node the
+    first sample reaching its target, split into the smallest feasible child
+    totals in child order.  Returns (leaf nodes, total R seats, gap).
     """
-    sets = {}
-
-    def solve(node):
-        if node.node_id in sets:
-            return sets[node.node_id]
-        if node.is_leaf:
-            result = {scores[node.node_id].deterministic_r_seats}
-        else:
-            result = set()
-            for sample in node.samples:
-                partial = {0}
-                for child in sample:
-                    child_set = solve(child)
-                    partial = {a + b for a in partial for b in child_set}
-                result |= partial
-        sets[node.node_id] = result
-        return result
-
-    achievable = solve(tree.root)
-    if not achievable:
-        raise ValueError("empty tree")
+    tables = seat_histograms(tree, scores)
     n = tree.root.seats
-    best = min(sorted(achievable), key=lambda t: (abs(t / n - y_r), t))
-
-    leaves = []
-
-    def witness(node, target):
+    best = min(sorted(tables[tree.root.node_id]), key=lambda t: (abs(t / n - y_r), t))
+    leaves, stack = [], [(tree.root, best)]
+    while stack:
+        node, target = stack.pop()
         if node.is_leaf:
             leaves.append(node)
-            return True
         for sample in node.samples:
-            split = _find_split(sample, target, sets)
-            if split is not None:
-                for child, t in zip(sample, split):
-                    if not witness(child, t):
-                        return False
-                return True
-        return False
-
-    if not witness(tree.root, best):
-        raise RuntimeError(f"no witness plan for the achievable R-seat total {best}")
+            # rests[i]: the table of the sample's last i children
+            rests = list(itertools.accumulate([tables[c.node_id] for c in reversed(sample)],
+                                              _convolve, initial={0: 1}))
+            if target in rests[-1]:
+                split = []
+                for child, rest in zip(sample, reversed(rests[:-1])):
+                    t = min(t for t in tables[child.node_id] if target - t in rest)
+                    split.append((child, t))
+                    target -= t
+                stack.extend(reversed(split))
+                break
     return leaves, best, abs(best / n - y_r)
-
-
-def _find_split(children, target, sets):
-    if len(children) == 1:
-        return [target] if target in sets[children[0].node_id] else None
-    head = children[0]
-    for t in sorted(sets[head.node_id]):
-        rest = _find_split(children[1:], target - t, sets)
-        if rest is not None:
-            return [t] + rest
-    return None
 
 
 def plan_deterministic_seats(plan, state, rule: SeatShareRule) -> int:
@@ -181,26 +160,27 @@ def plan_deterministic_seats(plan, state, rule: SeatShareRule) -> int:
         for d in plan.districts)
 
 
-def ensemble_metrics(tree: SampleTree, state, rule: SeatShareRule, n_samples: int,
-                     seed: int = 0):
-    """Distribution of deterministic R seat share and gap over sampled plans."""
+def ensemble_metrics(tree: SampleTree, state, rule: SeatShareRule, scores: dict):
+    """Exact R-seat quantiles over every encoded plan: the linear ``np.quantile``
+    of all plans' totals, read off the root's ``seat_histograms`` counts."""
     y = state.statewide_vote_share()
     n = state.total_seats
-    k = tree.root.n_districts
-    plans = sample_plans(tree, n_samples, seed)
-    seats = np.array([plan_deterministic_seats(p, state, rule) for p in plans], dtype=float)
+    totals, counts = zip(*sorted(seat_histograms(tree, scores)[tree.root.node_id].items()))
+    cumulative = list(itertools.accumulate(counts))
     records = []
-    for stat, q in (("min", 0.0), ("q1", 0.25), ("median", 0.5), ("q3", 0.75), ("max", 1.0)):
-        s = float(np.quantile(seats, q))
+    for quarter, stat in enumerate(("min", "q1", "median", "q3", "max")):
+        i, rem = divmod((cumulative[-1] - 1) * quarter, 4)  # linear index i + rem/4
+        # The j-th smallest total (from 0) is the first whose cumulative count exceeds j.
+        lo, hi = (totals[bisect.bisect_right(cumulative, j)] for j in (i, i + (rem > 0)))
+        s = lo + (hi - lo) * (rem / 4)
         records.append(MetricsRecord(
-            k=k, rule=rule.name, statistic=stat,
+            k=tree.root.n_districts, rule=rule.name, statistic=stat,
             seats_r=s, seat_share_r=s / n, proportionality_gap=abs(s / n - y)))
     return records
 
 
 def sweep_k(state, rule: SeatShareRule, k_set, u: UncertaintyModel,
-            seed: int = 0, ensemble_size: int = 200,
-            root_samples=None, internal_samples=None):
+            seed: int = 0, root_samples=None, internal_samples=None):
     """Optimized and ensemble records for each requested district count.
 
     Returns (records, failures): one max_R / max_D / min_gap / median record
@@ -224,10 +204,8 @@ def sweep_k(state, rule: SeatShareRule, k_set, u: UncertaintyModel,
                                          seats / n, abs(seats / n - y)))
         leaves, total, gap = optimize_fair(tree, scores, y)
         records.append(MetricsRecord(k, rule.name, "min_gap", float(total), total / n, gap))
-        median = [r for r in ensemble_metrics(tree, state, rule, ensemble_size,
-                                              seed=seed * 100003 + k)
-                  if r.statistic == "median"][0]
-        records.append(median)
+        records.append(next(r for r in ensemble_metrics(tree, state, rule, scores)
+                            if r.statistic == "median"))
     return records, failures
 
 

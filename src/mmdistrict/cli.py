@@ -35,19 +35,33 @@ def _options(args):
     _, _, defaults, required = COMMANDS[args.command]
     opts = dict(defaults)
     if args.config:
-        config = model.read_json(args.config)
-        if not isinstance(config, dict):
-            raise model.StateFormatError(f"{args.config}: config must be a JSON object")
-        unknown = sorted(set(config) - set(defaults))
-        if unknown:
-            raise model.StateFormatError(f"{args.config}: not flags of {args.command}: {unknown}")
-        opts.update(config)
+        opts.update(_config(args.config, args.command, defaults))
     opts.update((key, val) for key, val in vars(args).items()
                 if key in defaults and val is not None)
     missing = ["--" + key.replace("_", "-") for key in required if opts[key] is None]
     if missing:
         raise SystemExit(f"error: {args.command} requires {', '.join(missing)}")
     return opts
+
+
+def _config(path, command, defaults):
+    """A config file's flag values, each checked by the flag's own type and choices."""
+    config = model.read_json(path)
+    if not isinstance(config, dict):
+        raise model.StateFormatError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise model.StateFormatError(f"{path}: not flags of {command}: {unknown}")
+    for key, val in config.items():
+        spec = FLAGS[key]
+        try:
+            # The type sees the value as argparse sees a command-line one: as text.
+            config[key] = val = spec["type"](str(val)) if "type" in spec else val
+            if "choices" in spec and val not in spec["choices"]:
+                raise ValueError(f"{val!r} is not one of {spec['choices']}")
+        except ValueError as e:
+            raise model.StateFormatError(f"{path}: {key}: {e}") from e
+    return config
 
 
 def _build(opts, state, k, seed):
@@ -60,7 +74,7 @@ def _voter_file(opts, state):
     if opts["voter_file"]:
         return voters_mod.load_voter_file(opts["voter_file"])
     return voters_mod.generate_voter_file(
-        state, int(opts["voters_per_block"]), float(opts["score_spread"]), int(opts["seed"]))
+        state, opts["voters_per_block"], opts["score_spread"], opts["seed"])
 
 
 def _write_csv(path, header, rows):
@@ -80,8 +94,7 @@ METRICS_HEADER = ["k", "rule", "statistic", "seats_r", "seat_share_r", "gap"]
 
 def cmd_synth(opts):
     state = model.generate_synthetic_state(
-        int(opts["blocks"]), int(opts["seats"]), float(opts["r_share"]),
-        float(opts["corr"]), int(opts["seed"]))
+        opts["blocks"], opts["seats"], opts["r_share"], opts["corr"], opts["seed"])
     save_state(state, opts["out"])
     return 0
 
@@ -91,8 +104,7 @@ def cmd_sweep(opts):
     rule = get_rule(opts["rule"])
     k_set = _parse_k_set(str(opts["k"]), state.total_seats)
     records, failures = analysis.sweep_k(
-        state, rule, k_set, UncertaintyModel(float(opts["sigma"])),
-        seed=int(opts["seed"]), ensemble_size=int(opts["ensemble_size"]),
+        state, rule, k_set, UncertaintyModel(opts["sigma"]), seed=opts["seed"],
         root_samples=opts["root_samples"], internal_samples=opts["internal_samples"])
     rows = _metric_rows(records)
     for k, reason in sorted(failures.items()):
@@ -107,16 +119,14 @@ def cmd_optimize(opts):
     state = load_state(opts["state"])
     rule = get_rule(opts["rule"])
     k = int(opts["k"])
-    built = _build(opts, state, k, int(opts["seed"]))
-    scores = analysis.score_leaves(built, state, rule, UncertaintyModel(float(opts["sigma"])))
+    built = _build(opts, state, k, opts["seed"])
+    scores = analysis.score_leaves(built, state, rule, UncertaintyModel(opts["sigma"]))
     y = state.statewide_vote_share()
     objective = opts["objective"]
-    if objective in ("max-r", "max-d"):
-        leaves, value = analysis.optimize_partisan(built, scores, "R" if objective == "max-r" else "D")
-    elif objective == "fair":
+    if objective == "fair":
         leaves, value, _gap = analysis.optimize_fair(built, scores, y)
     else:
-        raise SystemExit(f"error: unknown objective {objective!r}")
+        leaves, value = analysis.optimize_partisan(built, scores, "R" if objective == "max-r" else "D")
     plan = tree_mod.plan_from_leaves(leaves)
     report = validate_plan(state, plan)
     if not report.ok:
@@ -139,9 +149,9 @@ def cmd_optimize(opts):
 def cmd_ensemble(opts):
     state = load_state(opts["state"])
     rule = get_rule(opts["rule"])
-    built = _build(opts, state, int(opts["k"]), int(opts["seed"]))
-    records = analysis.ensemble_metrics(built, state, rule, int(opts["ensemble_size"]),
-                                        seed=int(opts["seed"]))
+    built = _build(opts, state, int(opts["k"]), opts["seed"])
+    records = analysis.ensemble_metrics(built, state, rule,
+                                        analysis.score_leaves(built, state, rule))
     _write_csv(opts["out"], METRICS_HEADER, _metric_rows(records))
     return 0
 
@@ -160,7 +170,7 @@ def cmd_stv(opts):
     log_lines = []
     for i, district in enumerate(plan.districts):
         candidates, _, result = analysis.elect(district, vfile, opts["mode"],
-                                               int(opts["per_party"] or 0), int(opts["seed"]) + i)
+                                               opts["per_party"] or 0, opts["seed"] + i)
         if result is None:
             raise ValueError(f"district {i} has no voters")
         split = partisan_split(result, candidates)
@@ -189,19 +199,24 @@ def cmd_diversity(opts):
     state = load_state(opts["state"])
     k_set = _parse_k_set(str(opts["k"]), state.total_seats)
     vfile = _voter_file(opts, state)
-    seed = int(opts["seed"])
-    rows = []
+    seed = opts["seed"]
+    rows, failed = [], []
     for k in k_set:
-        built = _build(opts, state, k, seed * 100003 + k)
-        plans = tree_mod.sample_plans(built, int(opts["ensemble_size"]), seed=seed + k)
+        try:
+            built = _build(opts, state, k, seed * 100003 + k)
+        except tree_mod.TreeBuildError as e:
+            print(f"warning: k={k} failed to build: {e}", file=sys.stderr)
+            failed.append(k)
+            continue
+        plans = tree_mod.sample_plans(built, opts["ensemble_size"], seed=seed + k)
         records = analysis.intra_party_analysis(
-            state, plans, vfile, opts["mode"], int(opts["per_party"] or 0), seed=seed + k)
+            state, plans, vfile, opts["mode"], opts["per_party"] or 0, seed=seed + k)
         for r in records:
             rows.append([k, r.party, repr(r.winner_score_stddev),
                          repr(r.coalition_score_stddev), repr(r.coalition_geo_dispersion)])
     _write_csv(opts["out"], ["k", "party", "winner_score_stddev",
                              "coalition_score_stddev", "coalition_geo_km"], rows)
-    return 0
+    return 1 if len(failed) == len(k_set) else 0
 
 
 #: flag dest -> argparse kwargs; the flag itself is the dest with dashes.
@@ -219,7 +234,8 @@ FLAGS = {
     "k": {"help": "district count; sweep and diversity take a comma-separated list or 'all'"},
     "sigma": {"type": float, "help": "vote-share noise; moves only the max-R/max-D picks"},
     "objective": {"choices": ["max-r", "max-d", "fair"]},
-    "ensemble_size": {"type": int},
+    "ensemble_size": {"type": int, "help": "plans sampled per k by diversity; "
+                                           "sweep accepts it and ignores it"},
     "voters_per_block": {"type": int},
     "score_spread": {"type": float},
     "voter_file": {},
@@ -243,15 +259,14 @@ COMMANDS = {
               ("blocks", "seats", "r_share", "out")),
     "sweep": (cmd_sweep, "metrics across district counts",
               {**COMMON, "state": None, "rule": "stv", "k": "all", "sigma": 0.05,
-               "ensemble_size": 200, **TREE},
+               "ensemble_size": None, **TREE},
               ("state", "out")),
     "optimize": (cmd_optimize, "extract an optimized plan",
                  {**COMMON, "state": None, "rule": "stv", "k": None, "sigma": 0.05,
                   "objective": "fair", **TREE},
                  ("state", "k", "out")),
-    "ensemble": (cmd_ensemble, "ensemble metrics for one district count",
-                 {**COMMON, "state": None, "rule": "stv", "k": None, "ensemble_size": 200,
-                  **TREE},
+    "ensemble": (cmd_ensemble, "exact R-seat quantiles over every plan of one district count",
+                 {**COMMON, "state": None, "rule": "stv", "k": None, **TREE},
                  ("state", "k", "out")),
     "stv": (cmd_stv, "simulate full STV elections for a plan",
             {**COMMON, "state": None, "plan": None, **ELECTION, "verbose": None},

@@ -12,6 +12,7 @@ import csv
 import random
 from dataclasses import dataclass, field
 
+from .model import StateFormatError
 from .rules import SeatOutcome
 
 #: Slack for floating-point comparisons against the integer quota.
@@ -228,15 +229,20 @@ def partisan_split(result: ElectionResult, candidates) -> SeatOutcome:
 # Ballot CSV (debugging input): voter_id, weight, semicolon-separated ranking
 
 def load_ballots(path):
+    """Load a ballot file; a malformed row raises StateFormatError naming the path and line."""
     ballots = []
     with open(path, newline="") as f:
-        for row in csv.reader(f):
+        reader = csv.reader(f)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
-            voter_id, weight, ranking = row
-            ballots.append(Ballot(
-                voter_id=int(voter_id), weight=float(weight),
-                ranking=tuple(int(c) for c in ranking.split(";") if c)))
+            try:
+                voter_id, weight, ranking = row
+                ballots.append(Ballot(
+                    voter_id=int(voter_id), weight=float(weight),
+                    ranking=tuple(int(c) for c in ranking.split(";") if c)))
+            except ValueError as e:
+                raise StateFormatError(f"{path}: line {reader.line_num}: {e}") from e
     return ballots
 
 

@@ -96,22 +96,21 @@ def generate_candidates(voters, seats: int, per_party: int):
     else:
         cx = cy = 0.0
     candidates = []
-    next_id = 0
     for party in ("R", "D"):
         members = [v for v in voters if v.party == party]
+        scores = np.array([v.partisan_score for v in members])
+        by_dist = sorted(members, key=lambda v: (math.hypot(v.x - cx, v.y - cy), v.id))
         for j in range(per_party):
             q = (j + 0.5) / per_party
             if members:
-                scores = np.array([v.partisan_score for v in members])
                 score = float(np.quantile(scores, q))
-                by_dist = sorted(members, key=lambda v: (math.hypot(v.x - cx, v.y - cy), v.id))
                 pick = by_dist[min(len(by_dist) - 1, int(q * len(by_dist)))]
                 loc = (pick.x, pick.y)
             else:
                 score = 1.0 if party == "R" else -1.0
                 loc = (cx, cy)
-            candidates.append(Candidate(id=next_id, party=party, score=score, location=loc))
-            next_id += 1
+            candidates.append(Candidate(id=len(candidates), party=party, score=score,
+                                        location=loc))
     return candidates
 
 

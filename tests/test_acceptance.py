@@ -300,8 +300,7 @@ def test_criterion_10_pipeline_byte_determinism(capsys, tmp_path):
                      "--objective", "fair", "--root-samples", "6",
                      "--internal-samples", "2"] + base,
         "ensemble": ["ensemble", "--state", str(state), "--k", "2",
-                     "--root-samples", "6", "--internal-samples", "2",
-                     "--ensemble-size", "10"] + base,
+                     "--root-samples", "6", "--internal-samples", "2"] + base,
         "diversity": ["diversity", "--state", str(state), "--k", "1,4",
                       "--voters-per-block", "8", "--ensemble-size", "2",
                       "--root-samples", "5", "--internal-samples", "2"] + base,

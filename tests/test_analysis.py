@@ -99,8 +99,8 @@ def test_optimize_partisan_rejects_unknown_party(grid_state, scored_tree):
 
 
 def test_ensemble_metrics_are_ordered_quantiles(grid_state, scored_tree):
-    tree, _ = scored_tree
-    records = ensemble_metrics(tree, grid_state, STV, 50, seed=3)
+    tree, scores = scored_tree
+    records = ensemble_metrics(tree, grid_state, STV, scores)
     stats = {r.statistic: r for r in records}
     assert list(stats) == ["min", "q1", "median", "q3", "max"]
     seats = [stats[s].seats_r for s in ("min", "q1", "median", "q3", "max")]
@@ -131,7 +131,7 @@ def test_pigeonhole_extreme_district_shares(grid_state, scored_tree):
 
 def test_sweep_k_produces_all_statistics(grid_state):
     records, failures = sweep_k(grid_state, STV, [1, 2], NO_NOISE, seed=1,
-                                ensemble_size=20, root_samples=8, internal_samples=3)
+                                root_samples=8, internal_samples=3)
     assert failures == {}
     y = grid_state.statewide_vote_share()
     by_k = {}
@@ -145,7 +145,7 @@ def test_sweep_k_produces_all_statistics(grid_state):
 def test_sweep_k_reports_infeasible_counts():
     state = generate_synthetic_state(10, 6, 0.5, 0, seed=0)
     records, failures = sweep_k(state, STV, [3], NO_NOISE, seed=0,
-                                ensemble_size=5, root_samples=3, internal_samples=2)
+                                root_samples=3, internal_samples=2)
     assert records == []
     assert 3 in failures
 

@@ -113,7 +113,7 @@ def test_optimize_fair_summary_matches_rescoring(state_file, tmp_path):
 def test_ensemble_csv(state_file, tmp_path):
     out = tmp_path / "ens.csv"
     assert run(["ensemble", "--state", str(state_file), "--k", "2",
-                "--seed", "4", "--ensemble-size", "25", "--root-samples", "6",
+                "--seed", "4", "--root-samples", "6",
                 "--internal-samples", "2", "--out", str(out)]) == 0
     rows = read_csv(out)
     assert [r[2] for r in rows[1:]] == ["min", "q1", "median", "q3", "max"]
@@ -189,7 +189,7 @@ CLI_SURFACE = {
     "optimize": {"--config", "--seed", "--out", "--state", "--rule", "--k", "--sigma",
                  "--objective", "--root-samples", "--internal-samples"},
     "ensemble": {"--config", "--seed", "--out", "--state", "--rule", "--k",
-                 "--ensemble-size", "--root-samples", "--internal-samples"},
+                 "--root-samples", "--internal-samples"},
     "stv": {"--config", "--seed", "--out", "--state", "--plan", "--voters-per-block",
             "--score-spread", "--voter-file", "--mode", "--per-party", "--verbose"},
     "diversity": {"--config", "--seed", "--out", "--state", "--k", "--ensemble-size",
@@ -253,3 +253,45 @@ def test_config_rejects_keys_that_are_not_flags_of_the_command(state_file, tmp_p
                 "--out", str(out)]) == 1
     assert "['objective', 'sed']" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_values_take_the_flag_type(state_file, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"root_samples": "5", "internal_samples": 2}))
+    from_config, from_flags = tmp_path / "config", tmp_path / "flags"
+    base = ["optimize", "--state", str(state_file), "--k", "2", "--seed", "2"]
+    assert run(base + ["--config", str(config), "--out", str(from_config)]) == 0
+    assert run(base + ["--root-samples", "5", "--internal-samples", "2",
+                       "--out", str(from_flags)]) == 0
+    for name in ("plan.json", "summary.json"):
+        assert (from_config / name).read_bytes() == (from_flags / name).read_bytes()
+
+
+@pytest.mark.parametrize("values, reason", [
+    ({"root_samples": "five"}, "root_samples: invalid literal for int()"),
+    ({"root_samples": 2.5}, "root_samples: invalid literal for int()"),
+    ({"rule": "borda"}, "rule: 'borda' is not one of"),
+], ids=["not_an_int", "float_for_int", "unknown_rule"])
+def test_config_rejects_values_the_flag_would_reject(state_file, tmp_path, capsys,
+                                                     values, reason):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    out = tmp_path / "plan"
+    assert run(["optimize", "--state", str(state_file), "--k", "2", "--config", str(config),
+                "--out", str(out)]) == 1
+    assert f"error: {config}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diversity_keeps_every_k_that_built(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    assert run(["synth", "--blocks", "64", "--seats", "6", "--r-share", "0.4", "--corr", "2",
+                "--seed", "3", "--out", str(state)]) == 0
+    base = ["diversity", "--state", str(state), "--root-samples", "30",
+            "--internal-samples", "4", "--voters-per-block", "4", "--ensemble-size", "1"]
+    out = tmp_path / "div.csv"
+    # No 4-district tree of this state builds from these samples; k=1 and k=2 do.
+    assert run(base + ["--k", "1,2,4", "--out", str(out)]) == 0
+    assert {r[0] for r in read_csv(out)[1:]} == {"1", "2"}
+    assert "k=4 failed to build" in capsys.readouterr().err
+    assert run(base + ["--k", "4", "--out", str(tmp_path / "none.csv")]) == 1

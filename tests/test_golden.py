@@ -57,7 +57,7 @@ CASES = {
                          ["--k", "6", "--objective", "max-d", "--seed", "3",
                           "--root-samples", "8", "--internal-samples", "3"], "plan"),
     "ensemble16": ("ensemble", "state16.json",
-                   ["--k", "2", "--seed", "4", "--ensemble-size", "25",
+                   ["--k", "2", "--seed", "4",
                     "--root-samples", "6", "--internal-samples", "2"], "ensemble.csv"),
     "diversity16": ("diversity", "state16.json",
                     ["--k", "1,4", "--seed", "6", "--voters-per-block", "8",

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mmdistrict.model import StateFormatError
 from mmdistrict.rules import PAV, stv_seats, thiele_seats
 from mmdistrict.stv import (
     Ballot,
@@ -243,3 +244,17 @@ def test_partisan_split_counts():
     result = run_stv(ballots, [R1, R2, D1], seats=2, seed=0)
     split = partisan_split(result, [R1, R2, D1])
     assert (split.seats_r, split.seats_d, split.total) == (1, 1, 2)
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("3,1.0", "not enough values to unpack (expected 3, got 2)"),
+    ("x,1.0,0;1", "invalid literal for int()"),
+    ("3,heavy,0;1", "could not convert string to float"),
+    ("3,1.0,0;one", "invalid literal for int()"),
+], ids=["short_row", "non_numeric_id", "non_numeric_weight", "non_integer_ranking"])
+def test_load_ballots_rejects_malformed_rows_naming_path_and_line(tmp_path, row, reason):
+    path = tmp_path / "ballots.csv"
+    path.write_text(f"# voter_id,weight,ranking\n0,1.0,2;0;1\n{row}\n")
+    with pytest.raises(StateFormatError) as err:
+        load_ballots(path)
+    assert f"{path}: line 3: " in str(err.value) and reason in str(err.value)

@@ -26,8 +26,6 @@ from .rules import (
     expected_seats,
     get_rule,
     seat_thresholds,
-    stv_seats,
-    thiele_seats,
 )
 from .stv import Ballot, Candidate, ElectionResult, droop_quota, partisan_split, run_stv
 from .tree import SampleTree, build_tree, sample_counts, sample_plans

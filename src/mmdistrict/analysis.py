@@ -59,7 +59,7 @@ def score_leaves(tree: SampleTree, state, rule: SeatShareRule,
     """Score every leaf district: vote share, expected and deterministic R seats."""
     scores = {}
     for node in walk_nodes(tree):
-        if not node.is_leaf or node.node_id in scores:
+        if not node.is_leaf:
             continue
         y = vote_share(state.block_map[bid] for bid in node.region)
         scores[node.node_id] = LeafScore(

@@ -24,6 +24,8 @@ def _parse_k_set(text: str, n_seats: int):
     if text == "all":
         return list(range(1, n_seats + 1))
     ks = sorted({int(part) for part in text.split(",") if part})
+    if not ks:
+        raise SystemExit(f"error: --k {text!r} names no district count")
     bad = [k for k in ks if not 1 <= k <= n_seats]
     if bad:
         raise SystemExit(f"error: k values {bad} outside 1..{n_seats}")
@@ -198,6 +200,8 @@ def cmd_stv(opts):
 def cmd_diversity(opts):
     state = load_state(opts["state"])
     k_set = _parse_k_set(str(opts["k"]), state.total_seats)
+    if opts["ensemble_size"] < 1:
+        raise ValueError(f"--ensemble-size must be >= 1, got {opts['ensemble_size']}")
     vfile = _voter_file(opts, state)
     seed = opts["seed"]
     rows, failed = [], []

@@ -1,16 +1,17 @@
 """Closed-form partisan seat shares for Thiele-family rules and STV.
 
 Under party-line voting only the partisan split of a winning committee
-matters, so Thiele rules reduce to a scan over the number of R winners and
-STV reduces to an interval condition on ``y_R * (m + 1)``.  Exact ties
-always resolve in favor of party D.
+matters, so every rule reduces to its m seat thresholds: R wins n or more
+seats exactly when y_R > t_n.  Ties at a threshold resolve in favor of
+party D.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-#: Relative tolerance for detecting score ties in floating point.
+#: Absolute slack on the vote share within which a share counts as tied with
+#: a threshold (the float threshold can sit an ulp off the exact one).
 TIE_EPS = 1e-12
 
 
@@ -63,54 +64,13 @@ def get_rule(name: str) -> SeatShareRule:
         raise ValueError(f"unknown rule {name!r}; expected one of {sorted(RULES)}") from None
 
 
-def thiele_seats(y_r: float, m: int, lam) -> SeatOutcome:
-    """R seats under the Thiele rule with weight function ``lam``.
-
-    Scans n in 0..m maximizing
-    ``y_r * sum_{i<=n} lam(i) + (1 - y_r) * sum_{i<=m-n} lam(i)``
-    and takes the smallest maximizer, which breaks ties toward party D.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    prefix = [0.0]
-    for i in range(1, m + 1):
-        prefix.append(prefix[-1] + lam(i))
-    scores = [y_r * prefix[n] + (1 - y_r) * prefix[m - n] for n in range(m + 1)]
-    best = max(scores)
-    tol = TIE_EPS * max(1.0, abs(best))
-    n = next(i for i, s in enumerate(scores) if s >= best - tol)
-    return SeatOutcome(n, m - n)
-
-
-def stv_seats(y_r: float, m: int) -> SeatOutcome:
-    """R seats under STV: the unique n with y_r(m+1) - 1 <= n < y_r(m+1).
-
-    When ``y_r * (m + 1)`` hits an integer the upper boundary is excluded,
-    giving the tied seat to party D.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    x = y_r * (m + 1)
-    nearest = round(x)
-    if abs(x - nearest) <= 1e-9:
-        n = nearest - 1
-    else:
-        n = math.floor(x)
-    n = max(0, min(m, n))
-    return SeatOutcome(n, m - n)
-
-
-def deterministic_seats(y_r: float, m: int, rule: SeatShareRule) -> SeatOutcome:
-    if rule.kind == "stv":
-        return stv_seats(y_r, m)
-    return thiele_seats(y_r, m, rule.lam)
-
-
 def seat_thresholds(m: int, rule: SeatShareRule):
     """Ascending t_1..t_m with seats_r(y) >= n iff y > t_n (ties to D).
 
     For STV and PAV the thresholds are n / (m + 1); for a general Thiele
-    rule t_n solves y * lam(n) = (1 - y) * lam(m - n + 1).
+    rule t_n solves y * lam(n) = (1 - y) * lam(m - n + 1).  PAV keeps the
+    closed form because the general formula misses n / (m + 1) in the last
+    bit for some (m, n).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -118,6 +78,13 @@ def seat_thresholds(m: int, rule: SeatShareRule):
         return [n / (m + 1) for n in range(1, m + 1)]
     return [rule.lam(m - n + 1) / (rule.lam(n) + rule.lam(m - n + 1))
             for n in range(1, m + 1)]
+
+
+def deterministic_seats(y_r: float, m: int, rule: SeatShareRule) -> SeatOutcome:
+    """R seats without vote noise: the number of thresholds that y_r exceeds by
+    more than TIE_EPS, so a share at a threshold gives the seat to D."""
+    n = sum(1 for t in seat_thresholds(m, rule) if y_r > t + TIE_EPS)
+    return SeatOutcome(n, m - n)
 
 
 def expected_seats(y_r: float, m: int, rule: SeatShareRule,

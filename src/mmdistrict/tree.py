@@ -322,6 +322,9 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
     default_root, default_internal = sample_counts(k)
     n_root = default_root if root_samples is None else root_samples
     n_internal = default_internal if internal_samples is None else internal_samples
+    for name, count in (("root_samples", n_root), ("internal_samples", n_internal)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
 
     rng = random.Random(seed)
     adjacency = state.adjacency
@@ -442,6 +445,8 @@ def plan_from_leaves(leaves) -> Plan:
 
 def sample_plans(tree: SampleTree, count: int, seed: int = 0):
     """Draw plans by independent top-down descent, one uniform sample per node."""
+    if count < 0:
+        raise ValueError(f"plan count must be >= 0, got {count}")
     rng = random.Random(seed)
 
     def descend(node):

@@ -126,18 +126,17 @@ def build_ballots(voters, candidates, mode: str):
     if parties != {"R", "D"}:
         raise ValueError("candidates must include at least one per party")
 
-    def dist(voter, cand):
-        if mode == "partisan_score":
+    if mode == "partisan_score":
+        def dist(voter, cand):
             return abs(voter.partisan_score - cand.score)
-        return math.hypot(voter.x - cand.location[0], voter.y - cand.location[1])
+    else:
+        def dist(voter, cand):
+            return math.hypot(voter.x - cand.location[0], voter.y - cand.location[1])
 
     ballots = []
     for v in voters:
-        own = sorted((c for c in candidates if c.party == v.party),
-                     key=lambda c: (dist(v, c), c.id))
-        other = sorted((c for c in candidates if c.party != v.party),
-                       key=lambda c: (dist(v, c), c.id))
-        ballots.append(Ballot(voter_id=v.id, ranking=tuple(c.id for c in own + other)))
+        ranked = sorted(candidates, key=lambda c: (c.party != v.party, dist(v, c), c.id))
+        ballots.append(Ballot(voter_id=v.id, ranking=tuple(c.id for c in ranked)))
     return ballots
 
 

@@ -27,8 +27,6 @@ from mmdistrict.rules import (
     UncertaintyModel,
     deterministic_seats,
     expected_seats,
-    stv_seats,
-    thiele_seats,
 )
 from mmdistrict.stv import Ballot, Candidate, partisan_split, run_stv
 from mmdistrict.tree import build_tree, enumerate_plans, plan_from_leaves, sample_plans
@@ -86,8 +84,8 @@ def test_criterion_1_stv_engine_matches_closed_forms(capsys):
             rng.shuffle(other)
             ballots.append(Ballot(voter_id=i, ranking=tuple(own + other)))
         split = partisan_split(run_stv(ballots, cands, m, seed=trial), cands)
-        closed = stv_seats(n_r / v, m)
-        pav = thiele_seats(n_r / v, m, PAV.lam)
+        closed = deterministic_seats(n_r / v, m, STV)
+        pav = deterministic_seats(n_r / v, m, PAV)
         if not split.seats_r == closed.seats_r == pav.seats_r:
             mismatches += 1
     report(capsys, 1, mismatches == 0,
@@ -112,10 +110,10 @@ def test_criterion_2_thiele_committee_enumeration_oracle(capsys):
         for m in range(1, 5):
             for y in ys:
                 checked += 1
-                if thiele_seats(y, m, rule.lam).seats_r != oracle(y, m, rule.lam):
+                if deterministic_seats(y, m, rule).seats_r != oracle(y, m, rule.lam):
                     mismatches += 1
-    boundary_ok = (thiele_seats(1 / 3, 2, PAV.lam).seats_r == 0
-                   and thiele_seats(2 / 3, 2, PAV.lam).seats_r == 1)
+    boundary_ok = (deterministic_seats(1 / 3, 2, PAV).seats_r == 0
+                   and deterministic_seats(2 / 3, 2, PAV).seats_r == 1)
     report(capsys, 2, mismatches == 0 and boundary_ok,
            f"{checked} (rule, m, y) points vs committee enumeration, "
            f"{mismatches} mismatches, boundary ties to D: {boundary_ok}")
@@ -126,11 +124,11 @@ def test_criterion_3_stv_proportionality_bound(capsys):
     for m in range(1, 11):
         for i in range(10001):
             y = i / 10000
-            n = stv_seats(y, m).seats_r
+            n = deterministic_seats(y, m, STV).seats_r
             if not abs(n - y * m) < 1:
                 violations += 1
         for t in range(m + 2):  # integer boundaries resolve toward D
-            if stv_seats(t / (m + 1), m).seats_r != max(0, min(m, t - 1)):
+            if deterministic_seats(t / (m + 1), m, STV).seats_r != max(0, min(m, t - 1)):
                 violations += 1
     report(capsys, 3, violations == 0,
            f"|n_R - y*m| < 1 on the 1e-4 grid for m <= 10, {violations} violations")

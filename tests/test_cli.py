@@ -295,3 +295,31 @@ def test_diversity_keeps_every_k_that_built(tmp_path, capsys):
     assert {r[0] for r in read_csv(out)[1:]} == {"1", "2"}
     assert "k=4 failed to build" in capsys.readouterr().err
     assert run(base + ["--k", "4", "--out", str(tmp_path / "none.csv")]) == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "diversity"])
+def test_k_list_without_a_value_is_an_error(state_file, tmp_path, command):
+    out = tmp_path / "m.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, "--state", str(state_file), "--k", ",", "--out", str(out)])
+    assert exit_info.value.code == "error: --k ',' names no district count"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,name", [("--root-samples", "root_samples"),
+                                       ("--internal-samples", "internal_samples")])
+@pytest.mark.parametrize("command", ["sweep", "optimize"])
+def test_zero_sample_count_is_an_error(state_file, tmp_path, capsys, command, flag, name):
+    out = tmp_path / "out"
+    assert run([command, "--state", str(state_file), "--k", "2", flag, "0",
+                "--out", str(out)]) == 1
+    assert f"error: {name} must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diversity_rejects_an_empty_ensemble(state_file, tmp_path, capsys):
+    out = tmp_path / "div.csv"
+    assert run(["diversity", "--state", str(state_file), "--k", "2", "--ensemble-size", "0",
+                "--root-samples", "4", "--internal-samples", "2", "--out", str(out)]) == 1
+    assert "error: --ensemble-size must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()

@@ -15,8 +15,6 @@ from mmdistrict.rules import (
     expected_seats,
     get_rule,
     seat_thresholds,
-    stv_seats,
-    thiele_seats,
 )
 
 
@@ -43,30 +41,41 @@ def test_thiele_matches_committee_enumeration(rule):
     for m in range(1, 4):
         for i in range(0, 21):
             y = i / 20
-            assert thiele_seats(y, m, rule.lam).seats_r == committee_oracle(y, m, rule.lam), \
+            assert deterministic_seats(y, m, rule).seats_r == committee_oracle(y, m, rule.lam), \
                 (rule.name, m, y)
 
 
+def test_pav_matches_committee_enumeration_on_divisible_electorates():
+    # The shares of acceptance criterion 1: n_r / v with (m + 1) dividing v,
+    # seat boundaries included, where PAV's thresholds are n / (m + 1).
+    for m in range(1, 6):
+        for v in ((m + 1) * j for j in (1, 2, 3, 7)):
+            for n_r in range(v + 1):
+                y = n_r / v
+                assert deterministic_seats(y, m, PAV).seats_r == committee_oracle(y, m, PAV.lam), \
+                    (m, v, n_r)
+
+
 def test_pav_two_seats_boundary_ties_favor_d():
-    assert thiele_seats(1 / 3, 2, PAV.lam).seats_r == 0
-    assert thiele_seats(2 / 3, 2, PAV.lam).seats_r == 1
-    assert thiele_seats(1 / 3 + 1e-6, 2, PAV.lam).seats_r == 1
-    assert thiele_seats(2 / 3 + 1e-6, 2, PAV.lam).seats_r == 2
+    assert deterministic_seats(1 / 3, 2, PAV).seats_r == 0
+    assert deterministic_seats(2 / 3, 2, PAV).seats_r == 1
+    assert deterministic_seats(1 / 3 + 1e-6, 2, PAV).seats_r == 1
+    assert deterministic_seats(2 / 3 + 1e-6, 2, PAV).seats_r == 2
 
 
 def test_wta_is_winner_take_all():
     for m in (1, 3, 5):
-        assert thiele_seats(0.6, m, WTA.lam).seats_r == m
-        assert thiele_seats(0.4, m, WTA.lam).seats_r == 0
-        assert thiele_seats(0.5, m, WTA.lam).seats_r == 0  # exact tie to D
+        assert deterministic_seats(0.6, m, WTA).seats_r == m
+        assert deterministic_seats(0.4, m, WTA).seats_r == 0
+        assert deterministic_seats(0.5, m, WTA).seats_r == 0  # exact tie to D
 
 
 def test_stv_seats_interval_formula():
     # n is the unique integer in [y(m+1) - 1, y(m+1))
-    assert stv_seats(0.41, 4).seats_r == 2
-    assert stv_seats(0.55, 3).seats_r == 2
-    assert stv_seats(0.0, 5).seats_r == 0
-    assert stv_seats(1.0, 5).seats_r == 5
+    assert deterministic_seats(0.41, 4, STV).seats_r == 2
+    assert deterministic_seats(0.55, 3, STV).seats_r == 2
+    assert deterministic_seats(0.0, 5, STV).seats_r == 0
+    assert deterministic_seats(1.0, 5, STV).seats_r == 5
 
 
 def test_stv_integer_boundaries_resolve_to_d():
@@ -74,14 +83,14 @@ def test_stv_integer_boundaries_resolve_to_d():
         for t in range(0, m + 2):
             y = t / (m + 1)
             expected = max(0, min(m, t - 1))
-            assert stv_seats(y, m).seats_r == expected, (m, t)
+            assert deterministic_seats(y, m, STV).seats_r == expected, (m, t)
 
 
 def test_stv_proportionality_bound():
     for m in range(1, 11):
         for i in range(0, 101):
             y = i / 100
-            n = stv_seats(y, m).seats_r
+            n = deterministic_seats(y, m, STV).seats_r
             assert abs(n - y * m) < 1, (y, m, n)
 
 
@@ -89,7 +98,8 @@ def test_stv_equals_pav_everywhere():
     for m in range(1, 11):
         for i in range(0, 200):
             y = i / 199
-            assert stv_seats(y, m).seats_r == thiele_seats(y, m, PAV.lam).seats_r, (y, m)
+            assert (deterministic_seats(y, m, STV).seats_r
+                    == deterministic_seats(y, m, PAV).seats_r), (y, m)
 
 
 def test_seats_monotone_in_vote_share():
@@ -169,8 +179,8 @@ def test_rule_constructor_validation():
 
 def test_degenerate_arguments_rejected():
     with pytest.raises(ValueError):
-        stv_seats(0.5, 0)
+        deterministic_seats(0.5, 0, STV)
     with pytest.raises(ValueError):
-        thiele_seats(0.5, 0, PAV.lam)
+        deterministic_seats(0.5, 0, PAV)
     with pytest.raises(ValueError):
         seat_thresholds(0, PAV)

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmdistrict.model import StateFormatError
-from mmdistrict.rules import PAV, stv_seats, thiele_seats
+from mmdistrict.rules import PAV, STV, deterministic_seats
 from mmdistrict.stv import (
     Ballot,
     Candidate,
@@ -56,7 +57,7 @@ def test_two_seat_hand_trace():
     assert result.rounds[0].elected == [0]
     assert result.rounds[0].transfer_factors[0] == pytest.approx(0.5)
     assert result.rounds[1].eliminated == 1
-    assert partisan_split(result, [R1, R2, D1]) == stv_seats(6 / 9, 2)
+    assert partisan_split(result, [R1, R2, D1]) == deterministic_seats(6 / 9, 2, STV)
     check_conservation(result, 9.0)
 
 
@@ -119,9 +120,9 @@ def test_party_line_split_matches_closed_form_on_divisible_electorates():
         cands = [Candidate(id=i, party="R" if i < m else "D") for i in range(2 * m)]
         ballots = party_line_ballots(n_r, v - n_r, range(m), range(m, 2 * m), rng)
         split = partisan_split(run_stv(ballots, cands, m, seed=trial), cands)
-        expected = stv_seats(n_r / v, m)
+        expected = deterministic_seats(n_r / v, m, STV)
         assert split == expected, (m, v, n_r)
-        assert expected.seats_r == thiele_seats(n_r / v, m, PAV.lam).seats_r
+        assert expected.seats_r == deterministic_seats(n_r / v, m, PAV).seats_r
 
 
 def test_closed_form_requires_divisible_electorate():
@@ -153,7 +154,7 @@ def test_closed_form_requires_divisible_electorate():
     # from 34 to 37, filling the fourth seat
     split = partisan_split(result, cands)
     assert split.seats_r == 0
-    assert stv_seats(n_r / 174, m).seats_r == 1
+    assert deterministic_seats(n_r / 174, m, STV).seats_r == 1
 
 
 def test_simultaneous_election_of_all_quota_reachers():
@@ -258,3 +259,28 @@ def test_load_ballots_rejects_malformed_rows_naming_path_and_line(tmp_path, row,
     with pytest.raises(StateFormatError) as err:
         load_ballots(path)
     assert f"{path}: line 3: " in str(err.value) and reason in str(err.value)
+
+
+@st.composite
+def weighted_elections(draw):
+    """(ballots, candidates, seats) with fractional weights and truncated rankings."""
+    seats = draw(st.integers(1, 5))
+    n_cands = draw(st.integers(seats, 2 * seats + 1))
+    cands = [Candidate(id=i, party=draw(st.sampled_from("RD"))) for i in range(n_cands)]
+    ballots = []
+    for i in range(draw(st.integers(1, 40))):
+        order = draw(st.permutations(range(n_cands)))
+        ballots.append(Ballot(voter_id=i, ranking=tuple(order[:draw(st.integers(1, n_cands))]),
+                              weight=draw(st.floats(1e-3, 1.0))))
+    return ballots, cands, seats
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_elections(), st.integers(0, 2 ** 32 - 1))
+def test_run_stv_conserves_fractional_ballot_weight(election, seed):
+    ballots, cands, seats = election
+    result = run_stv(ballots, cands, seats, seed=seed)
+    assert len(set(result.winners)) == seats
+    # Criterion 4 measures the residual against the ballot count, which
+    # equals the total weight only for unit weights.
+    check_conservation(result, sum(b.weight for b in ballots))

@@ -172,6 +172,12 @@ def test_sample_plans_empty_request(grid_state):
     assert sample_plans(tree, 0, seed=0) == []
 
 
+def test_sample_plans_rejects_a_negative_count(grid_state):
+    tree = build_tree(grid_state, 2, seed=3, root_samples=4, internal_samples=2)
+    with pytest.raises(ValueError, match="plan count must be >= 0, got -1"):
+        sample_plans(tree, -1, seed=0)
+
+
 def test_nonempty_on_benign_grids():
     state = generate_synthetic_state(144, 6, 0.45, 1, seed=4)
     for k in range(1, 7):

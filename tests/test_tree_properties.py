@@ -1,4 +1,5 @@
-"""Property tests for the tree builder's search, centering and splitting steps.
+"""Property tests for contiguity, the tree builder's search, centering and
+splitting steps, and whole builds on path states.
 
 networkx serves only as an independent oracle for distances and contiguity.
 """
@@ -7,12 +8,15 @@ import random
 import networkx as nx
 from hypothesis import event, given, settings, strategies as st
 
-from mmdistrict.model import BalanceTolerance, generate_synthetic_state, is_connected
+from mmdistrict.model import (BalanceTolerance, generate_synthetic_state, is_connected,
+                              validate_plan)
 from mmdistrict.tree import (
     _bfs_distances,
     _stays_connected,
     assign_child_sizes,
+    build_tree,
     region_neighbors,
+    sample_plans,
     select_centers,
     split_region,
 )
@@ -51,6 +55,30 @@ def induced(adjacency, blocks):
     graph.add_nodes_from(blocks)
     graph.add_edges_from((u, v) for u in blocks for v in adjacency[u] if v in blocks)
     return graph
+
+
+@SETTINGS
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_is_connected_agrees_with_networkx_on_grid_subsets(rows, cols, data):
+    adjacency = grid_adjacency(rows, cols)
+    blocks = data.draw(st.sets(st.integers(0, rows * cols - 1), min_size=1))
+    connected = is_connected(blocks, adjacency)
+    event(f"connected: {connected}")
+    assert connected == nx.is_connected(induced(adjacency, blocks))
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19]), st.data(), st.integers(0, 10 ** 6))
+def test_prime_block_count_gives_a_path_state_whose_plans_validate(n, data, seed):
+    # A prime block count has no grid factorisation but 1 x n.  With one
+    # seat per block's population every district count has an exact split.
+    state = generate_synthetic_state(n, n, 0.45, 1, seed=seed)
+    assert state.adjacency == {b: {v for v in (b - 1, b + 1) if 0 <= v < n} for b in range(n)}
+    k = data.draw(st.integers(1, n))
+    tree = build_tree(state, k, seed=seed, root_samples=4, internal_samples=2)
+    for plan in sample_plans(tree, 5, seed=seed):
+        assert len(plan.districts) == k
+        assert validate_plan(state, plan, tree.tol).ok
 
 
 @SETTINGS

@@ -1,14 +1,19 @@
 """Fractional (Scottish) STV election engine over explicit ranked ballots.
 
+Ballots with the same ranking and weight are counted as one group: a group
+counts weight x members, and its members share one weight history, so the
+count is the same as ballot by ballot up to float summation order.  The
+Droop quota is floor(W / (m + 1)) + 1 for total ballot weight W and m seats.
 Each round counts weighted first preferences among continuing candidates,
-elects every candidate at or above the Droop quota simultaneously, and
-otherwise eliminates the lowest-count candidate.  Surplus transfer keeps a
+elects every candidate at or above the quota simultaneously, and otherwise
+eliminates the lowest-count candidate.  Surplus transfer keeps a
 (Q-1)/total fraction of each supporting ballot with the winner and passes
 the surplus/total fraction to the ballot's next continuing preference.
 """
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -71,21 +76,31 @@ class ElectionResult:
             for r in self.rounds]
 
 
-def droop_quota(v: int, m: int) -> int:
-    """floor(v / (m + 1)) + 1 for v voters and m seats."""
-    if v < 1 or m < 1:
-        raise ValueError("voters and seats must be positive")
-    return v // (m + 1) + 1
+def droop_quota(w: float, m: int) -> int:
+    """floor(w / (m + 1)) + 1 for total ballot weight w > 0 and m seats.
+
+    With unit weights w is the voter count; a total below one still gives
+    quota 1.
+    """
+    if not w > 0 or m < 1:
+        raise ValueError("ballot weight and seats must be positive")
+    return int(w // (m + 1)) + 1
 
 
 class _WorkingBallot:
-    __slots__ = ("voter_id", "ranking", "pos", "weight")
+    """The ballots of one (ranking, weight) group, counted together."""
+    __slots__ = ("voter_ids", "size", "ranking", "pos", "weight")
 
-    def __init__(self, ballot):
-        self.voter_id = ballot.voter_id
-        self.ranking = ballot.ranking
+    def __init__(self, ranking, weight, voter_ids):
+        self.voter_ids = voter_ids
+        self.size = len(voter_ids)
+        self.ranking = ranking
         self.pos = 0
-        self.weight = ballot.weight
+        self.weight = weight
+
+    @property
+    def count(self):
+        return self.weight * self.size
 
     def advance(self, continuing):
         """Move to the next continuing preference; False when exhausted."""
@@ -97,6 +112,15 @@ class _WorkingBallot:
     @property
     def current(self):
         return self.ranking[self.pos]
+
+
+def _group(ballots):
+    """One working ballot per distinct (ranking, weight), in order of first appearance."""
+    members = {}
+    for b in ballots:
+        members.setdefault((b.ranking, b.weight), []).append(b.voter_id)
+    return [_WorkingBallot(ranking, weight, tuple(ids))
+            for (ranking, weight), ids in members.items()]
 
 
 def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
@@ -115,13 +139,15 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
         raise ValueError("no ballots")
     cand_ids = {c.id for c in candidates}
     party = {c.id: c.party for c in candidates}
-    for b in ballots:
-        unknown = set(b.ranking) - cand_ids
+    groups = _group(ballots)
+    for wb in groups:
+        unknown = set(wb.ranking) - cand_ids
         if unknown:
-            raise ValueError(f"ballot {b.voter_id} ranks unknown candidates {sorted(unknown)}")
+            raise ValueError(
+                f"ballot {wb.voter_ids[0]} ranks unknown candidates {sorted(unknown)}")
 
     rng = random.Random(seed)
-    quota = droop_quota(len(ballots), seats)
+    quota = droop_quota(math.fsum(b.weight for b in ballots), seats)
     continuing = set(cand_ids)
     piles = {c: [] for c in cand_ids}
     exhausted = 0.0
@@ -130,29 +156,25 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
     coalitions = {}
     rounds = []
 
-    for b in ballots:
-        wb = _WorkingBallot(b)
+    for wb in groups:
         if wb.advance(continuing):
             piles[wb.current].append(wb)
         else:
-            exhausted += wb.weight
+            exhausted += wb.count
 
     def totals():
-        return {c: sum(wb.weight for wb in piles[c]) for c in continuing}
+        return {c: sum(wb.count for wb in piles[c]) for c in continuing}
 
     def transfer(pile, keep_factor, destinations):
         nonlocal exhausted
-        moved = 0.0
         for wb in pile:
             wb.weight *= keep_factor
             if wb.weight <= 0:
                 continue
             if wb.advance(destinations):
                 piles[wb.current].append(wb)
-                moved += wb.weight
             else:
-                exhausted += wb.weight
-        return moved
+                exhausted += wb.count
 
     round_no = 0
     while len(winners) < seats:
@@ -202,7 +224,7 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
             transfer(pile, 1.0, continuing)
             eliminated = victim
 
-        cont_weight = sum(sum(wb.weight for wb in piles[c]) for c in continuing)
+        cont_weight = sum(sum(wb.count for wb in piles[c]) for c in continuing)
         rounds.append(RoundRecord(round_no, counts, list(reachers), eliminated, factors,
                                   cont_weight, retained, exhausted))
 
@@ -210,9 +232,11 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
 
 
 def _merge_coalition(pile):
+    """Voter id -> weight held; each member of a group holds the group's weight."""
     coalition = {}
     for wb in pile:
-        coalition[wb.voter_id] = coalition.get(wb.voter_id, 0.0) + wb.weight
+        for voter_id in wb.voter_ids:
+            coalition[voter_id] = coalition.get(voter_id, 0.0) + wb.weight
     return coalition
 
 

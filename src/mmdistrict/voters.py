@@ -98,17 +98,15 @@ def generate_candidates(voters, seats: int, per_party: int):
     candidates = []
     for party in ("R", "D"):
         members = [v for v in voters if v.party == party]
-        scores = np.array([v.partisan_score for v in members])
-        by_dist = sorted(members, key=lambda v: (math.hypot(v.x - cx, v.y - cy), v.id))
-        for j in range(per_party):
-            q = (j + 0.5) / per_party
-            if members:
-                score = float(np.quantile(scores, q))
-                pick = by_dist[min(len(by_dist) - 1, int(q * len(by_dist)))]
-                loc = (pick.x, pick.y)
-            else:
-                score = 1.0 if party == "R" else -1.0
-                loc = (cx, cy)
+        qs = [(j + 0.5) / per_party for j in range(per_party)]
+        if members:
+            by_dist = sorted(members, key=lambda v: (math.hypot(v.x - cx, v.y - cy), v.id))
+            picks = [by_dist[min(len(by_dist) - 1, int(q * len(by_dist)))] for q in qs]
+            slate = zip(np.quantile([v.partisan_score for v in members], qs).tolist(),
+                        [(p.x, p.y) for p in picks])
+        else:
+            slate = [(1.0 if party == "R" else -1.0, (cx, cy))] * per_party
+        for score, loc in slate:
             candidates.append(Candidate(id=len(candidates), party=party, score=score,
                                         location=loc))
     return candidates
@@ -118,7 +116,8 @@ def build_ballots(voters, candidates, mode: str):
     """Full party-line rankings: own party nearest-first, then the other party.
 
     Distance is |score difference| in partisan_score mode and planar distance
-    in geographic mode; ties break by candidate id.
+    in geographic mode; ties break by candidate id.  All voters are ranked in
+    one ``np.lexsort`` over the voters x candidates keys.
     """
     if mode not in RANKING_MODES:
         raise ValueError(f"unknown ranking mode {mode!r}")
@@ -126,18 +125,24 @@ def build_ballots(voters, candidates, mode: str):
     if parties != {"R", "D"}:
         raise ValueError("candidates must include at least one per party")
 
+    if not voters:
+        return []
+    # np.lexsort sorts each voter's row by its last key first: other party,
+    # then distance, then candidate id.
+    ids = np.array([c.id for c in candidates])
+    other = (np.array([v.party for v in voters])[:, None]
+             != np.array([c.party for c in candidates]))
     if mode == "partisan_score":
-        def dist(voter, cand):
-            return abs(voter.partisan_score - cand.score)
+        dist = np.abs(np.array([v.partisan_score for v in voters])[:, None]
+                      - np.array([c.score for c in candidates]))
     else:
-        def dist(voter, cand):
-            return math.hypot(voter.x - cand.location[0], voter.y - cand.location[1])
-
-    ballots = []
-    for v in voters:
-        ranked = sorted(candidates, key=lambda c: (c.party != v.party, dist(v, c), c.id))
-        ballots.append(Ballot(voter_id=v.id, ranking=tuple(c.id for c in ranked)))
-    return ballots
+        locations = [c.location for c in candidates]
+        # math.hypot, not np.hypot: the two can differ in the last bit.
+        dist = np.array([[math.hypot(v.x - cx, v.y - cy) for cx, cy in locations]
+                         for v in voters])
+    order = np.lexsort((np.broadcast_to(ids, dist.shape), dist, other))
+    return [Ballot(voter_id=v.id, ranking=tuple(ranking))
+            for v, ranking in zip(voters, ids[order].tolist())]
 
 
 # ---------------------------------------------------------------------------

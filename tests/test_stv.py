@@ -1,13 +1,17 @@
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from mmdistrict.model import StateFormatError
 from mmdistrict.rules import PAV, STV, deterministic_seats
 from mmdistrict.stv import (
+    WEIGHT_EPS,
     Ballot,
     Candidate,
+    _group,
     droop_quota,
     load_ballots,
     partisan_split,
@@ -43,6 +47,29 @@ def test_droop_quota_values():
     assert droop_quota(1, 1) == 1
     with pytest.raises(ValueError):
         droop_quota(0, 1)
+
+
+def test_droop_quota_of_fractional_totals():
+    assert droop_quota(6.0, 1) == 4
+    assert droop_quota(6.5, 2) == 3
+    assert droop_quota(0.5, 1) == 1
+    with pytest.raises(ValueError):
+        droop_quota(-0.5, 1)
+
+
+def test_quota_comes_from_total_ballot_weight():
+    # Six half-weight ballots and three whole ones: total weight 6, so one
+    # seat needs floor(6 / 2) + 1 = 4, not the ballot-count quota 5.  R1
+    # holds 3 + 1 = 4 first preferences and is elected in round one.
+    ballots = [Ballot(voter_id=i, ranking=(0, 1, 2), weight=0.5) for i in range(6)]
+    ballots.append(Ballot(voter_id=6, ranking=(0, 1, 2)))
+    ballots += [Ballot(voter_id=7 + i, ranking=(2, 0, 1)) for i in range(2)]
+    result = run_stv(ballots, [R1, R2, D1], seats=1, seed=0)
+    assert result.quota == 4
+    assert result.rounds[0].counts == {0: 4.0, 1: 0.0, 2: 2.0}
+    assert result.rounds[0].elected == [0]
+    assert result.winners == [0] and len(result.rounds) == 1
+    check_conservation(result, 6.0)
 
 
 def test_two_seat_hand_trace():
@@ -284,3 +311,152 @@ def test_run_stv_conserves_fractional_ballot_weight(election, seed):
     # Criterion 4 measures the residual against the ballot count, which
     # equals the total weight only for unit weights.
     check_conservation(result, sum(b.weight for b in ballots))
+
+
+def ungrouped_stv(ballots, candidates, seats, seed):
+    """Reference count: one working ballot per input ballot, as before grouping."""
+    cand_ids = {c.id for c in candidates}
+    party = {c.id: c.party for c in candidates}
+    rng = random.Random(seed)
+    quota = droop_quota(math.fsum(b.weight for b in ballots), seats)
+    continuing = set(cand_ids)
+    piles = {c: [] for c in cand_ids}
+    exhausted = retained = 0.0
+    winners, coalitions, rounds = [], {}, []
+
+    def place(wb, destinations):
+        """Pile the ballot under its next continuing preference, or exhaust it."""
+        nonlocal exhausted
+        while wb.pos < len(wb.ranking) and wb.ranking[wb.pos] not in destinations:
+            wb.pos += 1
+        if wb.pos < len(wb.ranking):
+            piles[wb.ranking[wb.pos]].append(wb)
+        else:
+            exhausted += wb.weight
+
+    def transfer(pile, keep, destinations):
+        for wb in pile:
+            wb.weight *= keep
+            if wb.weight > 0:
+                place(wb, destinations)
+
+    def coalition(pile):
+        merged = {}
+        for wb in pile:
+            merged[wb.voter_id] = merged.get(wb.voter_id, 0.0) + wb.weight
+        return merged
+
+    for b in ballots:
+        place(SimpleNamespace(voter_id=b.voter_id, ranking=b.ranking, pos=0, weight=b.weight),
+              continuing)
+    while len(winners) < seats:
+        counts = {c: sum(wb.weight for wb in piles[c]) for c in continuing}
+        factors = {}
+        if len(continuing) == seats - len(winners):
+            by_votes = sorted(continuing, key=lambda c: (-counts[c], c))
+            for c in by_votes:
+                winners.append(c)
+                coalitions[c] = coalition(piles[c])
+                retained += counts[c]
+            rounds.append((counts, by_votes, None, {}, 0.0, retained, exhausted))
+            break
+        reachers = sorted((c for c in continuing if counts[c] >= quota - WEIGHT_EPS),
+                          key=lambda c: (-counts[c], party[c] != "D", c))
+        reachers = reachers[:seats - len(winners)]
+        eliminated = None
+        if reachers:
+            continuing.difference_update(reachers)
+            for c in reachers:
+                winners.append(c)
+                coalitions[c] = coalition(piles[c])
+                surplus = counts[c] - (quota - 1)
+                factors[c] = surplus / counts[c]
+                retained += counts[c] - surplus
+                transfer(piles.pop(c), factors[c], continuing)
+        else:
+            low = min(counts.values())
+            tied = sorted(c for c in continuing if counts[c] <= low + WEIGHT_EPS)
+            pool = [c for c in tied if party[c] == "R"] or tied
+            eliminated = pool[0] if len(pool) == 1 else rng.choice(pool)
+            continuing.discard(eliminated)
+            transfer(piles.pop(eliminated), 1.0, continuing)
+        cont = sum(sum(wb.weight for wb in piles[c]) for c in continuing)
+        rounds.append((counts, list(reachers), eliminated, factors, cont, retained, exhausted))
+    return winners, quota, rounds, coalitions
+
+
+def close(a, b):
+    return math.isclose(a, b, rel_tol=1e-12)
+
+
+def same_comparisons(got, want, quota):
+    """True when two rounds' counts order every pair of candidates the same way
+    and fall on the same side of the quota and of the elimination tie band."""
+    def sign(x, y):
+        return (x > y) - (x < y)
+    low_got, low_want = min(got.values()), min(want.values())
+    return all(sign(got[c], got[d]) == sign(want[c], want[d]) for c in want for d in want) \
+        and all((got[c] >= quota - WEIGHT_EPS) == (want[c] >= quota - WEIGHT_EPS)
+                and (got[c] <= low_got + WEIGHT_EPS) == (want[c] <= low_want + WEIGHT_EPS)
+                for c in want)
+
+
+@st.composite
+def repeated_rankings(draw):
+    """(ballots, candidates, seats) drawn from a few rankings and weights, so groups repeat."""
+    seats = draw(st.integers(1, 4))
+    n_cands = draw(st.integers(seats, 2 * seats + 1))
+    cands = [Candidate(id=i, party=draw(st.sampled_from("RD"))) for i in range(n_cands)]
+    rankings = draw(st.lists(st.permutations(range(n_cands)).flatmap(
+        lambda order: st.integers(0, n_cands).map(lambda cut: tuple(order[:cut]))),
+        min_size=1, max_size=5))
+    weights = draw(st.lists(st.sampled_from([1.0, 0.5, 0.25]) | st.floats(1e-3, 1.0),
+                            min_size=1, max_size=3))
+    n = draw(st.integers(1, 60))
+    ballots = [Ballot(voter_id=draw(st.integers(0, n)), ranking=draw(st.sampled_from(rankings)),
+                      weight=draw(st.sampled_from(weights)))
+               for _ in range(n)]
+    return ballots, cands, seats
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_rankings(), st.integers(0, 2 ** 32 - 1))
+def test_grouped_count_matches_ungrouped_reference(election, seed):
+    ballots, cands, seats = election
+    result = run_stv(ballots, cands, seats, seed=seed)
+    winners, quota, rounds, coalitions = ungrouped_stv(ballots, cands, seats, seed)
+    assert result.quota == quota
+    for got, (counts, elected, eliminated, factors, cont, kept, spent) in zip(
+            result.rounds, rounds):
+        assert got.counts.keys() == counts.keys()
+        assert all(close(got.counts[c], counts[c]) for c in counts)
+        if not same_comparisons(got.counts, counts, quota):
+            # A tie in exact arithmetic that the two summation orders round
+            # apart: the count orders candidates by exact float comparison,
+            # so from here on the two may legitimately diverge.
+            event("float near-tie")
+            return
+        assert got.elected == elected and got.eliminated == eliminated
+        assert got.transfer_factors.keys() == factors.keys()
+        assert all(close(got.transfer_factors[c], factors[c]) for c in factors)
+        assert close(got.continuing_weight, cont)
+        assert close(got.retained_weight, kept) and close(got.exhausted_weight, spent)
+    assert len(result.rounds) == len(rounds)
+    assert result.winners == winners
+    assert result.coalitions.keys() == coalitions.keys()
+    for w, coalition in coalitions.items():
+        assert result.coalitions[w].keys() == coalition.keys()
+        assert all(close(result.coalitions[w][v], coalition[v]) for v in coalition)
+
+
+def test_same_ranking_with_different_weights_is_not_merged():
+    ballots = [Ballot(voter_id=0, ranking=(0, 2), weight=0.5),
+               Ballot(voter_id=1, ranking=(0, 2), weight=1.0),
+               Ballot(voter_id=2, ranking=(2, 0), weight=1.0)]
+    assert [wb.voter_ids for wb in _group(ballots)] == [(0,), (1,), (2,)]
+    result = run_stv(ballots, [R1, D1], seats=1, seed=0)
+    # Total weight 2.5: quota 2, R1 holds 0.5 + 1.0, D1 is eliminated, and
+    # R1 is seated holding every ballot at its own weight.
+    assert result.quota == 2
+    assert result.rounds[0].counts == {0: 1.5, 2: 1.0}
+    assert result.coalitions[0] == {0: 0.5, 1: 1.0, 2: 1.0}

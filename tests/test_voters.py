@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mmdistrict.model import District, generate_synthetic_state
+from mmdistrict.stv import Candidate
 from mmdistrict.voters import (
     LOCATION_JITTER_KM,
+    RANKING_MODES,
+    Voter,
     VoterFile,
     build_ballots,
     generate_candidates,
@@ -158,3 +162,46 @@ def test_in_district_filters_by_block(grid_state):
     d = District(block_ids=frozenset({0, 1}), seats=1)
     assert all(v.block_id in {0, 1} for v in vf.in_district(d))
     assert vf.in_district(d)
+
+
+def sorted_rankings(voters, candidates, mode):
+    """Reference ranking: one Python sort per voter on (other party, distance, id)."""
+    if mode == "partisan_score":
+        def dist(voter, cand):
+            return abs(voter.partisan_score - cand.score)
+    else:
+        def dist(voter, cand):
+            return math.hypot(voter.x - cand.location[0], voter.y - cand.location[1])
+    return [tuple(c.id for c in sorted(candidates,
+                                       key=lambda c: (c.party != v.party, dist(v, c), c.id)))
+            for v in voters]
+
+
+#: A few exact values, so that equal scores and locations tie in distance.
+COORDS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-3, 3)
+
+
+@st.composite
+def slates(draw):
+    """(voters, candidates) with shuffled candidate ids and 1..4 candidates a party."""
+    parties = ["R"] * draw(st.integers(1, 4)) + ["D"] * draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(len(parties))))
+    candidates = [Candidate(id=i, party=p, score=draw(COORDS),
+                            location=(draw(COORDS), draw(COORDS)))
+                  for i, p in zip(ids, draw(st.permutations(parties)))]
+    voters = [Voter(id=i, block_id=0, party=draw(st.sampled_from("RD")),
+                    partisan_score=draw(COORDS), x=draw(COORDS), y=draw(COORDS))
+              for i in range(draw(st.integers(0, 30)))]
+    return voters, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(slates(), st.sampled_from(RANKING_MODES))
+@example(([], [Candidate(id=0, party="R"), Candidate(id=1, party="D")]), "partisan_score")
+@example(([], [Candidate(id=0, party="R"), Candidate(id=1, party="D")]), "geographic")
+def test_rankings_match_a_per_voter_sort(slate, mode):
+    voters, candidates = slate
+    ballots = build_ballots(voters, candidates, mode)
+    assert [b.voter_id for b in ballots] == [v.id for v in voters]
+    assert [b.ranking for b in ballots] == sorted_rankings(voters, candidates, mode)
+    assert all(type(c) is int for b in ballots for c in b.ranking)

@@ -15,7 +15,9 @@ rather than searching the whole donor district.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -101,14 +103,10 @@ def _bfs_distances(neighbors, source):
 
 
 def _weighted_choice(items, weights, rng):
-    total = sum(weights)
-    r = rng.random() * total
-    acc = 0.0
-    for item, w in zip(items, weights):
-        acc += w
-        if acc >= r:
-            return item
-    return items[-1]
+    """The first item whose running weight total reaches a uniform draw."""
+    r = rng.random() * sum(weights)
+    i = bisect.bisect_left(list(itertools.accumulate(weights)), r)
+    return items[i] if i < len(items) else items[-1]
 
 
 def select_centers(region, neighbors, pops, n_children: int, rng):
@@ -225,17 +223,17 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
     owner = {}
     child_blocks = [set() for _ in range(f)]
     child_pop = [0.0] * f
-    fullness = [0.0] * f  # child_pop / target: the least full child grows next
     heaps = [[] for _ in range(f)]
+    pushed = [set() for _ in range(f)]  # blocks ever put on each child's frontier
 
     def assign(b, c):
         owner[b] = c
         child_blocks[c].add(b)
         child_pop[c] += pops[b]
-        fullness[c] = child_pop[c] / targets[c]
-        dist, heap = dist_maps[c], heaps[c]
+        dist, heap, seen = dist_maps[c], heaps[c], pushed[c]
         for v in neighbors[b]:
-            if v not in owner:
+            if v not in owner and v not in seen:
+                seen.add(v)
                 heapq.heappush(heap, (dist.get(v, unreached), v))
 
     for c, center in enumerate(centers):
@@ -243,31 +241,50 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
             return None  # duplicate centers cannot seed distinct children
         assign(center, c)
 
+    # The least full child grows next, equally full children by index.  A
+    # child gains frontier blocks only when it grows, so one whose frontier
+    # has run out leaves the queue for good.
+    growing = [(child_pop[c] / targets[c], c) for c in range(f)]
+    heapq.heapify(growing)
     n_assigned = f
     while n_assigned < len(region):
-        # a stable sort: equally full children take turns by index
-        for c in sorted(range(f), key=fullness.__getitem__):
-            h = heaps[c]
-            while h and h[0][1] in owner:
-                heapq.heappop(h)
-            if h:
-                assign(heapq.heappop(h)[1], c)
-                n_assigned += 1
-                break
-        else:
+        if not growing:
             return None
+        c = growing[0][1]
+        h = heaps[c]
+        while h and h[0][1] in owner:
+            heapq.heappop(h)
+        if not h:
+            heapq.heappop(growing)
+            continue
+        assign(heapq.heappop(h)[1], c)
+        n_assigned += 1
+        heapq.heapreplace(growing, (child_pop[c] / targets[c], c))
 
     err = [child_pop[i] - targets[i] for i in range(f)]
 
     def balanced():
         return all(abs(err[i]) <= epsilon * targets[i] + 1e-9 for i in range(f))
 
+    def on_boundary(b):
+        a = owner[b]
+        return any(owner[v] != a for v in neighbors[b])
+
+    # Only a block with a neighbour in another child can move.  Each pass
+    # visits the blocks on a boundary in sorted order; a swap changes the
+    # boundary only around the moved block, so neighbours that join it and
+    # sort after the moved block are still visited in the same pass.  Most
+    # splits grow balanced and skip repair, and with it this set.
+    boundary = set() if balanced() else {
+        b for b, a in owner.items() for v in neighbors[b] if owner[v] != a}
     max_swaps = 10 * len(region)
     swaps = 0
-    scan = sorted(region)
     while not balanced() and swaps < max_swaps:
         improved = False
-        for b in scan:
+        queue = sorted(boundary)
+        queued = set(queue)
+        while queue:
+            b = heapq.heappop(queue)
             a = owner[b]
             donor = child_blocks[a]
             if len(donor) <= 1:
@@ -291,6 +308,14 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
             owner[b] = best_t
             err[a] -= p
             err[best_t] += p
+            for u in (b, *neighbors[b]):
+                if not on_boundary(u):
+                    boundary.discard(u)
+                    continue
+                boundary.add(u)
+                if u > b and u not in queued:
+                    queued.add(u)
+                    heapq.heappush(queue, u)
             swaps += 1
             improved = True
             if swaps >= max_swaps:

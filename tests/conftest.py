@@ -1,6 +1,12 @@
+import multiprocessing
+
 import pytest
 
 from mmdistrict.model import Block, StateInstance, generate_synthetic_state
+
+#: For tests that force a root-sample pool, which needs the fork start method.
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="root-sample pools need the fork start method")
 
 
 def make_path_state(pops, shares, seats, turnout=0.8):

@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from mmdistrict import cli
+from mmdistrict import cli, tree
+from conftest import needs_fork
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -31,6 +32,8 @@ STATES = {
 
 #: case name -> (command, state file, flags, output name).  An output name
 #: with a suffix is a file; one without is a directory the command fills.
+#: The stv cases read frozen plans, plan72_*.json, so that their outputs pin
+#: the election code alone and do not move when the tree builder changes.
 CASES = {
     "sweep16": ("sweep", "state16.json",
                 ["--k", "all", "--sigma", "0", "--seed", "1", "--root-samples", "6",
@@ -68,16 +71,16 @@ CASES = {
                      "--ensemble-size", "2", "--root-samples", "4",
                      "--internal-samples", "2"], "diversity.csv"),
     "stv72_partisan": ("stv", "state72.json",
-                       ["--plan", str(GOLDEN / "optimize72_max_r" / "plan" / "plan.json"),
+                       ["--plan", str(GOLDEN / "plan72_max_r.json"),
                         "--mode", "partisan_score", "--seed", "9", "--voters-per-block", "10",
                         "--verbose"], "election"),
     "stv72_geographic": ("stv", "state72.json",
-                         ["--plan", str(GOLDEN / "optimize72_max_r" / "plan" / "plan.json"),
+                         ["--plan", str(GOLDEN / "plan72_max_r.json"),
                           "--mode", "geographic", "--seed", "9", "--voters-per-block", "10",
                           "--per-party", "4", "--verbose"], "election"),
     # Two-seat districts, so the round logs carry surplus transfers.
     "stv72_fair": ("stv", "state72.json",
-                   ["--plan", str(GOLDEN / "optimize72_fair" / "plan" / "plan.json"),
+                   ["--plan", str(GOLDEN / "plan72_fair.json"),
                     "--seed", "4", "--voters-per-block", "6", "--verbose"], "election"),
 }
 
@@ -108,13 +111,26 @@ def test_synth_matches_golden_state(name, tmp_path):
     assert synth(name, tmp_path).read_bytes() == (GOLDEN / name).read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_command_matches_golden_outputs(name, tmp_path):
-    got = run_case(name, tmp_path)
+def assert_matches_golden(name, out_dir):
+    got = run_case(name, out_dir)
     want = GOLDEN / name
     assert files(got) == files(want)
     for rel in files(want):
         assert (got / rel).read_bytes() == (want / rel).read_bytes(), f"{name}/{rel} differs"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_command_matches_golden_outputs(name, tmp_path):
+    assert_matches_golden(name, tmp_path)
+
+
+@needs_fork
+@pytest.mark.parametrize("name", sorted(n for n, case in CASES.items() if case[0] != "stv"))
+def test_command_matches_golden_outputs_with_two_workers(name, tmp_path, monkeypatch):
+    # Most golden builds are too small to be pooled; this forces every one into
+    # a two-worker pool, which must write the same bytes as a serial build.
+    monkeypatch.setattr(tree, "_pool_size", lambda build, n_samples: 2)
+    assert_matches_golden(name, tmp_path)
 
 
 def test_optimize_fair_matches_golden_under_python_O(tmp_path):
@@ -134,12 +150,12 @@ def test_optimize_fair_matches_golden_under_python_O(tmp_path):
 
 
 def regenerate():
-    if GOLDEN.exists():
-        shutil.rmtree(GOLDEN)
-    GOLDEN.mkdir()
+    """Rewrite the states and every case's outputs; the frozen plans stay."""
+    GOLDEN.mkdir(exist_ok=True)
     for name in STATES:
         synth(name, GOLDEN)
     for name in CASES:
+        shutil.rmtree(GOLDEN / name, ignore_errors=True)
         run_case(name, GOLDEN)
 
 

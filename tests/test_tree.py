@@ -1,7 +1,9 @@
+import multiprocessing
 import random
 
 import pytest
 
+import mmdistrict.tree as tree_mod
 from mmdistrict.model import BalanceTolerance, generate_synthetic_state, validate_plan
 from mmdistrict.tree import (
     SizeAllocation,
@@ -16,7 +18,7 @@ from mmdistrict.tree import (
     select_centers,
     walk_nodes,
 )
-from conftest import make_path_state
+from conftest import make_path_state, needs_fork
 
 
 def test_sample_counts_schedule():
@@ -186,12 +188,57 @@ def test_nonempty_on_benign_grids():
 
 
 def test_node_count_excludes_nodes_of_rejected_samples():
-    # Here some samples are rejected after their children were created (a
-    # child none of whose own samples worked out), so the node ids run past
-    # the nodes the tree keeps.
+    # The test needs a build where some sample is rejected after its children
+    # were created (a child none of whose own samples worked out), so that
+    # the node ids run past the nodes the tree keeps.  Which seeds do that
+    # depends on the samples' RNG streams, so it takes the first of a range.
     state = generate_synthetic_state(36, 6, 0.4, 0, seed=1)
-    tree = build_tree(state, 6, seed=1, root_samples=6, internal_samples=2)
-    kept = list(walk_nodes(tree))
+    for seed in range(20):
+        tree = build_tree(state, 6, seed=seed, root_samples=6, internal_samples=2)
+        kept = list(walk_nodes(tree))
+        if max(n.node_id for n in kept) > len(kept):
+            break
     assert max(n.node_id for n in kept) > len(kept)
     assert tree.diagnostics["node_count"] == len(kept)
     assert tree.diagnostics["leaf_count"] == sum(1 for n in kept if n.is_leaf)
+
+
+def _tree_dump(tree):
+    nodes = [(n.node_id, n.region, n.seats, n.n_small, n.n_large,
+              [[c.node_id for c in sample] for sample in n.samples])
+             for n in walk_nodes(tree)]
+    return nodes, tree.diagnostics
+
+
+@needs_fork
+def test_trees_do_not_depend_on_the_pool_size(monkeypatch):
+    # At k = 6, seed 13 rejects internal samples after creating their
+    # children, so the node id offsets and the failure counts are compared too.
+    state = generate_synthetic_state(36, 6, 0.4, 0, seed=1)
+    dumps = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(tree_mod, "_pool_size", lambda build, n_samples: workers)
+        dumps[workers] = [_tree_dump(build_tree(state, k, seed=seed, root_samples=6,
+                                                internal_samples=2))
+                          for k, seed in ((2, 2), (4, 2), (6, 13))]
+    assert dumps[1] == dumps[2]
+    assert any(diag["sample_failures_per_depth"] for _, diag in dumps[2])
+
+
+def test_first_root_samples_do_not_depend_on_later_ones(grid_state):
+    three = build_tree(grid_state, 4, seed=5, root_samples=3, internal_samples=2)
+    five = build_tree(grid_state, 4, seed=5, root_samples=5, internal_samples=2)
+    assert len(three.root.samples) == 3
+    assert three.root.samples == five.root.samples[:3]
+
+
+@needs_fork
+def test_worker_exception_reaches_the_caller(grid_state, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("split failed in a worker")
+
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda build, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "split_region", fail)
+    with pytest.raises(RuntimeError, match="split failed in a worker"):
+        build_tree(grid_state, 4, seed=1, root_samples=4, internal_samples=2)
+    assert multiprocessing.active_children() == []

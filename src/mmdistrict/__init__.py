@@ -27,9 +27,17 @@ from .rules import (
     get_rule,
     seat_thresholds,
 )
-from .stv import Ballot, Candidate, ElectionResult, droop_quota, partisan_split, run_stv
+from .stv import (
+    Ballot,
+    BallotGroup,
+    Candidate,
+    ElectionResult,
+    droop_quota,
+    partisan_split,
+    run_stv,
+)
 from .tree import SampleTree, build_tree, sample_counts, sample_plans
-from .voters import VoterFile, build_ballots, generate_candidates, generate_voter_file
+from .voters import VoterFile, Voters, build_ballots, generate_candidates, generate_voter_file
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

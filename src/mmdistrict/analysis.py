@@ -122,15 +122,15 @@ def seat_histograms(tree: SampleTree, scores: dict) -> dict:
     return tables
 
 
-def optimize_fair(tree: SampleTree, scores: dict, y_r: float):
+def optimize_fair(tree: SampleTree, tables: dict, y_r: float):
     """Plan whose deterministic R-seat total is closest to proportional.
 
-    Picks the root total of ``seat_histograms`` minimizing |total/N - y_r|,
-    ties toward fewer R seats, and backtracks a witness: at each node the
-    first sample reaching its target, split into the smallest feasible child
-    totals in child order.  Returns (leaf nodes, total R seats, gap).
+    Picks the root total of the ``seat_histograms`` tables minimizing
+    |total/N - y_r|, ties toward fewer R seats, and backtracks a witness: at
+    each node the first sample reaching its target, split into the smallest
+    feasible child totals in child order.  Returns (leaf nodes, total R
+    seats, gap).
     """
-    tables = seat_histograms(tree, scores)
     n = tree.root.seats
     best = min(sorted(tables[tree.root.node_id]), key=lambda t: (abs(t / n - y_r), t))
     leaves, stack = [], [(tree.root, best)]
@@ -160,12 +160,12 @@ def plan_deterministic_seats(plan, state, rule: SeatShareRule) -> int:
         for d in plan.districts)
 
 
-def ensemble_metrics(tree: SampleTree, state, rule: SeatShareRule, scores: dict):
+def ensemble_metrics(tree: SampleTree, state, rule: SeatShareRule, tables: dict):
     """Exact R-seat quantiles over every encoded plan: the linear ``np.quantile``
     of all plans' totals, read off the root's ``seat_histograms`` counts."""
     y = state.statewide_vote_share()
     n = state.total_seats
-    totals, counts = zip(*sorted(seat_histograms(tree, scores)[tree.root.node_id].items()))
+    totals, counts = zip(*sorted(tables[tree.root.node_id].items()))
     cumulative = list(itertools.accumulate(counts))
     records = []
     for quarter, stat in enumerate(("min", "q1", "median", "q3", "max")):
@@ -202,10 +202,14 @@ def sweep_k(state, rule: SeatShareRule, k_set, u: UncertaintyModel,
             seats = plan_deterministic_seats(plan_from_leaves(leaves), state, rule)
             records.append(MetricsRecord(k, rule.name, stat, float(seats),
                                          seats / n, abs(seats / n - y)))
-        leaves, total, gap = optimize_fair(tree, scores, y)
+        tables = seat_histograms(tree, scores)
+        leaves, total, gap = optimize_fair(tree, tables, y)
         records.append(MetricsRecord(k, rule.name, "min_gap", float(total), total / n, gap))
-        records.append(next(r for r in ensemble_metrics(tree, state, rule, scores)
+        records.append(next(r for r in ensemble_metrics(tree, state, rule, tables)
                             if r.statistic == "median"))
+        # Freed before the next k's build, which would otherwise run with
+        # this k's tree and tables still held (about 5 MB at 144 blocks).
+        del tree, scores, tables
     return records, failures
 
 
@@ -220,9 +224,10 @@ def _weighted_std(values, weights):
 
 
 def _district_centroid(state, district):
-    pops = np.array([state.block_map[b].population for b in sorted(district.block_ids)], dtype=float)
-    xs = np.array([state.block_map[b].x for b in sorted(district.block_ids)])
-    ys = np.array([state.block_map[b].y for b in sorted(district.block_ids)])
+    blocks = [state.block_map[b] for b in sorted(district.block_ids)]
+    pops = np.array([b.population for b in blocks], dtype=float)
+    xs = np.array([b.x for b in blocks])
+    ys = np.array([b.y for b in blocks])
     if pops.sum() == 0:
         pops = np.ones_like(pops)
     return float(np.average(xs, weights=pops)), float(np.average(ys, weights=pops))
@@ -231,8 +236,8 @@ def _district_centroid(state, district):
 def elect(district, voter_file, mode: str, per_party: int, seed: int):
     """One district's STV election with ``per_party`` (default seats + 2) candidates a party.
 
-    Returns (candidates, district voters, result); the result is None when no
-    voter lives in the district.
+    Returns (candidates, the district's ``Voters`` columns, result); the
+    result is None when no voter lives in the district.
     """
     district_voters = voter_file.in_district(district)
     candidates = voters_mod.generate_candidates(
@@ -253,7 +258,7 @@ def intra_party_analysis(state, plans, voter_file, mode: str,
     averaged across plans; a party with no winners anywhere is omitted.
     """
     rng = random.Random(seed)
-    voter_by_id = {v.id: v for v in voter_file.voters}
+    columns = voter_file.columns
     per_plan = {"R": [], "D": []}
 
     for plan in plans:
@@ -271,12 +276,14 @@ def intra_party_analysis(state, plans, voter_file, mode: str,
                 cand = cand_by_id[winner_id]
                 winner_scores[cand.party].append(cand.score)
                 coalition = result.coalitions[winner_id]
-                ids = sorted(coalition)
-                weights = [coalition[i] for i in ids]
-                scores = [voter_by_id[i].partisan_score for i in ids]
-                dists = [math.hypot(voter_by_id[i].x - cx, voter_by_id[i].y - cy)
-                         for i in ids]
-                coalition_score[cand.party].append(_weighted_std(scores, weights))
+                ids = np.fromiter(coalition, dtype=np.int64, count=len(coalition))
+                by_id = np.argsort(ids)
+                weights = np.fromiter(coalition.values(), dtype=float,
+                                      count=len(coalition))[by_id]
+                rows = voter_file.rows_of(ids[by_id])
+                dists = [math.hypot(x - cx, y - cy)
+                         for x, y in zip(columns.x[rows].tolist(), columns.y[rows].tolist())]
+                coalition_score[cand.party].append(_weighted_std(columns.score[rows], weights))
                 coalition_geo[cand.party].append(
                     float(np.average(dists, weights=weights)))
         for party in ("R", "D"):

@@ -126,7 +126,8 @@ def cmd_optimize(opts):
     y = state.statewide_vote_share()
     objective = opts["objective"]
     if objective == "fair":
-        leaves, value, _gap = analysis.optimize_fair(built, scores, y)
+        leaves, value, _gap = analysis.optimize_fair(
+            built, analysis.seat_histograms(built, scores), y)
     else:
         leaves, value = analysis.optimize_partisan(built, scores, "R" if objective == "max-r" else "D")
     plan = tree_mod.plan_from_leaves(leaves)
@@ -152,8 +153,9 @@ def cmd_ensemble(opts):
     state = load_state(opts["state"])
     rule = get_rule(opts["rule"])
     built = _build(opts, state, int(opts["k"]), opts["seed"])
+    scores = analysis.score_leaves(built, state, rule)
     records = analysis.ensemble_metrics(built, state, rule,
-                                        analysis.score_leaves(built, state, rule))
+                                        analysis.seat_histograms(built, scores))
     _write_csv(opts["out"], METRICS_HEADER, _metric_rows(records))
     return 0
 

@@ -1,6 +1,8 @@
 """Fractional (Scottish) STV election engine over explicit ranked ballots.
 
-Ballots with the same ranking and weight are counted as one group: a group
+A ``BallotGroup`` is the ballots of some voters who cast one ranking at one
+weight; a per-voter ``Ballot`` is a group of one.  The count regroups its
+input by (ranking, weight), so each distinct pair is counted once: a group
 counts weight x members, and its members share one weight history, so the
 count is the same as ballot by ballot up to float summation order.  The
 Droop quota is floor(W / (m + 1)) + 1 for total ballot weight W and m seats.
@@ -13,9 +15,10 @@ the surplus/total fraction to the ballot's next continuing preference.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import StateFormatError
 from .rules import SeatOutcome
@@ -33,16 +36,31 @@ class Candidate:
 
 
 @dataclass
-class Ballot:
-    voter_id: int
+class BallotGroup:
+    """The ballots of ``voter_ids``, each casting ``ranking`` at ``weight``.
+
+    Errors name the group's first voter id.
+    """
     ranking: tuple
-    weight: float = 1.0
+    weight: float
+    voter_ids: tuple
 
     def __post_init__(self):
         if len(set(self.ranking)) != len(self.ranking):
-            raise ValueError(f"ballot {self.voter_id} ranks a candidate twice")
+            raise ValueError(f"ballot {self.voter_ids[0]} ranks a candidate twice")
         if not 0 < self.weight <= 1:
-            raise ValueError(f"ballot {self.voter_id} weight {self.weight} not in (0, 1]")
+            raise ValueError(f"ballot {self.voter_ids[0]} weight {self.weight} not in (0, 1]")
+
+
+class Ballot(BallotGroup):
+    """One voter's ballot: a group of one."""
+
+    def __init__(self, voter_id: int, ranking: tuple, weight: float = 1.0):
+        super().__init__(ranking, weight, (voter_id,))
+
+    @property
+    def voter_id(self):
+        return self.voter_ids[0]
 
 
 @dataclass
@@ -118,13 +136,13 @@ def _group(ballots):
     """One working ballot per distinct (ranking, weight), in order of first appearance."""
     members = {}
     for b in ballots:
-        members.setdefault((b.ranking, b.weight), []).append(b.voter_id)
+        members.setdefault((b.ranking, b.weight), []).extend(b.voter_ids)
     return [_WorkingBallot(ranking, weight, tuple(ids))
             for (ranking, weight), ids in members.items()]
 
 
 def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
-    """Run a fractional STV election and log every round.
+    """Run a fractional STV election over ballot groups and log every round.
 
     Elimination ties are broken by eliminating an R candidate before a D
     candidate, uniformly at random within a party from the seeded generator.
@@ -147,7 +165,8 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
                 f"ballot {wb.voter_ids[0]} ranks unknown candidates {sorted(unknown)}")
 
     rng = random.Random(seed)
-    quota = droop_quota(math.fsum(b.weight for b in ballots), seats)
+    quota = droop_quota(math.fsum(itertools.chain.from_iterable(
+        itertools.repeat(wb.weight, wb.size) for wb in groups)), seats)
     continuing = set(cand_ids)
     piles = {c: [] for c in cand_ids}
     exhausted = 0.0

@@ -2,20 +2,25 @@
 
 Stands in for a proprietary individual-level voter file: voters are placed
 around block centroids with party labels calibrated to the block vote share
-and one-dimensional partisan scores (D negative, R positive).  Ballots rank
-all own-party candidates before the other party, by score or geographic
-distance, so every simulated election satisfies the party-line assumption.
+and one-dimensional partisan scores (D negative, R positive).  A ``VoterFile``
+keeps its voters as column arrays (``Voters``: id, party, score, x, y) and an
+index from each block to its rows, so a district's voters are its blocks'
+rows, sorted back into file order.  Candidate slates and ballots are built
+from those columns.  Ballots rank all own-party candidates before the other
+party, by score or geographic distance, so every simulated election satisfies
+the party-line assumption; voters with the same ranking are returned as one
+``BallotGroup``.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import StateFormatError, vote_share
-from .stv import Ballot, Candidate
+from .stv import BallotGroup, Candidate
 
 #: Voters are jittered uniformly within this radius (km) of the block centroid.
 LOCATION_JITTER_KM = 0.5
@@ -35,12 +40,61 @@ class Voter:
     y: float
 
 
+@dataclass(frozen=True, eq=False)
+class Voters:
+    """Column arrays of some voters of a file, one entry per voter, in file order."""
+    id: np.ndarray  # int64
+    party: np.ndarray  # "R" or "D"
+    score: np.ndarray  # partisan score
+    x: np.ndarray
+    y: np.ndarray
+
+    def __len__(self):
+        return len(self.id)
+
+    def take(self, rows):
+        """The voters at ``rows``, in that order."""
+        return Voters(self.id[rows], self.party[rows], self.score[rows],
+                      self.x[rows], self.y[rows])
+
+
 @dataclass(frozen=True)
 class VoterFile:
+    """Voters with unique ids, their columns, and a block id -> rows index."""
     voters: tuple
+    columns: Voters = field(init=False, repr=False, compare=False)
+    block_rows: dict = field(init=False, repr=False, compare=False)  # ascending rows
+    _by_id: np.ndarray = field(init=False, repr=False, compare=False)  # rows in id order
+
+    def __post_init__(self):
+        voters = self.voters
+        columns = Voters(np.array([v.id for v in voters], dtype=np.int64),
+                         np.array([v.party for v in voters], dtype="<U1"),
+                         np.array([v.partisan_score for v in voters], dtype=float),
+                         np.array([v.x for v in voters], dtype=float),
+                         np.array([v.y for v in voters], dtype=float))
+        by_id = np.argsort(columns.id)
+        sorted_ids = columns.id[by_id]
+        repeats = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
+        if len(repeats):
+            raise ValueError(f"voter id {repeats[0]} repeats")
+        blocks = np.array([v.block_id for v in voters], dtype=np.int64)
+        by_block = np.argsort(blocks, kind="stable")
+        block_ids, starts = np.unique(blocks[by_block], return_index=True)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "block_rows",
+                           dict(zip(block_ids.tolist(), np.split(by_block, starts[1:]))))
+        object.__setattr__(self, "_by_id", by_id)
 
     def in_district(self, district):
-        return [v for v in self.voters if v.block_id in district.block_ids]
+        """The district's voters: its blocks' rows, sorted back into file order."""
+        parts = [self.block_rows[b] for b in district.block_ids if b in self.block_rows]
+        rows = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
+        return self.columns.take(rows)
+
+    def rows_of(self, voter_ids):
+        """The rows of voters known to be in the file, by id."""
+        return self._by_id[np.searchsorted(self.columns.id, voter_ids, sorter=self._by_id)]
 
 
 def generate_voter_file(state, voters_per_block: int, score_spread: float,
@@ -81,7 +135,7 @@ def generate_voter_file(state, voters_per_block: int, score_spread: float,
     return VoterFile(tuple(voters))
 
 
-def generate_candidates(voters, seats: int, per_party: int):
+def generate_candidates(voters: Voters, seats: int, per_party: int):
     """Quantile-spread candidate slates for both parties from a district's voters.
 
     Candidate j of a party sits at the (j + 0.5) / per_party quantile of that
@@ -91,19 +145,23 @@ def generate_candidates(voters, seats: int, per_party: int):
     if per_party < seats:
         raise ValueError(f"per_party {per_party} < district seats {seats}")
     if voters:
-        cx = float(np.mean([v.x for v in voters]))
-        cy = float(np.mean([v.y for v in voters]))
+        cx = float(np.mean(voters.x))
+        cy = float(np.mean(voters.y))
     else:
         cx = cy = 0.0
+    qs = [(j + 0.5) / per_party for j in range(per_party)]
     candidates = []
     for party in ("R", "D"):
-        members = [v for v in voters if v.party == party]
-        qs = [(j + 0.5) / per_party for j in range(per_party)]
-        if members:
-            by_dist = sorted(members, key=lambda v: (math.hypot(v.x - cx, v.y - cy), v.id))
-            picks = [by_dist[min(len(by_dist) - 1, int(q * len(by_dist)))] for q in qs]
-            slate = zip(np.quantile([v.partisan_score for v in members], qs).tolist(),
-                        [(p.x, p.y) for p in picks])
+        members = voters.take(voters.party == party)
+        n = len(members)
+        if n:
+            xs, ys = members.x.tolist(), members.y.tolist()
+            # math.hypot, not np.hypot: the two can differ in the last bit.
+            dist = [math.hypot(x - cx, y - cy) for x, y in zip(xs, ys)]
+            by_dist = np.lexsort((members.id, dist)).tolist()
+            picks = [by_dist[min(n - 1, int(q * n))] for q in qs]
+            slate = zip(np.quantile(members.score, qs).tolist(),
+                        [(xs[p], ys[p]) for p in picks])
         else:
             slate = [(1.0 if party == "R" else -1.0, (cx, cy))] * per_party
         for score, loc in slate:
@@ -112,12 +170,14 @@ def generate_candidates(voters, seats: int, per_party: int):
     return candidates
 
 
-def build_ballots(voters, candidates, mode: str):
+def build_ballots(voters: Voters, candidates, mode: str):
     """Full party-line rankings: own party nearest-first, then the other party.
 
     Distance is |score difference| in partisan_score mode and planar distance
     in geographic mode; ties break by candidate id.  All voters are ranked in
-    one ``np.lexsort`` over the voters x candidates keys.
+    one ``np.lexsort`` over the voters x candidates keys.  Returns one
+    ``BallotGroup`` of weight 1 per distinct ranking, in order of first
+    appearance, holding its voters' ids in file order.
     """
     if mode not in RANKING_MODES:
         raise ValueError(f"unknown ranking mode {mode!r}")
@@ -130,19 +190,25 @@ def build_ballots(voters, candidates, mode: str):
     # np.lexsort sorts each voter's row by its last key first: other party,
     # then distance, then candidate id.
     ids = np.array([c.id for c in candidates])
-    other = (np.array([v.party for v in voters])[:, None]
-             != np.array([c.party for c in candidates]))
+    other = voters.party[:, None] != np.array([c.party for c in candidates])
     if mode == "partisan_score":
-        dist = np.abs(np.array([v.partisan_score for v in voters])[:, None]
-                      - np.array([c.score for c in candidates]))
+        dist = np.abs(voters.score[:, None] - np.array([c.score for c in candidates]))
     else:
         locations = [c.location for c in candidates]
         # math.hypot, not np.hypot: the two can differ in the last bit.
-        dist = np.array([[math.hypot(v.x - cx, v.y - cy) for cx, cy in locations]
-                         for v in voters])
-    order = np.lexsort((np.broadcast_to(ids, dist.shape), dist, other))
-    return [Ballot(voter_id=v.id, ranking=tuple(ranking))
-            for v, ranking in zip(voters, ids[order].tolist())]
+        dist = np.array([[math.hypot(x - cx, y - cy) for cx, cy in locations]
+                         for x, y in zip(voters.x.tolist(), voters.y.tolist())])
+    rankings = ids[np.lexsort((np.broadcast_to(ids, dist.shape), dist, other))]
+    # A stable sort of the rows puts equal rankings in runs, each run's voters
+    # in file order; a run's first voter orders the groups.
+    by_row = np.lexsort(rankings.T)
+    starts = np.flatnonzero(np.r_[True, np.diff(rankings[by_row], axis=0).any(axis=1)])
+    bounds = np.r_[starts, len(by_row)].tolist()
+    first = by_row[starts]
+    voter_ids = voters.id[by_row].tolist()
+    group_rankings = rankings[first].tolist()
+    return [BallotGroup(tuple(group_rankings[g]), 1.0, tuple(voter_ids[bounds[g]:bounds[g + 1]]))
+            for g in np.argsort(first).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +217,7 @@ def build_ballots(voters, candidates, mode: str):
 def load_voter_file(path) -> VoterFile:
     """Load a voter file; a malformed one raises StateFormatError naming the path and line."""
     voters = []
+    line_of = {}  # voter id -> line it was read from
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -160,7 +227,11 @@ def load_voter_file(path) -> VoterFile:
             try:
                 if len(row) != 6 or row[2] not in ("R", "D"):
                     raise ValueError(f"expected 6 fields with party R or D, got {row}")
-                voters.append(Voter(int(row[0]), int(row[1]), row[2], *map(float, row[3:])))
+                voter = Voter(int(row[0]), int(row[1]), row[2], *map(float, row[3:]))
+                if voter.id in line_of:
+                    raise ValueError(f"voter id {voter.id} repeats line {line_of[voter.id]}")
+                line_of[voter.id] = reader.line_num
+                voters.append(voter)
             except ValueError as e:
                 raise StateFormatError(f"{path}: line {reader.line_num}: {e}") from e
     return VoterFile(tuple(voters))

@@ -16,6 +16,7 @@ from mmdistrict.analysis import (
     optimize_partisan,
     plan_deterministic_seats,
     score_leaves,
+    seat_histograms,
 )
 from mmdistrict.model import District, generate_synthetic_state, validate_plan
 from mmdistrict.rules import (
@@ -182,7 +183,7 @@ def test_criterion_5_dynamic_programs_match_enumeration(capsys):
             best_gap = min(best_gap, abs(det / 4 - y))
         _, val_r = optimize_partisan(tree, scores, "R")
         _, val_d = optimize_partisan(tree, scores, "D")
-        _, _, gap = optimize_fair(tree, scores, y)
+        _, _, gap = optimize_fair(tree, seat_histograms(tree, scores), y)
         if not (abs(val_r - best_r) < 1e-9 and abs(val_d - best_d) < 1e-9
                 and abs(gap - best_gap) < 1e-12):
             mismatches.append(rule.name)
@@ -212,7 +213,7 @@ def test_criterion_7_two_member_stv_closes_the_gap(capsys):
         for k, sink in ((6, smd_gaps), (3, mmd_gaps)):
             tree = tree_144(seed, k)
             scores = score_leaves(tree, state, STV, NO_NOISE)
-            _, _, gap = optimize_fair(tree, scores, y)
+            _, _, gap = optimize_fair(tree, seat_histograms(tree, scores), y)
             sink.append(gap)
     smd = statistics.median(smd_gaps)
     mmd = statistics.median(mmd_gaps)

@@ -50,7 +50,7 @@ def test_dynamic_programs_match_enumeration(case):
     assert seat_histograms(tree, scores)[tree.root.node_id] == Counter(totals)
 
     y, n = state.statewide_vote_share(), state.total_seats
-    leaves, total, gap = optimize_fair(tree, scores, y)
+    leaves, total, gap = optimize_fair(tree, seat_histograms(tree, scores), y)
     assert total == min(totals, key=lambda t: (abs(t / n - y), t))
     assert gap == min(abs(t / n - y) for t in totals)
     assert tuple(leaf.node_id for leaf in leaves) in {
@@ -58,7 +58,8 @@ def test_dynamic_programs_match_enumeration(case):
     assert sum(scores[leaf.node_id].deterministic_r_seats for leaf in leaves) == total
 
     quantiles = np.quantile(np.array(totals, dtype=float), [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert [r.seats_r for r in ensemble_metrics(tree, state, rule, scores)] == list(quantiles)
+    records = ensemble_metrics(tree, state, rule, seat_histograms(tree, scores))
+    assert [r.seats_r for r in records] == list(quantiles)
 
     for party in ("R", "D"):
         best = max(sum(scores[leaf.node_id].expected_r_seats if party == "R"

@@ -10,6 +10,7 @@ from mmdistrict.rules import PAV, STV, deterministic_seats
 from mmdistrict.stv import (
     WEIGHT_EPS,
     Ballot,
+    BallotGroup,
     Candidate,
     _group,
     droop_quota,
@@ -460,3 +461,26 @@ def test_same_ranking_with_different_weights_is_not_merged():
     assert result.quota == 2
     assert result.rounds[0].counts == {0: 1.5, 2: 1.0}
     assert result.coalitions[0] == {0: 0.5, 1: 1.0, 2: 1.0}
+
+
+def test_group_checks_name_the_first_voter():
+    with pytest.raises(ValueError, match="ballot 7 ranks a candidate twice"):
+        BallotGroup((0, 2, 0), 1.0, (7, 3))
+    for weight in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match=r"ballot 7 weight .* not in \(0, 1\]"):
+            BallotGroup((0, 2), weight, (7, 3))
+    with pytest.raises(ValueError, match=r"ballot 7 ranks unknown candidates \[9\]"):
+        run_stv([BallotGroup((2,), 1.0, (1,)), BallotGroup((0, 9), 1.0, (7, 3))],
+                [R1, R2, D1], seats=1)
+    # Per-voter ballots are regrouped first: the group is named by its first voter.
+    with pytest.raises(ValueError, match=r"ballot 5 ranks unknown candidates \[9\]"):
+        run_stv([Ballot(5, (0, 9)), Ballot(4, (0, 9))], [R1, R2, D1], seats=1)
+
+
+def test_a_ballot_is_a_group_of_one():
+    ballot = Ballot(4, (2, 0), weight=0.5)
+    assert (ballot.voter_id, ballot.voter_ids, ballot.ranking, ballot.weight) == (4, (4,), (2, 0), 0.5)
+    groups = [BallotGroup((0, 2), 1.0, (0, 1)), BallotGroup((2, 0), 1.0, (2,))]
+    ballots = [Ballot(0, (0, 2)), Ballot(1, (0, 2)), Ballot(2, (2, 0))]
+    assert [wb.voter_ids for wb in _group(groups)] == [wb.voter_ids for wb in _group(ballots)]
+    assert run_stv(groups, [R1, D1], seats=1) == run_stv(ballots, [R1, D1], seats=1)

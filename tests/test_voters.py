@@ -1,11 +1,13 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mmdistrict.model import District, generate_synthetic_state
-from mmdistrict.stv import Candidate
+from mmdistrict.model import District, StateFormatError, generate_synthetic_state
+from mmdistrict.stv import Ballot, Candidate, _group, run_stv
 from mmdistrict.voters import (
     LOCATION_JITTER_KM,
     RANKING_MODES,
@@ -22,6 +24,18 @@ from conftest import make_path_state
 
 def whole_state_district(state):
     return District(block_ids=frozenset(b.id for b in state.blocks), seats=state.total_seats)
+
+
+def as_voters(voter_file, columns):
+    """The ``Voter`` objects behind some columns of the file, in column order."""
+    by_id = {v.id: v for v in voter_file.voters}
+    return [by_id[i] for i in columns.id.tolist()]
+
+
+def per_voter(groups, voters):
+    """Each voter's ballot, in the order of ``voters``, read off the ballot groups."""
+    ballot_of = {i: Ballot(i, g.ranking, g.weight) for g in groups for i in g.voter_ids}
+    return [ballot_of[v.id] for v in voters]
 
 
 def test_block_calibration_within_one_voter():
@@ -112,9 +126,9 @@ def test_ballots_are_party_line(grid_state):
     d = whole_state_district(grid_state)
     cands = generate_candidates(vf.in_district(d), d.seats, per_party=5)
     party_of = {c.id: c.party for c in cands}
-    voters = vf.in_district(d)
+    voters = as_voters(vf, vf.in_district(d))
     for mode in ("partisan_score", "geographic"):
-        ballots = build_ballots(voters, cands, mode)
+        ballots = per_voter(build_ballots(vf.in_district(d), cands, mode), voters)
         assert len(ballots) == len(voters)
         for voter, ballot in zip(voters, ballots):
             parties = [party_of[c] for c in ballot.ranking]
@@ -126,9 +140,9 @@ def test_ranking_modes_produce_different_orders(grid_state):
     vf = generate_voter_file(grid_state, voters_per_block=20, score_spread=0.5, seed=6)
     d = whole_state_district(grid_state)
     cands = generate_candidates(vf.in_district(d), d.seats, per_party=5)
-    voters = vf.in_district(d)
-    by_score = build_ballots(voters, cands, "partisan_score")
-    by_geo = build_ballots(voters, cands, "geographic")
+    voters = as_voters(vf, vf.in_district(d))
+    by_score = per_voter(build_ballots(vf.in_district(d), cands, "partisan_score"), voters)
+    by_geo = per_voter(build_ballots(vf.in_district(d), cands, "geographic"), voters)
     assert any(a.ranking != b.ranking for a, b in zip(by_score, by_geo))
 
 
@@ -137,9 +151,9 @@ def test_build_ballots_validation(grid_state):
     d = whole_state_district(grid_state)
     cands = generate_candidates(vf.in_district(d), d.seats, per_party=4)
     with pytest.raises(ValueError):
-        build_ballots(vf.voters, cands, "alphabetical")
+        build_ballots(vf.columns, cands, "alphabetical")
     with pytest.raises(ValueError):
-        build_ballots(vf.voters, [c for c in cands if c.party == "R"], "partisan_score")
+        build_ballots(vf.columns, [c for c in cands if c.party == "R"], "partisan_score")
 
 
 def test_voter_file_csv_round_trip(tmp_path, grid_state):
@@ -160,7 +174,7 @@ def test_load_voter_file_rejects_bad_header(tmp_path):
 def test_in_district_filters_by_block(grid_state):
     vf = generate_voter_file(grid_state, voters_per_block=5, score_spread=0.5, seed=0)
     d = District(block_ids=frozenset({0, 1}), seats=1)
-    assert all(v.block_id in {0, 1} for v in vf.in_district(d))
+    assert all(v.block_id in {0, 1} for v in as_voters(vf, vf.in_district(d)))
     assert vf.in_district(d)
 
 
@@ -201,7 +215,103 @@ def slates(draw):
 @example(([], [Candidate(id=0, party="R"), Candidate(id=1, party="D")]), "geographic")
 def test_rankings_match_a_per_voter_sort(slate, mode):
     voters, candidates = slate
-    ballots = build_ballots(voters, candidates, mode)
+    ballots = per_voter(build_ballots(VoterFile(tuple(voters)).columns, candidates, mode), voters)
     assert [b.voter_id for b in ballots] == [v.id for v in voters]
     assert [b.ranking for b in ballots] == sorted_rankings(voters, candidates, mode)
     assert all(type(c) is int for b in ballots for c in b.ranking)
+
+
+def test_load_voter_file_rejects_a_repeated_voter_id(tmp_path):
+    path = tmp_path / "voters.csv"
+    path.write_text("voter_id,block_id,party,partisan_score,x,y\n"
+                    "7,0,R,1.0,0.0,0.0\n"
+                    "8,0,D,-1.0,0.0,0.0\n"
+                    "7,1,D,-0.5,1.0,1.0\n")
+    with pytest.raises(StateFormatError) as err:
+        load_voter_file(path)
+    assert f"{path}: line 4: voter id 7 repeats line 2" in str(err.value)
+    voter = Voter(id=7, block_id=0, party="R", partisan_score=1.0, x=0.0, y=0.0)
+    with pytest.raises(ValueError, match="voter id 7 repeats"):
+        VoterFile((voter, voter))
+
+
+def parent_in_district(voters, district):
+    """The district's voters as a list scan of the file, in file order."""
+    return [v for v in voters if v.block_id in district.block_ids]
+
+
+def parent_candidates(voters, seats, per_party):
+    """Candidate slates from per-voter objects, as built before the columns."""
+    if voters:
+        cx = float(np.mean([v.x for v in voters]))
+        cy = float(np.mean([v.y for v in voters]))
+    else:
+        cx = cy = 0.0
+    candidates = []
+    for party in ("R", "D"):
+        members = [v for v in voters if v.party == party]
+        qs = [(j + 0.5) / per_party for j in range(per_party)]
+        if members:
+            by_dist = sorted(members, key=lambda v: (math.hypot(v.x - cx, v.y - cy), v.id))
+            picks = [by_dist[min(len(by_dist) - 1, int(q * len(by_dist)))] for q in qs]
+            slate = zip(np.quantile([v.partisan_score for v in members], qs).tolist(),
+                        [(p.x, p.y) for p in picks])
+        else:
+            slate = [(1.0 if party == "R" else -1.0, (cx, cy))] * per_party
+        for score, loc in slate:
+            candidates.append(Candidate(id=len(candidates), party=party, score=score,
+                                        location=loc))
+    return candidates
+
+
+def parent_ballots(voters, candidates, mode):
+    """One ``Ballot`` per voter, ranked in one ``np.lexsort``, as before grouping."""
+    if not voters:
+        return []
+    ids = np.array([c.id for c in candidates])
+    other = (np.array([v.party for v in voters])[:, None]
+             != np.array([c.party for c in candidates]))
+    if mode == "partisan_score":
+        dist = np.abs(np.array([v.partisan_score for v in voters])[:, None]
+                      - np.array([c.score for c in candidates]))
+    else:
+        locations = [c.location for c in candidates]
+        dist = np.array([[math.hypot(v.x - cx, v.y - cy) for cx, cy in locations]
+                         for v in voters])
+    order = np.lexsort((np.broadcast_to(ids, dist.shape), dist, other))
+    return [Ballot(voter_id=v.id, ranking=tuple(ranking))
+            for v, ranking in zip(voters, ids[order].tolist())]
+
+
+@st.composite
+def voter_files(draw):
+    """(voters, candidates, district) with ids that are not 0..n-1 and the rows of
+    four blocks interleaved, so the file is not in block order."""
+    _, candidates = draw(slates())
+    ids = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), unique=True, max_size=40))
+    voters = [Voter(id=i, block_id=draw(st.integers(0, 3)), party=draw(st.sampled_from("RD")),
+                    partisan_score=draw(COORDS), x=draw(COORDS), y=draw(COORDS))
+              for i in ids]
+    blocks = draw(st.sets(st.integers(0, 4), min_size=1))
+    return voters, candidates, District(block_ids=frozenset(blocks), seats=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(voter_files(), st.sampled_from(RANKING_MODES), st.integers(1, 4))
+def test_ballot_groups_match_the_grouped_per_voter_ballots(case, mode, per_party):
+    voters, candidates, district = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "voters.csv"
+        save_voter_file(VoterFile(tuple(voters)), path)
+        columns = load_voter_file(path).in_district(district)
+    expected_voters = parent_in_district(voters, district)
+    assert columns.id.tolist() == [v.id for v in expected_voters]
+
+    assert (generate_candidates(columns, 1, per_party)
+            == parent_candidates(expected_voters, 1, per_party))
+    groups = build_ballots(columns, candidates, mode)
+    ballots = parent_ballots(expected_voters, candidates, mode)
+    assert ([(g.ranking, g.weight, g.voter_ids) for g in groups]
+            == [(wb.ranking, wb.weight, wb.voter_ids) for wb in _group(ballots)])
+    if ballots:
+        assert run_stv(groups, candidates, 1, seed=3) == run_stv(ballots, candidates, 1, seed=3)

@@ -21,7 +21,7 @@ from . import voters as voters_mod
 from .model import BalanceTolerance, district_vote_share, vote_share
 from .rules import SeatShareRule, UncertaintyModel, deterministic_seats, expected_seats
 from .stv import run_stv
-from .tree import SampleTree, TreeBuildError, build_tree, plan_from_leaves, walk_nodes
+from .tree import SampleTree, TreeBuildError, build_tree, walk_nodes
 # sample_plans is not called here; it stays bound in this module because
 # perfbench/tracer.py times the calls made through this name.
 from .tree import sample_plans  # noqa: F401
@@ -199,7 +199,7 @@ def sweep_k(state, rule: SeatShareRule, k_set, u: UncertaintyModel,
         scores = score_leaves(tree, state, rule, u)
         for party, stat in (("R", "max_R"), ("D", "max_D")):
             leaves, _ = optimize_partisan(tree, scores, party)
-            seats = plan_deterministic_seats(plan_from_leaves(leaves), state, rule)
+            seats = sum(scores[leaf.node_id].deterministic_r_seats for leaf in leaves)
             records.append(MetricsRecord(k, rule.name, stat, float(seats),
                                          seats / n, abs(seats / n - y)))
         tables = seat_histograms(tree, scores)
@@ -275,11 +275,13 @@ def intra_party_analysis(state, plans, voter_file, mode: str,
             for winner_id in result.winners:
                 cand = cand_by_id[winner_id]
                 winner_scores[cand.party].append(cand.score)
+                # Voter ids are unique, so each member holds its group's weight.
                 coalition = result.coalitions[winner_id]
-                ids = np.fromiter(coalition, dtype=np.int64, count=len(coalition))
+                ids = np.fromiter(itertools.chain.from_iterable(g for g, _ in coalition),
+                                  dtype=np.int64)
                 by_id = np.argsort(ids)
-                weights = np.fromiter(coalition.values(), dtype=float,
-                                      count=len(coalition))[by_id]
+                weights = np.repeat([w for _, w in coalition],
+                                    [len(g) for g, _ in coalition])[by_id]
                 rows = voter_file.rows_of(ids[by_id])
                 dists = [math.hypot(x - cx, y - cy)
                          for x, y in zip(columns.x[rows].tolist(), columns.y[rows].tolist())]

@@ -138,7 +138,7 @@ def cmd_optimize(opts):
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
     save_plan(plan, out / "plan.json")
-    seats = analysis.plan_deterministic_seats(plan, state, rule)
+    seats = sum(scores[leaf.node_id].deterministic_r_seats for leaf in leaves)
     summary = {
         "objective": objective, "rule": rule.name, "k": k,
         "statewide_vote_share_r": y, "optimized_value": value,

@@ -8,6 +8,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -30,6 +31,9 @@ class Block:
     def __post_init__(self):
         if self.population < 0:
             raise StateFormatError(f"block {self.id}: negative population {self.population}")
+        for name in ("votes_r", "votes_d", "x", "y"):
+            if not math.isfinite(getattr(self, name)):
+                raise StateFormatError(f"block {self.id}: {name} {getattr(self, name)} is not finite")
         if self.votes_r < 0 or self.votes_d < 0:
             raise StateFormatError(f"block {self.id}: negative vote counts")
 
@@ -316,8 +320,8 @@ def generate_synthetic_state(n_blocks: int, seats: int, r_share: float,
         raise ValueError("n_blocks and seats must be positive")
     if not 0 < r_share < 1:
         raise ValueError(f"r_share must be in (0, 1), got {r_share}")
-    if spatial_correlation < 0:
-        raise ValueError("spatial_correlation must be >= 0")
+    if not 0 <= spatial_correlation < math.inf:
+        raise ValueError(f"spatial_correlation must be finite and >= 0, got {spatial_correlation}")
     rows, cols = _grid_dims(n_blocks)
     rng = np.random.default_rng(seed)
 

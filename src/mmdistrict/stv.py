@@ -4,23 +4,23 @@ A ``BallotGroup`` is the ballots of some voters who cast one ranking at one
 weight; a per-voter ``Ballot`` is a group of one.  The count regroups its
 input by (ranking, weight), so each distinct pair is counted once: a group
 counts weight x members, and its members share one weight history, so the
-count is the same as ballot by ballot up to float summation order.  The
-Droop quota is floor(W / (m + 1)) + 1 for total ballot weight W and m seats.
-Each round counts weighted first preferences among continuing candidates,
-elects every candidate at or above the quota simultaneously, and otherwise
-eliminates the lowest-count candidate.  Surplus transfer keeps a
-(Q-1)/total fraction of each supporting ballot with the winner and passes
-the surplus/total fraction to the ballot's next continuing preference.
+count is the same as ballot by ballot up to float summation order.  A
+winner's coalition is the groups on its pile when it is seated, each as its
+voter ids and the one weight every member then holds.  The Droop quota is
+floor(W / (m + 1)) + 1 for total ballot weight W and m seats.  Each round
+counts weighted first preferences among continuing candidates, elects every
+candidate at or above the quota simultaneously, and otherwise eliminates the
+lowest-count candidate.  Surplus transfer keeps a (Q-1)/total fraction of
+each supporting ballot with the winner and passes the surplus/total fraction
+to the ballot's next continuing preference.
 """
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import random
 from dataclasses import dataclass
 
-from .model import StateFormatError
 from .rules import SeatOutcome
 
 #: Slack for floating-point comparisons against the integer quota.
@@ -79,7 +79,7 @@ class RoundRecord:
 class ElectionResult:
     winners: list
     rounds: list
-    coalitions: dict  # winner id -> {voter_id: weight at election}
+    coalitions: dict  # winner id -> ((voter ids, weight at election), ...) in pile order
     quota: int
 
     def round_log(self):
@@ -206,7 +206,7 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
             by_votes = sorted(continuing, key=lambda c: (-counts[c], c))
             for c in by_votes:
                 winners.append(c)
-                coalitions[c] = _merge_coalition(piles[c])
+                coalitions[c] = tuple((wb.voter_ids, wb.weight) for wb in piles[c])
                 retained += counts[c]
             continuing.clear()
             rounds.append(RoundRecord(round_no, counts, by_votes, None, {},
@@ -225,7 +225,7 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
             for c in reachers:
                 total = counts[c]
                 winners.append(c)
-                coalitions[c] = _merge_coalition(piles[c])
+                coalitions[c] = tuple((wb.voter_ids, wb.weight) for wb in piles[c])
                 surplus = total - (quota - 1)
                 keep = surplus / total
                 factors[c] = keep
@@ -250,15 +250,6 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
     return ElectionResult(winners, rounds, coalitions, quota)
 
 
-def _merge_coalition(pile):
-    """Voter id -> weight held; each member of a group holds the group's weight."""
-    coalition = {}
-    for wb in pile:
-        for voter_id in wb.voter_ids:
-            coalition[voter_id] = coalition.get(voter_id, 0.0) + wb.weight
-    return coalition
-
-
 def partisan_split(result: ElectionResult, candidates) -> SeatOutcome:
     """Count winners by party."""
     if not result.winners:
@@ -266,31 +257,3 @@ def partisan_split(result: ElectionResult, candidates) -> SeatOutcome:
     party = {c.id: c.party for c in candidates}
     r = sum(1 for w in result.winners if party[w] == "R")
     return SeatOutcome(r, len(result.winners) - r)
-
-
-# ---------------------------------------------------------------------------
-# Ballot CSV (debugging input): voter_id, weight, semicolon-separated ranking
-
-def load_ballots(path):
-    """Load a ballot file; a malformed row raises StateFormatError naming the path and line."""
-    ballots = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            try:
-                voter_id, weight, ranking = row
-                ballots.append(Ballot(
-                    voter_id=int(voter_id), weight=float(weight),
-                    ranking=tuple(int(c) for c in ranking.split(";") if c)))
-            except ValueError as e:
-                raise StateFormatError(f"{path}: line {reader.line_num}: {e}") from e
-    return ballots
-
-
-def save_ballots(ballots, path):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for b in ballots:
-            writer.writerow([b.voter_id, b.weight, ";".join(str(c) for c in b.ranking)])

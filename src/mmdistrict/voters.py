@@ -108,8 +108,8 @@ def generate_voter_file(state, voters_per_block: int, score_spread: float,
     """
     if voters_per_block < 1:
         raise ValueError("voters_per_block must be >= 1")
-    if score_spread <= 0:
-        raise ValueError("score_spread must be positive")
+    if not 0 < score_spread < math.inf:
+        raise ValueError(f"score_spread must be finite and positive, got {score_spread}")
     rng = np.random.default_rng(seed)
     mean_pop = state.total_population / len(state.blocks)
     voters = []
@@ -228,6 +228,9 @@ def load_voter_file(path) -> VoterFile:
                 if len(row) != 6 or row[2] not in ("R", "D"):
                     raise ValueError(f"expected 6 fields with party R or D, got {row}")
                 voter = Voter(int(row[0]), int(row[1]), row[2], *map(float, row[3:]))
+                for name in ("partisan_score", "x", "y"):
+                    if not math.isfinite(getattr(voter, name)):
+                        raise ValueError(f"{name} {getattr(voter, name)} is not finite")
                 if voter.id in line_of:
                     raise ValueError(f"voter id {voter.id} repeats line {line_of[voter.id]}")
                 line_of[voter.id] = reader.line_num

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -162,6 +163,20 @@ def test_load_state_rejects_bad_json(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["votes_r", "votes_d", "x", "y"])
+def test_load_state_rejects_non_finite_block_values(tmp_path, path_state, field, value):
+    path = tmp_path / "state.json"
+    save_state(path_state, path)
+    data = json.loads(path.read_text())
+    data["blocks"][2][field] = value  # json writes NaN, Infinity and -Infinity
+    path.write_text(json.dumps(data))
+    with pytest.raises(StateFormatError) as err:
+        load_state(path)
+    assert str(path) in str(err.value)
+    assert f"block 2: {field} {value} is not finite" in str(err.value)
+
+
 def test_load_state_rejects_missing_fields(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"blocks": []}))
@@ -227,3 +242,9 @@ def test_synthetic_state_rejects_bad_arguments():
         generate_synthetic_state(16, 4, 1.5, 0, seed=0)
     with pytest.raises(ValueError):
         generate_synthetic_state(16, 4, 0.4, -1, seed=0)
+
+
+@pytest.mark.parametrize("corr", [math.nan, math.inf, -math.inf])
+def test_synthetic_state_rejects_non_finite_correlation(corr):
+    with pytest.raises(ValueError, match=f"spatial_correlation must be finite and >= 0, got {corr}"):
+        generate_synthetic_state(16, 4, 0.4, corr, seed=0)

@@ -163,6 +163,12 @@ def test_uncertainty_model_rejects_negative_sigma():
         UncertaintyModel(-0.01)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_uncertainty_model_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match=f"sigma must be finite and >= 0, got {sigma}"):
+        UncertaintyModel(sigma)
+
+
 def test_get_rule_lookup():
     assert get_rule("stv") is STV
     assert get_rule("pav") is PAV

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from mmdistrict.model import StateFormatError
 from mmdistrict.rules import PAV, STV, deterministic_seats
 from mmdistrict.stv import (
     WEIGHT_EPS,
@@ -14,10 +13,8 @@ from mmdistrict.stv import (
     Candidate,
     _group,
     droop_quota,
-    load_ballots,
     partisan_split,
     run_stv,
-    save_ballots,
 )
 
 R1, R2, D1 = (Candidate(id=0, party="R"), Candidate(id=1, party="R"),
@@ -34,6 +31,15 @@ def party_line_ballots(n_r, n_d, r_ids, d_ids, rng):
         rng.shuffle(other)
         ballots.append(Ballot(voter_id=i, ranking=tuple(own + other)))
     return ballots
+
+
+def per_voter(coalition):
+    """A coalition's (voter ids, weight) groups as voter id -> summed weight."""
+    merged = {}
+    for ids, weight in coalition:
+        for voter_id in ids:
+            merged[voter_id] = merged.get(voter_id, 0.0) + weight
+    return merged
 
 
 def check_conservation(result, total_weight):
@@ -94,9 +100,9 @@ def test_winner_coalitions_sum_to_vote_count():
     ballots += [Ballot(voter_id=6 + i, ranking=(2, 0, 1)) for i in range(3)]
     result = run_stv(ballots, [R1, R2, D1], seats=2, seed=0)
     # R1 elected holding 6 votes; D1 seated by the stopping rule with 3 + 3
-    assert sum(result.coalitions[0].values()) == pytest.approx(6.0)
-    assert sum(result.coalitions[2].values()) == pytest.approx(6.0)
-    assert set(result.coalitions[0]) == set(range(6))
+    assert sum(per_voter(result.coalitions[0]).values()) == pytest.approx(6.0)
+    assert sum(per_voter(result.coalitions[2]).values()) == pytest.approx(6.0)
+    assert set(per_voter(result.coalitions[0])) == set(range(6))
 
 
 def test_single_seat_elimination_and_transfer():
@@ -108,7 +114,7 @@ def test_single_seat_elimination_and_transfer():
     result = run_stv(ballots, cands, seats=1, seed=4)
     assert len(result.winners) == 1
     w = result.winners[0]
-    assert sum(result.coalitions[w].values()) >= result.quota - 1
+    assert sum(per_voter(result.coalitions[w]).values()) >= result.quota - 1
     check_conservation(result, 3.0)
 
 
@@ -257,36 +263,12 @@ def test_input_validation():
         Ballot(0, (0,), weight=1.5)
 
 
-def test_ballot_csv_round_trip(tmp_path):
-    ballots = [Ballot(voter_id=0, ranking=(2, 0, 1), weight=1.0),
-               Ballot(voter_id=1, ranking=(1,), weight=0.25)]
-    path = tmp_path / "ballots.csv"
-    save_ballots(ballots, path)
-    loaded = load_ballots(path)
-    assert [(b.voter_id, b.ranking, b.weight) for b in loaded] == \
-        [(b.voter_id, b.ranking, b.weight) for b in ballots]
-
-
 def test_partisan_split_counts():
     ballots = [Ballot(voter_id=i, ranking=(0, 1, 2)) for i in range(6)]
     ballots += [Ballot(voter_id=6 + i, ranking=(2, 0, 1)) for i in range(3)]
     result = run_stv(ballots, [R1, R2, D1], seats=2, seed=0)
     split = partisan_split(result, [R1, R2, D1])
     assert (split.seats_r, split.seats_d, split.total) == (1, 1, 2)
-
-
-@pytest.mark.parametrize("row, reason", [
-    ("3,1.0", "not enough values to unpack (expected 3, got 2)"),
-    ("x,1.0,0;1", "invalid literal for int()"),
-    ("3,heavy,0;1", "could not convert string to float"),
-    ("3,1.0,0;one", "invalid literal for int()"),
-], ids=["short_row", "non_numeric_id", "non_numeric_weight", "non_integer_ranking"])
-def test_load_ballots_rejects_malformed_rows_naming_path_and_line(tmp_path, row, reason):
-    path = tmp_path / "ballots.csv"
-    path.write_text(f"# voter_id,weight,ranking\n0,1.0,2;0;1\n{row}\n")
-    with pytest.raises(StateFormatError) as err:
-        load_ballots(path)
-    assert f"{path}: line 3: " in str(err.value) and reason in str(err.value)
 
 
 @st.composite
@@ -312,6 +294,10 @@ def test_run_stv_conserves_fractional_ballot_weight(election, seed):
     # Criterion 4 measures the residual against the ballot count, which
     # equals the total weight only for unit weights.
     check_conservation(result, sum(b.weight for b in ballots))
+    # Each winner's coalition holds exactly the count that seated it.
+    seated = {c: r.counts[c] for r in result.rounds for c in r.elected}
+    for c in result.winners:
+        assert sum(w * len(ids) for ids, w in result.coalitions[c]) == seated[c]
 
 
 def ungrouped_stv(ballots, candidates, seats, seed):
@@ -446,8 +432,9 @@ def test_grouped_count_matches_ungrouped_reference(election, seed):
     assert result.winners == winners
     assert result.coalitions.keys() == coalitions.keys()
     for w, coalition in coalitions.items():
-        assert result.coalitions[w].keys() == coalition.keys()
-        assert all(close(result.coalitions[w][v], coalition[v]) for v in coalition)
+        got = per_voter(result.coalitions[w])
+        assert got.keys() == coalition.keys()
+        assert all(close(got[v], coalition[v]) for v in coalition)
 
 
 def test_same_ranking_with_different_weights_is_not_merged():
@@ -460,7 +447,7 @@ def test_same_ranking_with_different_weights_is_not_merged():
     # R1 is seated holding every ballot at its own weight.
     assert result.quota == 2
     assert result.rounds[0].counts == {0: 1.5, 2: 1.0}
-    assert result.coalitions[0] == {0: 0.5, 1: 1.0, 2: 1.0}
+    assert per_voter(result.coalitions[0]) == {0: 0.5, 1: 1.0, 2: 1.0}
 
 
 def test_group_checks_name_the_first_voter():

@@ -95,6 +95,12 @@ def test_generation_argument_validation(grid_state):
         generate_voter_file(grid_state, voters_per_block=10, score_spread=0.0, seed=0)
 
 
+@pytest.mark.parametrize("spread", [math.nan, math.inf, -math.inf])
+def test_generation_rejects_non_finite_score_spread(grid_state, spread):
+    with pytest.raises(ValueError, match=f"score_spread must be finite and positive, got {spread}"):
+        generate_voter_file(grid_state, voters_per_block=10, score_spread=spread, seed=0)
+
+
 def test_candidate_slates_cover_both_parties(grid_state):
     vf = generate_voter_file(grid_state, voters_per_block=20, score_spread=0.5, seed=3)
     d = whole_state_district(grid_state)
@@ -233,6 +239,20 @@ def test_load_voter_file_rejects_a_repeated_voter_id(tmp_path):
     voter = Voter(id=7, block_id=0, party="R", partisan_score=1.0, x=0.0, y=0.0)
     with pytest.raises(ValueError, match="voter id 7 repeats"):
         VoterFile((voter, voter))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [3, 4, 5], ids=["partisan_score", "x", "y"])
+def test_load_voter_file_rejects_non_finite_values(tmp_path, column, value):
+    row = ["8", "0", "D", "-1.0", "0.0", "0.0"]
+    row[column] = value
+    path = tmp_path / "voters.csv"
+    path.write_text("voter_id,block_id,party,partisan_score,x,y\n"
+                    "7,0,R,1.0,0.0,0.0\n" + ",".join(row) + "\n")
+    name = ("partisan_score", "x", "y")[column - 3]
+    with pytest.raises(StateFormatError) as err:
+        load_voter_file(path)
+    assert f"{path}: line 3: {name} {value} is not finite" in str(err.value)
 
 
 def parent_in_district(voters, district):

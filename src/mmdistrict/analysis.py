@@ -247,6 +247,36 @@ def elect(district, voter_file, mode: str, per_party: int, seed: int):
     return candidates, district_voters, result
 
 
+def _winner_outcomes(state, district, voter_file, mode: str, per_party: int, seed: int):
+    """One district's election, per winner in winner order: (party, score,
+    coalition score spread, coalition distance from the district centroid).
+
+    Also returns the count's ``tie_draws``.
+    """
+    candidates, _, result = elect(district, voter_file, mode, per_party, seed)
+    if result is None:
+        return [], 0
+    columns = voter_file.columns
+    cand_by_id = {c.id: c for c in candidates}
+    cx, cy = _district_centroid(state, district)
+    outcomes = []
+    for winner_id in result.winners:
+        cand = cand_by_id[winner_id]
+        # Voter ids are unique, so each member holds its group's weight.
+        coalition = result.coalitions[winner_id]
+        ids = np.fromiter(itertools.chain.from_iterable(g for g, _ in coalition),
+                          dtype=np.int64)
+        by_id = np.argsort(ids)
+        weights = np.repeat([w for _, w in coalition],
+                            [len(g) for g, _ in coalition])[by_id]
+        rows = voter_file.rows_of(ids[by_id])
+        dists = [math.hypot(x - cx, y - cy)
+                 for x, y in zip(columns.x[rows].tolist(), columns.y[rows].tolist())]
+        outcomes.append((cand.party, cand.score, _weighted_std(columns.score[rows], weights),
+                         float(np.average(dists, weights=weights))))
+    return outcomes, result.tie_draws
+
+
 def intra_party_analysis(state, plans, voter_file, mode: str,
                          per_party: int, seed: int = 0):
     """Simulate STV for every district of every plan and summarize diversity.
@@ -256,38 +286,34 @@ def intra_party_analysis(state, plans, voter_file, mode: str,
     (averaged over winners), and the weighted mean distance of supporters
     from the district centroid (averaged over winners).  Results are then
     averaged across plans; a party with no winners anywhere is omitted.
+
+    Each district occurrence draws its own election seed.  A district that
+    repeats (same blocks and seats) is elected once: its per-winner outcomes
+    are reused when its count broke no tie at random (``tie_draws == 0``),
+    since such a count is the same for every seed.  A count that drew is run
+    again, with the occurrence's own seed, wherever the district recurs.
     """
     rng = random.Random(seed)
-    columns = voter_file.columns
     per_plan = {"R": [], "D": []}
+    reusable = {}  # (block ids, seats) -> outcomes of a count with no random draw
 
     for plan in plans:
         winner_scores = {"R": [], "D": []}
         coalition_score = {"R": [], "D": []}
         coalition_geo = {"R": [], "D": []}
         for district in plan.districts:
-            candidates, _, result = elect(district, voter_file, mode, per_party,
-                                          rng.randrange(2 ** 32))
-            if result is None:
-                continue
-            cand_by_id = {c.id: c for c in candidates}
-            cx, cy = _district_centroid(state, district)
-            for winner_id in result.winners:
-                cand = cand_by_id[winner_id]
-                winner_scores[cand.party].append(cand.score)
-                # Voter ids are unique, so each member holds its group's weight.
-                coalition = result.coalitions[winner_id]
-                ids = np.fromiter(itertools.chain.from_iterable(g for g, _ in coalition),
-                                  dtype=np.int64)
-                by_id = np.argsort(ids)
-                weights = np.repeat([w for _, w in coalition],
-                                    [len(g) for g, _ in coalition])[by_id]
-                rows = voter_file.rows_of(ids[by_id])
-                dists = [math.hypot(x - cx, y - cy)
-                         for x, y in zip(columns.x[rows].tolist(), columns.y[rows].tolist())]
-                coalition_score[cand.party].append(_weighted_std(columns.score[rows], weights))
-                coalition_geo[cand.party].append(
-                    float(np.average(dists, weights=weights)))
+            district_seed = rng.randrange(2 ** 32)  # drawn on reuse too, so later seeds stay
+            key = (district.block_ids, district.seats)
+            outcomes = reusable.get(key)
+            if outcomes is None:
+                outcomes, tie_draws = _winner_outcomes(state, district, voter_file, mode,
+                                                       per_party, district_seed)
+                if tie_draws == 0:
+                    reusable[key] = outcomes
+            for party, score, spread, dispersion in outcomes:
+                winner_scores[party].append(score)
+                coalition_score[party].append(spread)
+                coalition_geo[party].append(dispersion)
         for party in ("R", "D"):
             if winner_scores[party]:
                 per_plan[party].append((

@@ -13,6 +13,10 @@ candidate at or above the quota simultaneously, and otherwise eliminates the
 lowest-count candidate.  Surplus transfer keeps a (Q-1)/total fraction of
 each supporting ballot with the winner and passes the surplus/total fraction
 to the ballot's next continuing preference.
+
+An elimination tie within one party is the only place the count reads its
+seeded generator; ``ElectionResult.tie_draws`` counts those draws, so a
+result with ``tie_draws == 0`` is the same for every seed.
 """
 from __future__ import annotations
 
@@ -81,6 +85,7 @@ class ElectionResult:
     rounds: list
     coalitions: dict  # winner id -> ((voter ids, weight at election), ...) in pile order
     quota: int
+    tie_draws: int  # elimination ties broken by a random draw
 
     def round_log(self):
         """Round log as JSON-serializable dicts, one per round."""
@@ -174,6 +179,7 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
     winners = []
     coalitions = {}
     rounds = []
+    tie_draws = 0
 
     for wb in groups:
         if wb.advance(continuing):
@@ -237,7 +243,11 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
             low = min(counts.values())
             tied = sorted(c for c in continuing if counts[c] <= low + WEIGHT_EPS)
             pool = [c for c in tied if party[c] == "R"] or tied
-            victim = pool[0] if len(pool) == 1 else rng.choice(pool)
+            if len(pool) == 1:
+                victim = pool[0]
+            else:
+                victim = rng.choice(pool)
+                tie_draws += 1
             continuing.discard(victim)
             pile = piles.pop(victim)
             transfer(pile, 1.0, continuing)
@@ -247,7 +257,7 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
         rounds.append(RoundRecord(round_no, counts, list(reachers), eliminated, factors,
                                   cont_weight, retained, exhausted))
 
-    return ElectionResult(winners, rounds, coalitions, quota)
+    return ElectionResult(winners, rounds, coalitions, quota, tie_draws)
 
 
 def partisan_split(result: ElectionResult, candidates) -> SeatOutcome:

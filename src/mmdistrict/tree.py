@@ -625,23 +625,3 @@ def sample_plans(tree: SampleTree, count: int, seed: int = 0):
         return leaves
 
     return [plan_from_leaves(descend(tree.root)) for _ in range(count)]
-
-
-def enumerate_plans(tree: SampleTree, limit: int = 100000):
-    """All encoded plans as leaf-node tuples; errors out past ``limit``."""
-    if count_plans(tree.root) > limit:
-        raise ValueError(f"tree encodes more than {limit} plans")
-
-    def expand(node):
-        if node.is_leaf:
-            return [(node,)]
-        result = []
-        for sample in node.samples:
-            combos = [()]
-            for child in sample:
-                combos = [c + sub for c in combos for sub in expand(child)]
-            result.extend(combos)
-        return result
-
-    return expand(tree.root)
-

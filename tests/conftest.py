@@ -3,10 +3,30 @@ import multiprocessing
 import pytest
 
 from mmdistrict.model import Block, StateInstance, generate_synthetic_state
+from mmdistrict.tree import count_plans
 
 #: For tests that force a root-sample pool, which needs the fork start method.
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                                 reason="root-sample pools need the fork start method")
+
+
+def enumerate_plans(tree, limit: int = 100000):
+    """All encoded plans as leaf-node tuples; errors out past ``limit``."""
+    if count_plans(tree.root) > limit:
+        raise ValueError(f"tree encodes more than {limit} plans")
+
+    def expand(node):
+        if node.is_leaf:
+            return [(node,)]
+        result = []
+        for sample in node.samples:
+            combos = [()]
+            for child in sample:
+                combos = [c + sub for c in combos for sub in expand(child)]
+            result.extend(combos)
+        return result
+
+    return expand(tree.root)
 
 
 def make_path_state(pops, shares, seats, turnout=0.8):

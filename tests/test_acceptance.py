@@ -30,9 +30,11 @@ from mmdistrict.rules import (
     expected_seats,
 )
 from mmdistrict.stv import Ballot, Candidate, partisan_split, run_stv
-from mmdistrict.tree import build_tree, enumerate_plans, plan_from_leaves, sample_plans
+from mmdistrict.tree import build_tree, plan_from_leaves, sample_plans
 from mmdistrict.voters import VoterFile, generate_voter_file
 from mmdistrict import cli
+
+from conftest import enumerate_plans
 
 NO_NOISE = UncertaintyModel(0.0)
 SEEDS = range(5)

@@ -1,9 +1,13 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from mmdistrict import analysis
 from mmdistrict.analysis import (
+    DiversityRecord,
+    _district_centroid,
     _weighted_std,
     elect,
     ensemble_metrics,
@@ -17,9 +21,11 @@ from mmdistrict.analysis import (
 )
 from mmdistrict.model import District, Plan, district_vote_share, generate_synthetic_state
 from mmdistrict.rules import RULES, STV, UncertaintyModel, deterministic_seats, expected_seats
-from mmdistrict.tree import build_tree, enumerate_plans, plan_from_leaves, sample_plans
+from mmdistrict.tree import build_tree, plan_from_leaves, sample_plans
 from mmdistrict.stv import run_stv
 from mmdistrict.voters import VoterFile, build_ballots, generate_candidates, generate_voter_file
+
+from conftest import enumerate_plans
 
 NO_NOISE = UncertaintyModel(0.0)
 
@@ -207,3 +213,65 @@ def test_elect_without_voters_has_no_result(grid_state):
     candidates, voters, result = elect(District(frozenset({0}), 1), vf, "partisan_score", 0, 0)
     assert len(voters) == 0 and result is None
     assert {c.party for c in candidates} == {"R", "D"}
+
+
+def elect_every_district(state, plans, vf, mode, per_party, seed):
+    """Diversity records with every district occurrence elected on its own seed."""
+    rng = random.Random(seed)
+    per_plan = {"R": [], "D": []}
+    for plan in plans:
+        stats = {"R": [], "D": []}
+        for district in plan.districts:
+            candidates, _, result = elect(district, vf, mode, per_party, rng.randrange(2 ** 32))
+            cx, cy = _district_centroid(state, district)
+            for w in result.winners:
+                cand = next(c for c in candidates if c.id == w)
+                members = sorted((i, weight) for ids, weight in result.coalitions[w] for i in ids)
+                rows = vf.rows_of(np.array([i for i, _ in members]))
+                weights = [weight for _, weight in members]
+                dists = [math.hypot(x - cx, y - cy)
+                         for x, y in zip(vf.columns.x[rows].tolist(), vf.columns.y[rows].tolist())]
+                stats[cand.party].append((cand.score,
+                                          _weighted_std(vf.columns.score[rows], weights),
+                                          float(np.average(dists, weights=weights))))
+        for party, rows in stats.items():
+            if rows:
+                scores, spreads, dispersions = zip(*rows)
+                per_plan[party].append((float(np.std(scores)), float(np.mean(spreads)),
+                                        float(np.mean(dispersions))))
+    return [DiversityRecord(party, *(float(col.mean()) for col in np.array(per_plan[party]).T))
+            for party in ("R", "D") if per_plan[party]]
+
+
+def test_diversity_reuses_only_counts_without_tie_draws(grid_state, monkeypatch):
+    vf = generate_voter_file(grid_state, voters_per_block=6, score_spread=0.5, seed=2)
+    west = District(frozenset(range(8)), 2)
+    east = District(frozenset(range(8, 16)), 2)
+    south = District(frozenset(b for b in range(16) if b % 4 < 2), 2)
+    plans = [Plan((west, east)), Plan((east, west)), Plan((south, west)), Plan((west, east))]
+    # west's count breaks ties at random, and its winners depend on the seed;
+    # east and south never draw.
+    assert elect(west, vf, "partisan_score", None, 0)[2].tie_draws > 0
+    assert len({tuple(elect(west, vf, "partisan_score", None, s)[2].winners)
+                for s in range(10)}) > 1
+    assert elect(east, vf, "partisan_score", None, 0)[2].tie_draws == 0
+    assert elect(south, vf, "partisan_score", None, 0)[2].tie_draws == 0
+
+    calls = []
+    count = analysis.run_stv
+    monkeypatch.setattr(analysis, "run_stv", lambda ballots, candidates, seats, seed: (
+        calls.append((frozenset(i for b in ballots for i in b.voter_ids), seed))
+        or count(ballots, candidates, seats, seed)))
+    records = intra_party_analysis(grid_state, plans, vf, "partisan_score", None, seed=9)
+
+    rng = random.Random(9)
+    voters_of = {d: frozenset(vf.in_district(d).id.tolist()) for d in (west, east, south)}
+    expected, seen = [], set()
+    for d in (d for plan in plans for d in plan.districts):
+        seed = rng.randrange(2 ** 32)  # every occurrence draws its seed
+        if d == west or d not in seen:
+            expected.append((voters_of[d], seed))
+        seen.add(d)
+    assert calls == expected
+    monkeypatch.undo()
+    assert records == elect_every_district(grid_state, plans, vf, "partisan_score", None, 9)

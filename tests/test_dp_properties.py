@@ -14,7 +14,9 @@ from mmdistrict.analysis import (ensemble_metrics, optimize_fair, optimize_parti
                                  score_leaves, seat_histograms)
 from mmdistrict.model import generate_synthetic_state
 from mmdistrict.rules import RULES, UncertaintyModel
-from mmdistrict.tree import TreeBuildError, build_tree, count_plans, enumerate_plans
+from mmdistrict.tree import TreeBuildError, build_tree, count_plans
+
+from conftest import enumerate_plans
 
 MAX_PLANS = 5000
 

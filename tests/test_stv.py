@@ -471,3 +471,32 @@ def test_a_ballot_is_a_group_of_one():
     ballots = [Ballot(0, (0, 2)), Ballot(1, (0, 2)), Ballot(2, (2, 0))]
     assert [wb.voter_ids for wb in _group(groups)] == [wb.voter_ids for wb in _group(ballots)]
     assert run_stv(groups, [R1, D1], seats=1) == run_stv(ballots, [R1, D1], seats=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_rankings(), st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1))
+def test_a_count_without_tie_draws_is_the_same_for_every_seed(election, seed_a, seed_b):
+    ballots, cands, seats = election
+    result = run_stv(ballots, cands, seats, seed=seed_a)
+    event(f"tie_draws {min(result.tie_draws, 2)}")
+    if result.tie_draws == 0:
+        assert run_stv(ballots, cands, seats, seed=seed_b) == result
+
+
+def test_tie_draws_counts_only_random_tie_breaks():
+    r0, r1, r2, d3, d4 = (Candidate(id=0, party="R"), Candidate(id=1, party="R"),
+                          Candidate(id=2, party="R"), Candidate(id=3, party="D"),
+                          Candidate(id=4, party="D"))
+    ballots = ([BallotGroup((3,), 1.0, tuple(range(6)))]
+               + [BallotGroup((0,), 1.0, (6, 7, 8)), BallotGroup((1,), 1.0, (9, 10, 11)),
+                  BallotGroup((2,), 1.0, (12,)), BallotGroup((4,), 1.0, (13,))])
+    # Quota 5: D3 is seated in round 1.  Round 2 ties R2 with D4, and R goes
+    # first, so R2 leaves without a draw; D4 then leaves alone.  Round 4 ties
+    # R0 with R1: the one random draw, which decides the second seat.
+    winners = set()
+    for seed in range(20):
+        result = run_stv(ballots, [r0, r1, r2, d3, d4], seats=2, seed=seed)
+        assert [r.eliminated for r in result.rounds[1:3]] == [2, 4]
+        assert result.tie_draws == 1
+        winners.add(tuple(result.winners))
+    assert winners == {(3, 0), (3, 1)}

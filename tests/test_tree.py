@@ -11,14 +11,13 @@ from mmdistrict.tree import (
     assign_child_sizes,
     build_tree,
     count_plans,
-    enumerate_plans,
     plan_from_leaves,
     sample_counts,
     sample_plans,
     select_centers,
     walk_nodes,
 )
-from conftest import make_path_state, needs_fork
+from conftest import enumerate_plans, make_path_state, needs_fork
 
 
 def test_sample_counts_schedule():

@@ -203,7 +203,7 @@ def test_node_count_excludes_nodes_of_rejected_samples():
 
 
 def _tree_dump(tree):
-    nodes = [(n.node_id, n.region, n.seats, n.n_small, n.n_large,
+    nodes = [(n.node_id, tuple(n.region), n.seats, n.n_small, n.n_large,
               [[c.node_id for c in sample] for sample in n.samples])
              for n in walk_nodes(tree)]
     return nodes, tree.diagnostics

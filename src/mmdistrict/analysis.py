@@ -21,7 +21,7 @@ from . import voters as voters_mod
 from .model import BalanceTolerance, district_vote_share, vote_share
 from .rules import SeatShareRule, UncertaintyModel, deterministic_seats, expected_seats
 from .stv import run_stv
-from .tree import SampleTree, TreeBuildError, build_tree, walk_nodes
+from .tree import RootSamplePool, SampleTree, TreeBuildError, build_tree, walk_nodes
 # sample_plans is not called here; it stays bound in this module because
 # perfbench/tracer.py times the calls made through this name.
 from .tree import sample_plans  # noqa: F401
@@ -184,32 +184,35 @@ def sweep_k(state, rule: SeatShareRule, k_set, u: UncertaintyModel,
     """Optimized and ensemble records for each requested district count.
 
     Returns (records, failures): one max_R / max_D / min_gap / median record
-    per k that built, and a reason string per k that did not.
+    per k that built, and a reason string per k that did not.  Every k's
+    root samples run in one ``RootSamplePool``.
     """
     y = state.statewide_vote_share()
     n = state.total_seats
     records, failures = [], {}
-    for k in sorted(k_set):
-        try:
-            tree = build_tree(state, k, BalanceTolerance(), seed=seed * 100003 + k,
-                              root_samples=root_samples, internal_samples=internal_samples)
-        except TreeBuildError as e:
-            failures[k] = str(e)
-            continue
-        scores = score_leaves(tree, state, rule, u)
-        for party, stat in (("R", "max_R"), ("D", "max_D")):
-            leaves, _ = optimize_partisan(tree, scores, party)
-            seats = sum(scores[leaf.node_id].deterministic_r_seats for leaf in leaves)
-            records.append(MetricsRecord(k, rule.name, stat, float(seats),
-                                         seats / n, abs(seats / n - y)))
-        tables = seat_histograms(tree, scores)
-        leaves, total, gap = optimize_fair(tree, tables, y)
-        records.append(MetricsRecord(k, rule.name, "min_gap", float(total), total / n, gap))
-        records.append(next(r for r in ensemble_metrics(tree, state, rule, tables)
-                            if r.statistic == "median"))
-        # Freed before the next k's build, which would otherwise run with
-        # this k's tree and tables still held (about 5 MB at 144 blocks).
-        del tree, scores, tables
+    with RootSamplePool(state, k_set, root_samples, internal_samples) as pool:
+        for k in sorted(k_set):
+            try:
+                tree = build_tree(state, k, BalanceTolerance(), seed=seed * 100003 + k,
+                                  root_samples=root_samples, internal_samples=internal_samples,
+                                  pool=pool)
+            except TreeBuildError as e:
+                failures[k] = str(e)
+                continue
+            scores = score_leaves(tree, state, rule, u)
+            for party, stat in (("R", "max_R"), ("D", "max_D")):
+                leaves, _ = optimize_partisan(tree, scores, party)
+                seats = sum(scores[leaf.node_id].deterministic_r_seats for leaf in leaves)
+                records.append(MetricsRecord(k, rule.name, stat, float(seats),
+                                             seats / n, abs(seats / n - y)))
+            tables = seat_histograms(tree, scores)
+            leaves, total, gap = optimize_fair(tree, tables, y)
+            records.append(MetricsRecord(k, rule.name, "min_gap", float(total), total / n, gap))
+            records.append(next(r for r in ensemble_metrics(tree, state, rule, tables)
+                                if r.statistic == "median"))
+            # Freed before the next k's build, which would otherwise run with
+            # this k's tree and tables still held (about 5 MB at 144 blocks).
+            del tree, scores, tables
     return records, failures
 
 

@@ -66,10 +66,10 @@ def _config(path, command, defaults):
     return config
 
 
-def _build(opts, state, k, seed):
+def _build(opts, state, k, seed, pool=None):
     return tree_mod.build_tree(state, k, BalanceTolerance(), seed=seed,
                                root_samples=opts["root_samples"],
-                               internal_samples=opts["internal_samples"])
+                               internal_samples=opts["internal_samples"], pool=pool)
 
 
 def _voter_file(opts, state):
@@ -207,19 +207,21 @@ def cmd_diversity(opts):
     vfile = _voter_file(opts, state)
     seed = opts["seed"]
     rows, failed = [], []
-    for k in k_set:
-        try:
-            built = _build(opts, state, k, seed * 100003 + k)
-        except tree_mod.TreeBuildError as e:
-            print(f"warning: k={k} failed to build: {e}", file=sys.stderr)
-            failed.append(k)
-            continue
-        plans = tree_mod.sample_plans(built, opts["ensemble_size"], seed=seed + k)
-        records = analysis.intra_party_analysis(
-            state, plans, vfile, opts["mode"], opts["per_party"] or 0, seed=seed + k)
-        for r in records:
-            rows.append([k, r.party, repr(r.winner_score_stddev),
-                         repr(r.coalition_score_stddev), repr(r.coalition_geo_dispersion)])
+    with tree_mod.RootSamplePool(state, k_set, opts["root_samples"],
+                                 opts["internal_samples"]) as pool:
+        for k in k_set:
+            try:
+                built = _build(opts, state, k, seed * 100003 + k, pool)
+            except tree_mod.TreeBuildError as e:
+                print(f"warning: k={k} failed to build: {e}", file=sys.stderr)
+                failed.append(k)
+                continue
+            plans = tree_mod.sample_plans(built, opts["ensemble_size"], seed=seed + k)
+            records = analysis.intra_party_analysis(
+                state, plans, vfile, opts["mode"], opts["per_party"] or 0, seed=seed + k)
+            for r in records:
+                rows.append([k, r.party, repr(r.winner_score_stddev),
+                             repr(r.coalition_score_stddev), repr(r.coalition_geo_dispersion)])
     _write_csv(opts["out"], ["k", "party", "winner_score_stddev",
                              "coalition_score_stddev", "coalition_geo_km"], rows)
     return 1 if len(failed) == len(k_set) else 0

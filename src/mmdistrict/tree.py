@@ -6,20 +6,33 @@ sampled subdivisions of its region; leaves are single districts that are
 contiguous and population balanced against the statewide per-seat target.
 The tree therefore encodes a product-sum number of distinct plans.
 
+The builder works on dense block indices: block ``i`` is the state's
+``i``-th smallest id, its neighbours are a tuple of indices, and
+populations, distances and owners are lists indexed by block.  The index
+map keeps id order, so every ``(distance, block)`` heap key, sorted scan and
+tie-break orders as it would on ids.  Node regions stay frozensets of state
+ids: each child's id set receives the same adds and discards, in the same
+order, as the split makes, so a region iterates its blocks, and leaf
+scoring sums over them, in one fixed order.
+
 A subdivision attempt runs one breadth-first search per center, inside the
 node's region: ``select_centers`` runs it as it picks the center, and the
 Voronoi cell populations and the growth heaps of ``split_region`` reuse those
-distance maps.  Every child region stays contiguous from growth through
+distance lists.  Every child region stays contiguous from growth through
 repair, so repair checks a boundary swap locally, around the moved block,
 rather than searching the whole donor district.
 
 Root sample ``i`` of a build draws everything, its internal samples
 included, from its own stream ``random.Random(f"{seed}:{i}")``, so no sample
-reads another's RNG state.  Builds above ``POOL_MIN_WORK`` therefore run the
-root samples in a fork pool, one worker per usable CPU, and merge them in
-sample order; smaller builds, and platforms without ``fork``, run the same
-per-sample function serially.  The tree, its node ids and its diagnostics do
-not depend on the number of cores.
+reads another's RNG state.  A command opens one ``RootSamplePool`` for all
+its builds on a state.  When the builds' summed estimated work reaches
+``POOL_MIN_WORK``, the pool forks one worker per usable CPU, once, with the
+state's blocks; each task then carries one build's sizes and seed and a
+sample index, and ``build_tree`` merges the results in sample order.
+Smaller commands, and platforms without ``fork``, run the same per-sample
+function serially.  ``build_tree`` without a pool opens one for its own
+build.  The tree, its node ids and its diagnostics do not depend on the
+number of cores.
 """
 from __future__ import annotations
 
@@ -86,18 +99,34 @@ def sample_counts(k: int):
     return (max(1, round((1000 / k) ** 1.2)), max(1, round((300 / k) ** 0.5)))
 
 
-def region_neighbors(region, adjacency):
-    """Each block of ``region`` with its neighbours inside ``region``.
+def region_neighbors(region, neighbors):
+    """Each block's neighbours inside ``region``, as tuples of block indices.
 
-    ``select_centers``, ``split_region`` and the searches under them walk
-    these lists, so they never test region membership themselves.
+    ``neighbors[b]`` lists block ``b``'s neighbours anywhere in the state;
+    the result, a list as long as ``neighbors``, holds ``()`` for blocks
+    outside ``region``.  ``select_centers``, ``split_region`` and the searches
+    under them walk these lists, so they never test region membership
+    themselves.
     """
-    return {b: tuple(v for v in adjacency[b] if v in region) for b in region}
+    inside = bytearray(len(neighbors))
+    for b in region:
+        inside[b] = 1
+    restricted = [()] * len(neighbors)
+    for b in region:
+        nbrs = neighbors[b]
+        restricted[b] = tuple(itertools.compress(nbrs, map(inside.__getitem__, nbrs)))
+    return restricted
 
 
-def _bfs_distances(neighbors, source):
-    """Hop distance from ``source`` to every block it reaches over ``neighbors``."""
-    dist = {source: 0}
+def _bfs_distances(neighbors, source, unreached):
+    """Hop distance from ``source`` to every block, over ``neighbors``.
+
+    A list as long as ``neighbors``; a block the search does not reach holds
+    ``unreached``, which callers set to the region's size, above any hop
+    distance inside it.
+    """
+    dist = [unreached] * len(neighbors)
+    dist[source] = 0
     frontier = [source]
     d = 0
     while frontier:
@@ -105,7 +134,7 @@ def _bfs_distances(neighbors, source):
         reached = []
         for u in frontier:
             for v in neighbors[u]:
-                if v not in dist:
+                if dist[v] == unreached:
                     dist[v] = d
                     reached.append(v)
         frontier = reached
@@ -122,36 +151,38 @@ def _weighted_choice(items, weights, rng):
 def select_centers(region, neighbors, pops, n_children: int, rng):
     """Spread centers: first population-weighted, then pop * hop-distance^2.
 
-    ``neighbors`` lists each block's neighbours inside ``region`` (see
-    ``region_neighbors``).  One breadth-first search runs from each center as
-    it is picked.  The distance that weights the next pick, a block's hop
-    distance to the nearest center so far, is the element-wise minimum of
-    those maps.  Returns ``(centers, dist_maps)``: ``dist_maps[i]`` maps every
-    block ``centers[i]`` reaches to its hop distance, for
-    ``_voronoi_cell_pops`` and ``split_region`` to reuse.
+    ``region`` holds block indices; ``neighbors`` lists each block's
+    neighbours inside it (see ``region_neighbors``).  One breadth-first
+    search runs from each center as it is picked.  The distance that weights
+    the next pick, a block's hop distance to the nearest center so far, is
+    the element-wise minimum of those lists; a block no center reaches
+    weighs 0.  Returns ``(centers, dist_maps)``: ``dist_maps[i]`` is
+    ``_bfs_distances`` from ``centers[i]`` with ``len(region)`` as its
+    unreached value, for ``_voronoi_cell_pops`` and ``split_region`` to
+    reuse.
     """
     blocks = sorted(region)
-    if n_children > len(blocks):
-        raise ValueError(f"region of {len(blocks)} blocks cannot host {n_children} centers")
-    if n_children == len(blocks):
-        return blocks, [_bfs_distances(neighbors, b) for b in blocks]
+    m = len(blocks)
+    if n_children > m:
+        raise ValueError(f"region of {m} blocks cannot host {n_children} centers")
+    if n_children == m:
+        return blocks, [_bfs_distances(neighbors, b, m) for b in blocks]
     centers = [_weighted_choice(blocks, [pops[b] for b in blocks], rng)]
-    dist_maps = [_bfs_distances(neighbors, centers[0])]
-    nearest = dict(dist_maps[0])
-    unreached = len(blocks)
+    dist_maps = [_bfs_distances(neighbors, centers[0], m)]
+    nearest = dist_maps[0][:]
     while len(centers) < n_children:
         rest = [b for b in blocks if b not in centers]
-        weights = [pops[b] * nearest.get(b, 0) ** 2 for b in rest]
+        weights = [pops[b] * d ** 2 if (d := nearest[b]) < m else 0 for b in rest]
         if sum(weights) == 0:
             centers.append(_weighted_choice(rest, [1.0] * len(rest), rng))
         else:
             centers.append(_weighted_choice(rest, weights, rng))
-        dist = _bfs_distances(neighbors, centers[-1])
+        dist = _bfs_distances(neighbors, centers[-1], m)
         dist_maps.append(dist)
         if len(centers) < n_children:
-            for b, d in dist.items():
-                if d < nearest.get(b, unreached):
-                    nearest[b] = d
+            for b in blocks:
+                if dist[b] < nearest[b]:
+                    nearest[b] = dist[b]
     return centers, dist_maps
 
 
@@ -180,17 +211,18 @@ def assign_child_sizes(n_districts, n_small, n_large, cell_pops):
     return [(counts[i] - larges[i], larges[i]) for i in range(f)]
 
 
-def _stays_connected(blocks, b, neighbors):
-    """Whether ``blocks`` without ``b`` is connected, given that ``blocks`` is.
+def _stays_connected(owner, b, neighbors):
+    """Whether ``b``'s child stays connected without ``b``, given that it is connected.
 
-    ``neighbors`` may list blocks outside ``blocks``; they are skipped.  A
-    block with at most one neighbour in ``blocks`` can always leave.
-    Otherwise every remaining block still reaches one of those neighbours,
-    so a search from the first of them, avoiding ``b``, decides: it stops as
-    soon as it has reached the others, and only at a cut block does it
-    search the whole of its side.
+    The child is every block ``v`` with ``owner[v] == owner[b]``.  A block
+    with at most one neighbour in its child can always leave.  Otherwise
+    every remaining block still reaches one of those neighbours, so a search
+    from the first of them, avoiding ``b``, decides: it stops as soon as it
+    has reached the others, and only at a cut block does it search the whole
+    of its side.
     """
-    ends = [v for v in neighbors[b] if v in blocks]
+    a = owner[b]
+    ends = [v for v in neighbors[b] if owner[v] == a]
     if len(ends) <= 1:
         return True
     missing = set(ends[1:])
@@ -200,7 +232,7 @@ def _stays_connected(blocks, b, neighbors):
         reached = []
         for u in frontier:
             for v in neighbors[u]:
-                if v in blocks and v not in seen:
+                if owner[v] == a and v not in seen:
                     if v in missing:
                         missing.discard(v)
                         if not missing:
@@ -212,42 +244,42 @@ def _stays_connected(blocks, b, neighbors):
 
 
 def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
-                 state_pop, total_seats, epsilon):
+                 state_pop, total_seats, epsilon, ids):
     """Grow child regions from centers, then boundary-swap toward balance.
 
     Each child targets state_pop * seats / total_seats people.  Growth is
     capacity-weighted nearest-frontier accretion, ordered by the hop
     distances ``dist_maps`` that ``select_centers`` returned with the
-    centers; ``neighbors`` lists each block's neighbours inside ``region``.
-    Repair moves boundary blocks between adjacent children when that lowers
-    total balance error and keeps the donor contiguous.  Growth only adds
-    blocks next to a child and repair keeps every donor contiguous, so the
-    children are contiguous before each swap, and ``_stays_connected``
-    decides a swap from the moved block's surroundings.  Returns child block
-    sets, or None if any child misses its tolerance.
+    centers; ``region`` holds block indices and ``neighbors`` lists each
+    block's neighbours inside it.  Repair moves boundary blocks between
+    adjacent children when that lowers total balance error and keeps the
+    donor contiguous.  Growth only adds blocks next to a child and repair
+    keeps every donor contiguous, so the children are contiguous before each
+    swap, and ``_stays_connected`` decides a swap from the moved block's
+    surroundings.  Returns each child's set of state ids (block ``b`` is
+    ``ids[b]``), or None if any child misses its tolerance.
     """
     f = len(centers)
     targets = [state_pop * s / total_seats for s in child_seats]
-    unreached = len(region)
 
-    owner = {}
-    child_blocks = [set() for _ in range(f)]
+    owner = [-1] * len(neighbors)
+    child_blocks = [set() for _ in range(f)]  # state ids, added and discarded as blocks move
     child_pop = [0.0] * f
     heaps = [[] for _ in range(f)]
-    pushed = [set() for _ in range(f)]  # blocks ever put on each child's frontier
+    pushed = [bytearray(len(neighbors)) for _ in range(f)]  # blocks ever on each child's frontier
 
     def assign(b, c):
         owner[b] = c
-        child_blocks[c].add(b)
+        child_blocks[c].add(ids[b])
         child_pop[c] += pops[b]
         dist, heap, seen = dist_maps[c], heaps[c], pushed[c]
         for v in neighbors[b]:
-            if v not in owner and v not in seen:
-                seen.add(v)
-                heapq.heappush(heap, (dist.get(v, unreached), v))
+            if owner[v] < 0 and not seen[v]:
+                seen[v] = 1
+                heapq.heappush(heap, (dist[v], v))
 
     for c, center in enumerate(centers):
-        if center in owner:
+        if owner[center] >= 0:
             return None  # duplicate centers cannot seed distinct children
         assign(center, c)
 
@@ -262,7 +294,7 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
             return None
         c = growing[0][1]
         h = heaps[c]
-        while h and h[0][1] in owner:
+        while h and owner[h[0][1]] >= 0:
             heapq.heappop(h)
         if not h:
             heapq.heappop(growing)
@@ -286,7 +318,7 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
     # sort after the moved block are still visited in the same pass.  Most
     # splits grow balanced and skip repair, and with it this set.
     boundary = set() if balanced() else {
-        b for b, a in owner.items() for v in neighbors[b] if owner[v] != a}
+        b for b in region for v in neighbors[b] if owner[v] != owner[b]}
     max_swaps = 10 * len(region)
     swaps = 0
     while not balanced() and swaps < max_swaps:
@@ -299,7 +331,7 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
             donor = child_blocks[a]
             if len(donor) <= 1:
                 continue
-            nbr_children = {owner[v] for v in neighbors[b]}
+            nbr_children = set(map(owner.__getitem__, neighbors[b]))
             nbr_children.discard(a)
             if not nbr_children:
                 continue
@@ -311,10 +343,10 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
                     best_delta, best_t = delta, t
             if best_t is None:
                 continue
-            if not _stays_connected(donor, b, neighbors):
+            if not _stays_connected(owner, b, neighbors):
                 continue
-            donor.discard(b)
-            child_blocks[best_t].add(b)
+            donor.discard(ids[b])
+            child_blocks[best_t].add(ids[b])
             owner[b] = best_t
             err[a] -= p
             err[best_t] += p
@@ -340,102 +372,124 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
 SPLIT_RETRIES = 20
 #: Largest number of children a node subdivision may have.
 MAX_FANOUT = 4
-#: Smallest estimated work, in block visits, for which build_tree forks a
-#: pool of root-sample workers; see ``_pool_size``.  Timed on a 2-core VM
-#: (median of 10 alternating builds each): pool start-up and result transfer
-#: cost about 20 ms, and the pool won from about 20,000 on.  144 blocks, k = 2:
-#: 14,400 took 1.88x the serial time, 28,800 0.89x; 400 blocks, k = 2: 20,000
-#: 0.88x; 144 blocks, k = 4, 2 internal samples: 28,800 0.86x.
+#: Smallest estimated work, in block visits summed over one command's builds,
+#: for which a ``RootSamplePool`` forks workers; see ``_pool_size``.  Timed
+#: per build on a 2-core VM (median of 10 alternating builds each), when
+#: every build forked its own pool: pool start-up and result transfer cost
+#: about 20 ms, and the pool won from about 20,000 on.  144 blocks, k = 2:
+#: 14,400 took 1.88x the serial time, 28,800 0.89x; 400 blocks, k = 2:
+#: 20,000 0.88x; 144 blocks, k = 4, 2 internal samples: 28,800 0.86x.  A
+#: command pays the start-up once, so the threshold applies to its sum.
 POOL_MIN_WORK = 20_000
 
 
 @dataclass(frozen=True)
+class _Blocks:
+    """A state's blocks on dense indices, which every root sample reads.
+
+    Block ``i`` is ``ids[i]``, the ``i``-th smallest id, and ``index`` maps
+    an id back to it.  ``root_order`` lists the indices of the root region,
+    ``frozenset(set(state.block_map))``, in the order that region iterates.
+    """
+    ids: tuple
+    index: dict
+    neighbors: tuple
+    pops: tuple
+    root_order: tuple
+    total_population: float
+    total_seats: int
+
+    @classmethod
+    def of(cls, state):
+        ids = tuple(sorted(state.block_map))
+        index = {b: i for i, b in enumerate(ids)}
+        return cls(ids, index,
+                   tuple(tuple(index[v] for v in state.adjacency[b]) for b in ids),
+                   tuple(state.block_map[b].population for b in ids),
+                   tuple(index[b] for b in frozenset(set(state.block_map))),
+                   state.total_population, state.total_seats)
+
+
+@dataclass(frozen=True)
 class _Build:
-    """What every root sample of one build reads; no sample writes to it."""
-    adjacency: dict
-    pops: dict
-    root: TreeNode
-    root_neighbors: dict
-    state_pop: float
-    n_seats: int
+    """One build's parameters, which each of its root-sample tasks carries."""
     small_size: int
+    n_small: int
+    n_large: int
     epsilon: float
     n_internal: int
     seed: int
 
 
-def _root_sample(build: _Build, i: int):
+def _root_sample(blocks: _Blocks, build: _Build, i: int):
     """Root sample ``i`` of ``build`` and its whole subtree, from its own stream.
 
     Every draw, the internal samples' included, comes from
     ``random.Random(f"{seed}:{i}")``.  Returns ``(children, created,
-    attempts, failures)``: the children in ``_encode`` form, or None when the
-    sample is rejected; how many nodes the sample created, rejected ones
-    included, numbered 1..created in creation order; and its attempts and
-    failures per depth.  It must not call numpy: pool workers are forked
-    from a process whose BLAS threads may hold locks.
+    attempts, failures)``: the children as ``(node_id, block ids, n_small,
+    n_large, samples)`` with nested tuples, or None when the sample is
+    rejected; how many nodes the sample created, rejected ones included,
+    numbered 1..created in creation order; and its attempts and failures per
+    depth.  It must not call numpy: pool workers are forked from a process
+    whose BLAS threads may hold locks.
+
+    A frozenset pickles as its items and unpickles at about twice the table
+    size that ``frozenset(set(...))`` gives, so a region travels as the tuple
+    of its frozenset's blocks and ``_decode`` rebuilds it.  Serial builds
+    take the same round trip, so a region iterates its blocks, and sums over
+    them, in the same order whichever way it was built.
     """
     rng = random.Random(f"{build.seed}:{i}")
-    pops, j = build.pops, build.small_size
-    ids = itertools.count(1)
+    index, pops, j = blocks.index, blocks.pops, build.small_size
+    node_ids = itertools.count(1)
     attempts, failures = {}, {}
 
-    def make_node(region, n_small, n_large):
-        return TreeNode(node_id=next(ids), region=frozenset(region),
-                        seats=n_small * j + n_large * (j + 1),
-                        n_districts=n_small + n_large, n_small=n_small, n_large=n_large)
-
-    def subdivide(node, neighbors, depth):
-        fanout = rng.randint(2, min(MAX_FANOUT, node.n_districts))
-        if fanout > len(node.region):
+    def subdivide(order, neighbors, n_small, n_large, depth):
+        """``order`` lists the region's block indices in the order it iterates."""
+        n_districts = n_small + n_large
+        fanout = rng.randint(2, min(MAX_FANOUT, n_districts))
+        if fanout > len(order):
             return None
         parts = sizes = None
         for _ in range(SPLIT_RETRIES):
-            centers, dist_maps = select_centers(node.region, neighbors, pops, fanout, rng)
-            cell_pops = _voronoi_cell_pops(node.region, pops, dist_maps)
-            sizes = assign_child_sizes(node.n_districts, node.n_small, node.n_large, cell_pops)
+            centers, dist_maps = select_centers(order, neighbors, pops, fanout, rng)
+            cell_pops = _voronoi_cell_pops(order, pops, dist_maps)
+            sizes = assign_child_sizes(n_districts, n_small, n_large, cell_pops)
             child_seats = [s * j + l * (j + 1) for s, l in sizes]
-            parts = split_region(node.region, neighbors, pops, centers, dist_maps, child_seats,
-                                 build.state_pop, build.n_seats, build.epsilon)
+            parts = split_region(order, neighbors, pops, centers, dist_maps, child_seats,
+                                 blocks.total_population, blocks.total_seats, build.epsilon,
+                                 blocks.ids)
             if parts is not None:
                 break
         if parts is None:
             return None
-        children = [make_node(part, s, l) for part, (s, l) in zip(parts, sizes)]
-        for child in children:
-            if not child.is_leaf:
-                child_neighbors = region_neighbors(child.region, build.adjacency)
+        # Every child is numbered before any child's own samples are drawn.
+        child_ids = [next(node_ids) for _ in parts]
+        children = []
+        for node_id, part, (s, l) in zip(child_ids, parts, sizes):
+            region = frozenset(part)
+            samples = []
+            if s + l > 1:
+                child_order = [index[b] for b in region]
+                child_neighbors = region_neighbors(child_order, blocks.neighbors)
                 for _ in range(build.n_internal):
-                    sample = try_sample(child, child_neighbors, depth + 1)
+                    sample = try_sample(child_order, child_neighbors, s, l, depth + 1)
                     if sample is not None:
-                        child.samples.append(sample)
-                if not child.samples:
+                        samples.append(sample)
+                if not samples:
                     return None
-        return children
+            children.append((node_id, tuple(region), s, l, tuple(samples)))
+        return tuple(children)
 
-    def try_sample(node, neighbors, depth):
+    def try_sample(order, neighbors, n_small, n_large, depth):
         attempts[depth] = attempts.get(depth, 0) + 1
-        children = subdivide(node, neighbors, depth)
+        children = subdivide(order, neighbors, n_small, n_large, depth)
         if children is None:
             failures[depth] = failures.get(depth, 0) + 1
         return children
 
-    children = try_sample(build.root, build.root_neighbors, 0)
-    encoded = None if children is None else tuple(map(_encode, children))
-    return encoded, next(ids) - 1, attempts, failures
-
-
-def _encode(node):
-    """``(node_id, block ids, n_small, n_large, samples)`` with nested tuples.
-
-    A frozenset pickles as its items and unpickles at about twice the table
-    size that ``frozenset(set(...))`` gives, so pool workers return this form
-    and ``_decode`` rebuilds the regions at their exact size.  Serial builds
-    take the same round trip, so a region iterates its blocks, and sums over
-    them, in the same order whichever way it was built.
-    """
-    return (node.node_id, tuple(node.region), node.n_small, node.n_large,
-            tuple(tuple(map(_encode, sample)) for sample in node.samples))
+    children = try_sample(blocks.root_order, blocks.neighbors, build.n_small, build.n_large, 0)
+    return children, next(node_ids) - 1, attempts, failures
 
 
 def _decode(encoded, id_offset, small_size):
@@ -447,15 +501,21 @@ def _decode(encoded, id_offset, small_size):
                              for sample in samples])
 
 
-def _pool_size(build, n_samples):
-    """Worker processes for ``n_samples`` root samples of ``build``; 1 runs them serially.
+def _sample_counts(k, root_samples, internal_samples):
+    """(root, internal) sample counts of a k-district build: the given ones,
+    or the ``sample_counts`` schedule where None."""
+    default_root, default_internal = sample_counts(k)
+    counts = (default_root if root_samples is None else root_samples,
+              default_internal if internal_samples is None else internal_samples)
+    for name, count in zip(("root_samples", "internal_samples"), counts):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
+    return counts
 
-    A root sample splits the state's blocks once, then each of up to k - 2
-    internal nodes below the root about ``internal_samples`` times, so its
-    work is estimated as blocks * (1 + internal_samples * (k - 2)).
-    """
-    k = build.root.n_districts
-    work = n_samples * len(build.pops) * (1 + build.n_internal * (k - 2))
+
+def _pool_size(work, n_samples):
+    """Worker processes for ``work`` estimated block visits in builds of at
+    most ``n_samples`` root samples; 1 runs them serially."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if work < POOL_MIN_WORK or cpus < 2:
         return 1
@@ -466,44 +526,71 @@ def _pool_size(build, n_samples):
     return min(cpus, n_samples)
 
 
-#: The build a pool worker samples; set in the worker only, by _start_worker.
-_worker_build = None
+#: The blocks a pool worker samples; set in the worker only, by _start_worker.
+_worker_blocks = None
 
 
-def _start_worker(build):
-    global _worker_build
-    _worker_build = build
+def _start_worker(blocks):
+    global _worker_blocks
+    _worker_blocks = blocks
 
 
-def _worker_sample(i):
-    return _root_sample(_worker_build, i)
+def _worker_sample(task):
+    return _root_sample(_worker_blocks, *task)
 
 
-def _map_root_samples(build, n_samples):
-    """``_root_sample`` for 0..n_samples-1, in order, serially or in a fork pool.
+class RootSamplePool:
+    """Runs the root samples of one command's tree builds on one state.
 
-    Fork, not spawn, because a spawned worker would import the package and
-    receive the state again; the workers run pure Python, so forking after
-    numpy has started threads is safe here.
+    ``ks`` and the sample counts are the builds the command will make; a
+    k-district build's root sample splits the state's blocks once, then each
+    of up to k - 2 internal nodes below the root about ``internal_samples``
+    times, so the builds' work is estimated as the sum of root samples *
+    blocks * (1 + internal_samples * (k - 2)).  At ``POOL_MIN_WORK`` or more
+    the pool forks its workers here, once, with the state's blocks; below,
+    and without ``fork``, it runs the samples serially.  Fork, not spawn,
+    because a spawned worker would import the package and receive the state
+    again; the workers run pure Python, so forking after numpy has started
+    threads is safe here.  Close it, or use it as a context manager.
     """
-    workers = _pool_size(build, n_samples)
-    if workers <= 1:
-        yield from (_root_sample(build, i) for i in range(n_samples))
-        return
-    import multiprocessing
 
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, initializer=_start_worker, initargs=(build,))
-    try:
-        yield from pool.imap(_worker_sample, range(n_samples))
-    finally:
-        pool.terminate()
-        pool.join()
+    def __init__(self, state, ks, root_samples=None, internal_samples=None):
+        self.state = state
+        self.blocks = _Blocks.of(state)
+        counts = {k: _sample_counts(k, root_samples, internal_samples) for k in ks if k > 1}
+        work = sum(n_root * len(self.blocks.ids) * (1 + n_internal * (k - 2))
+                   for k, (n_root, n_internal) in counts.items())
+        workers = _pool_size(work, max((n_root for n_root, _ in counts.values()), default=1))
+        self._pool = None
+        if workers > 1:
+            import multiprocessing
+
+            self._pool = multiprocessing.get_context("fork").Pool(
+                workers, initializer=_start_worker, initargs=(self.blocks,))
+
+    def samples(self, build: _Build, n_samples: int):
+        """``_root_sample`` results for samples 0..n_samples-1 of ``build``, in order."""
+        if self._pool is None:
+            return (_root_sample(self.blocks, build, i) for i in range(n_samples))
+        return self._pool.imap(_worker_sample, zip(itertools.repeat(build), range(n_samples)))
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
 
 
 def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
                seed: int = 0, root_samples: int = None,
-               internal_samples: int = None) -> SampleTree:
+               internal_samples: int = None, pool: RootSamplePool = None) -> SampleTree:
     """Sample a hierarchy of region subdivisions encoding K-district plans.
 
     Sampling counts default to the (1000/k)^1.2 and (300/k)^0.5 schedule;
@@ -514,31 +601,31 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
     Root sample ``i`` and its whole subtree draw only from
     ``random.Random(f"{seed}:{i}")``.  A ``str`` seed goes through SHA-512,
     so the stream does not depend on ``PYTHONHASHSEED``, and the first n
-    samples do not depend on how many follow.  Large builds run the root
-    samples in a fork pool with one worker per usable CPU; the tree, its
-    node ids and its diagnostics are the same for any worker count.
+    samples do not depend on how many follow.  The root samples run in
+    ``pool``, the command's ``RootSamplePool`` for ``state``; without one,
+    the build opens a pool of its own.  The tree, its node ids and its
+    diagnostics are the same for any worker count.
     """
     n_seats = state.total_seats
     alloc = SizeAllocation.for_seats(n_seats, k)
-    default_root, default_internal = sample_counts(k)
-    n_root = default_root if root_samples is None else root_samples
-    n_internal = default_internal if internal_samples is None else internal_samples
-    for name, count in (("root_samples", n_root), ("internal_samples", n_internal)):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
+    n_root, n_internal = _sample_counts(k, root_samples, internal_samples)
+    if pool is not None and pool.state is not state:
+        raise ValueError("the root-sample pool was opened for another state")
 
-    pops = {b.id: b.population for b in state.blocks}
     j = alloc.small_size
-    root = TreeNode(node_id=1, region=frozenset(set(pops)), seats=n_seats,
+    root = TreeNode(node_id=1, region=frozenset(set(state.block_map)), seats=n_seats,
                     n_districts=k, n_small=alloc.small_count, n_large=alloc.large_count)
     attempts, failures = {}, {}
     if k > 1:
-        build = _Build(state.adjacency, pops, root, region_neighbors(root.region, state.adjacency),
-                       state.total_population, n_seats, j, tol.epsilon, n_internal, seed)
-        # Node ids run in creation order, as if the samples ran one after another.
-        id_offset = root.node_id
-        with contextlib.closing(_map_root_samples(build, n_root)) as results:
-            for children, created, sample_attempts, sample_failures in results:
+        build = _Build(j, alloc.small_count, alloc.large_count, tol.epsilon, n_internal, seed)
+        with contextlib.ExitStack() as own:
+            if pool is None:
+                pool = own.enter_context(
+                    RootSamplePool(state, [k], root_samples, internal_samples))
+            # Node ids run in creation order, as if the samples ran one after another.
+            id_offset = root.node_id
+            for children, created, sample_attempts, sample_failures in pool.samples(
+                    build, n_root):
                 if children is not None:
                     root.samples.append([_decode(c, id_offset, j) for c in children])
                 id_offset += created
@@ -565,21 +652,23 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
 
 
 def _voronoi_cell_pops(region, pops, dist_maps):
-    """Population of each center's Voronoi cell, from the centers' distance maps.
+    """Population of each center's Voronoi cell, from the centers' distance lists.
 
     A block joins its nearest center by hop distance, the earliest center on
-    a tie.
+    a tie, and a block no center reaches joins the first.  The populations
+    are summed in ``region``'s order.
     """
-    nearest = dict.fromkeys(region, len(region) + 1)
-    cell = dict.fromkeys(region, 0)
-    for i, dist in enumerate(dist_maps):
-        for b, d in dist.items():
-            if d < nearest[b]:
-                nearest[b] = d
+    nearest = dist_maps[0][:]
+    cell = [0] * len(nearest)
+    for i in range(1, len(dist_maps)):
+        dist = dist_maps[i]
+        for b in region:
+            if dist[b] < nearest[b]:
+                nearest[b] = dist[b]
                 cell[b] = i
     cell_pops = [0.0] * len(dist_maps)
-    for b, i in cell.items():
-        cell_pops[i] += pops[b]
+    for b in region:
+        cell_pops[cell[b]] += pops[b]
     return cell_pops
 
 

@@ -1,12 +1,16 @@
 import argparse
 import csv
 import json
+import multiprocessing
+import multiprocessing.pool
 
 import pytest
 
+import mmdistrict.tree as tree_mod
 from mmdistrict import cli
-from mmdistrict.model import load_plan, load_state, validate_plan
+from mmdistrict.model import load_plan, load_state, save_state, validate_plan
 from mmdistrict.voters import generate_voter_file, save_voter_file
+from conftest import make_path_state, needs_fork
 
 
 def run(argv):
@@ -323,3 +327,65 @@ def test_diversity_rejects_an_empty_ensemble(state_file, tmp_path, capsys):
                 "--root-samples", "4", "--internal-samples", "2", "--out", str(out)]) == 1
     assert "error: --ensemble-size must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture
+def counted_pools(monkeypatch):
+    """Every process pool constructed while the test runs."""
+    pools = []
+
+    class CountedPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", CountedPool)
+    return pools
+
+
+@needs_fork
+def test_one_sweep_forks_one_pool_and_writes_the_serial_bytes(state_file, tmp_path, monkeypatch,
+                                                               counted_pools):
+    argv = ["sweep", "--state", str(state_file), "--k", "all", "--seed", "1",
+            "--root-samples", "6", "--internal-samples", "2", "--ensemble-size", "10"]
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 1)
+    assert run(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
+    assert counted_pools == []
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    assert run(argv + ["--out", str(tmp_path / "pooled.csv")]) == 0
+    assert len(counted_pools) == 1
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_k_that_fails_to_build_keeps_the_pool_for_later_k(tmp_path, monkeypatch,
+                                                            counted_pools):
+    # On this path no two-district split balances, but three districts do.
+    state = tmp_path / "path.json"
+    save_state(make_path_state([1, 1, 2, 2], [0.6, 0.4, 0.5, 0.3], seats=6), state)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    out = tmp_path / "metrics.csv"
+    assert run(["sweep", "--state", str(state), "--k", "1,2,3", "--seed", "1",
+                "--root-samples", "6", "--internal-samples", "2", "--ensemble-size", "10",
+                "--out", str(out)]) == 0
+    built = {row[0] for row in read_csv(out)[1:] if row[2] != "failed"}
+    failed = {row[0] for row in read_csv(out)[1:] if row[2] == "failed"}
+    assert (built, failed) == ({"1", "3"}, {"2"})
+    assert len(counted_pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_worker_exception_ends_the_command_and_its_pool(state_file, tmp_path, monkeypatch,
+                                                          counted_pools):
+    def fail(*args, **kwargs):
+        raise RuntimeError("split failed in a worker")
+
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "split_region", fail)
+    with pytest.raises(RuntimeError, match="split failed in a worker"):
+        run(["sweep", "--state", str(state_file), "--k", "all", "--root-samples", "6",
+             "--internal-samples", "2", "--out", str(tmp_path / "metrics.csv")])
+    assert len(counted_pools) == 1
+    assert multiprocessing.active_children() == []

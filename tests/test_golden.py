@@ -129,7 +129,7 @@ def test_command_matches_golden_outputs(name, tmp_path):
 def test_command_matches_golden_outputs_with_two_workers(name, tmp_path, monkeypatch):
     # Most golden builds are too small to be pooled; this forces every one into
     # a two-worker pool, which must write the same bytes as a serial build.
-    monkeypatch.setattr(tree, "_pool_size", lambda build, n_samples: 2)
+    monkeypatch.setattr(tree, "_pool_size", lambda work, n_samples: 2)
     assert_matches_golden(name, tmp_path)
 
 

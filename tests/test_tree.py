@@ -1,10 +1,12 @@
+import dataclasses
 import multiprocessing
 import random
 
 import pytest
 
 import mmdistrict.tree as tree_mod
-from mmdistrict.model import BalanceTolerance, generate_synthetic_state, validate_plan
+from mmdistrict.model import (BalanceTolerance, StateInstance, generate_synthetic_state,
+                              validate_plan)
 from mmdistrict.tree import (
     SizeAllocation,
     TreeBuildError,
@@ -216,12 +218,48 @@ def test_trees_do_not_depend_on_the_pool_size(monkeypatch):
     state = generate_synthetic_state(36, 6, 0.4, 0, seed=1)
     dumps = {}
     for workers in (1, 2):
-        monkeypatch.setattr(tree_mod, "_pool_size", lambda build, n_samples: workers)
+        monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
         dumps[workers] = [_tree_dump(build_tree(state, k, seed=seed, root_samples=6,
                                                 internal_samples=2))
                           for k, seed in ((2, 2), (4, 2), (6, 13))]
     assert dumps[1] == dumps[2]
     assert any(diag["sample_failures_per_depth"] for _, diag in dumps[2])
+
+
+def _relabelled(state, label):
+    """``state`` with every block id ``b`` replaced by ``label(b)``."""
+    return StateInstance([dataclasses.replace(b, id=label(b.id)) for b in state.blocks],
+                         {label(b): {label(v) for v in nbrs}
+                          for b, nbrs in state.adjacency.items()},
+                         state.total_seats)
+
+
+def _dump_by_id(tree, original_id):
+    """``_tree_dump`` with each region mapped through ``original_id``, as a set."""
+    nodes = [(n.node_id, frozenset(map(original_id, n.region)), n.seats, n.n_small, n.n_large,
+              [[c.node_id for c in sample] for sample in n.samples])
+             for n in walk_nodes(tree)]
+    return nodes, tree.diagnostics
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+def test_trees_do_not_depend_on_block_ids_or_their_listing_order(monkeypatch, workers):
+    # Ids that are not 0..n-1 must keep their sorted order through the
+    # builder's dense indices, and the order the blocks are listed in must
+    # not matter at all.
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
+    state = generate_synthetic_state(36, 6, 0.4, 0, seed=1)
+    relabelled = _relabelled(state, lambda b: 1000 + 7 * b)
+    blocks = list(state.blocks)
+    random.Random(0).shuffle(blocks)
+    shuffled = StateInstance(blocks, state.adjacency, state.total_seats)
+    for k, seed in ((2, 2), (4, 2), (6, 13)):
+        def dump(s, original_id=lambda b: b):
+            return _dump_by_id(build_tree(s, k, seed=seed, root_samples=6, internal_samples=2),
+                               original_id)
+        want = dump(state)
+        assert dump(relabelled, lambda b: (b - 1000) // 7) == want
+        assert dump(shuffled) == want
 
 
 def test_first_root_samples_do_not_depend_on_later_ones(grid_state):
@@ -236,7 +274,7 @@ def test_worker_exception_reaches_the_caller(grid_state, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("split failed in a worker")
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda build, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
     monkeypatch.setattr(tree_mod, "split_region", fail)
     with pytest.raises(RuntimeError, match="split failed in a worker"):
         build_tree(grid_state, 4, seed=1, root_samples=4, internal_samples=2)

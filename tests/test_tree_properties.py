@@ -50,6 +50,11 @@ def connected_subsets(draw, min_size=1):
     return adjacency, frozenset(blocks)
 
 
+def owners(adjacency, blocks):
+    """An owner list in which ``blocks`` form child 1 and every other block child 0."""
+    return [int(b in blocks) for b in range(len(adjacency))]
+
+
 def induced(adjacency, blocks):
     graph = nx.Graph()
     graph.add_nodes_from(blocks)
@@ -86,19 +91,21 @@ def test_prime_block_count_gives_a_path_state_whose_plans_validate(n, data, seed
 def test_local_contiguity_check_agrees_with_whole_region_search(case, pick):
     adjacency, blocks = case
     b = sorted(blocks)[pick % len(blocks)]
-    stays = _stays_connected(blocks, b, adjacency)
+    stays = _stays_connected(owners(adjacency, blocks), b, adjacency)
     event(f"stays connected: {stays}")
     assert stays == is_connected(blocks - {b}, adjacency)
 
 
 def test_local_contiguity_check_rejects_a_cut_block():
     adjacency = grid_adjacency(1, 5)
-    assert not _stays_connected(frozenset(range(5)), 2, adjacency)
-    assert _stays_connected(frozenset(range(5)), 4, adjacency)
+    path = owners(adjacency, range(5))
+    assert not _stays_connected(path, 2, adjacency)
+    assert _stays_connected(path, 4, adjacency)
     # the two sides of a 3x3 ring's corner meet only around the far side
     ring = frozenset(range(9)) - {4}
-    assert _stays_connected(ring, 0, grid_adjacency(3, 3))
-    assert not _stays_connected(ring - {8}, 0, grid_adjacency(3, 3))
+    ring_adjacency = grid_adjacency(3, 3)
+    assert _stays_connected(owners(ring_adjacency, ring), 0, ring_adjacency)
+    assert not _stays_connected(owners(ring_adjacency, ring - {8}), 0, ring_adjacency)
 
 
 @SETTINGS
@@ -113,8 +120,9 @@ def test_select_centers_maps_are_single_source_distances(case, n_children, seed,
     assert len(set(centers)) == len(centers) == len(maps) == n_children
     graph = induced(adjacency, region)
     for i, (center, dist) in enumerate(zip(centers, maps)):
-        assert dist == _bfs_distances(neighbors, center)
-        assert dist == nx.single_source_shortest_path_length(graph, center)
+        assert dist == _bfs_distances(neighbors, center, len(region))
+        assert {b: dist[b] for b in region} == nx.single_source_shortest_path_length(graph, center)
+        assert all(dist[b] == len(region) for b in range(len(adjacency)) if b not in region)
         # their element-wise minimum is the multi-source distance to the centers so far
         nearest = {b: min(m[b] for m in maps[:i + 1]) for b in region}
         assert nearest == nx.multi_source_dijkstra_path_length(graph, set(centers[:i + 1]))
@@ -142,7 +150,7 @@ def test_split_region_is_none_or_a_balanced_contiguous_partition(
     total_seats = 2 * sum(child_seats)
     state_pop = 2 * region_pop
     parts = split_region(region, neighbors, pops, centers, maps, child_seats,
-                         state_pop, total_seats, epsilon)
+                         state_pop, total_seats, epsilon, range(len(adjacency)))
     event(f"split found: {parts is not None}")
     if parts is None:
         return
@@ -166,7 +174,7 @@ def test_split_region_succeeds_on_an_easy_grid():
     for seed in range(10):
         centers, maps = select_centers(region, neighbors, pops, 4, random.Random(seed))
         parts = split_region(region, neighbors, pops, centers, maps, [1, 1, 1, 1],
-                             state.total_population, 4, tol.epsilon)
+                             state.total_population, 4, tol.epsilon, sorted(region))
         if parts is not None:
             successes += 1
             assert all(is_connected(p, state.adjacency) for p in parts)

@@ -262,6 +262,13 @@ def test_trees_do_not_depend_on_block_ids_or_their_listing_order(monkeypatch, wo
         assert dump(shuffled) == want
 
 
+def test_a_pool_serves_only_the_state_it_was_opened_for(grid_state):
+    other = generate_synthetic_state(16, 4, 0.4, 1, seed=3)
+    with tree_mod.RootSamplePool(other, [2], 4, 2) as pool:
+        with pytest.raises(ValueError, match="opened for another state"):
+            build_tree(grid_state, 2, seed=1, root_samples=4, internal_samples=2, pool=pool)
+
+
 def test_first_root_samples_do_not_depend_on_later_ones(grid_state):
     three = build_tree(grid_state, 4, seed=5, root_samples=3, internal_samples=2)
     five = build_tree(grid_state, 4, seed=5, root_samples=5, internal_samples=2)

@@ -185,15 +185,17 @@ def sweep_k(state, rule: SeatShareRule, k_set, u: UncertaintyModel,
 
     Returns (records, failures): one max_R / max_D / min_gap / median record
     per k that built, and a reason string per k that did not.  Every k's
-    root samples run in one ``RootSamplePool``.
+    root samples run in one ``RootSamplePool``, planned up front, so its
+    workers start each k's build while the last k's tree is scored.
     """
     y = state.statewide_vote_share()
     n = state.total_seats
     records, failures = [], {}
-    with RootSamplePool(state, k_set, root_samples, internal_samples) as pool:
-        for k in sorted(k_set):
+    builds = [(k, seed * 100003 + k) for k in sorted(k_set)]
+    with RootSamplePool(state, builds, root_samples, internal_samples) as pool:
+        for k, k_seed in builds:
             try:
-                tree = build_tree(state, k, BalanceTolerance(), seed=seed * 100003 + k,
+                tree = build_tree(state, k, BalanceTolerance(), seed=k_seed,
                                   root_samples=root_samples, internal_samples=internal_samples,
                                   pool=pool)
             except TreeBuildError as e:

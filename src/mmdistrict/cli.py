@@ -207,11 +207,12 @@ def cmd_diversity(opts):
     vfile = _voter_file(opts, state)
     seed = opts["seed"]
     rows, failed = [], []
-    with tree_mod.RootSamplePool(state, k_set, opts["root_samples"],
+    builds = [(k, seed * 100003 + k) for k in k_set]
+    with tree_mod.RootSamplePool(state, builds, opts["root_samples"],
                                  opts["internal_samples"]) as pool:
-        for k in k_set:
+        for k, k_seed in builds:
             try:
-                built = _build(opts, state, k, seed * 100003 + k, pool)
+                built = _build(opts, state, k, k_seed, pool)
             except tree_mod.TreeBuildError as e:
                 print(f"warning: k={k} failed to build: {e}", file=sys.stderr)
                 failed.append(k)

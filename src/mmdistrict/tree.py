@@ -25,14 +25,17 @@ rather than searching the whole donor district.
 Root sample ``i`` of a build draws everything, its internal samples
 included, from its own stream ``random.Random(f"{seed}:{i}")``, so no sample
 reads another's RNG state.  A command opens one ``RootSamplePool`` for all
-its builds on a state.  When the builds' summed estimated work reaches
-``POOL_MIN_WORK``, the pool forks one worker per usable CPU, once, with the
-state's blocks; each task then carries one build's sizes and seed and a
-sample index, and ``build_tree`` merges the results in sample order.
-Smaller commands, and platforms without ``fork``, run the same per-sample
-function serially.  ``build_tree`` without a pool opens one for its own
-build.  The tree, its node ids and its diagnostics do not depend on the
-number of cores.
+its builds on a state and names them, ``(k, seed)`` in order, up front.
+When the builds' summed estimated work reaches ``POOL_MIN_WORK``, the pool
+forks one worker per usable CPU, once, with the state's blocks and the
+planned builds.  The workers take ``(build, sample index)`` tasks from one
+pipe, in build order, so they start the next build while the caller scores
+the last, and put their results on another; the parent reads them in the
+calling thread, runs no helper thread, and raises when a worker dies.
+``build_tree`` merges the results in sample order.  Smaller commands, and
+platforms without ``fork``, run the same per-sample function serially.
+``build_tree`` without a pool opens one that plans its build alone.  The
+tree, its node ids and its diagnostics do not depend on the number of cores.
 """
 from __future__ import annotations
 
@@ -42,6 +45,8 @@ import heapq
 import itertools
 import os
 import random
+import signal
+import traceback
 from dataclasses import dataclass, field
 
 # is_connected is not called here; it stays bound in this module because
@@ -374,12 +379,13 @@ SPLIT_RETRIES = 20
 MAX_FANOUT = 4
 #: Smallest estimated work, in block visits summed over one command's builds,
 #: for which a ``RootSamplePool`` forks workers; see ``_pool_size``.  Timed
-#: per build on a 2-core VM (median of 10 alternating builds each), when
-#: every build forked its own pool: pool start-up and result transfer cost
-#: about 20 ms, and the pool won from about 20,000 on.  144 blocks, k = 2:
-#: 14,400 took 1.88x the serial time, 28,800 0.89x; 400 blocks, k = 2:
-#: 20,000 0.88x; 144 blocks, k = 4, 2 internal samples: 28,800 0.86x.  A
-#: command pays the start-up once, so the threshold applies to its sum.
+#: on a 2-core VM, one build per two-worker pool against the same build
+#: serially (median of 15 alternating builds each): opening and closing the
+#: pool takes about 4 ms, and the pool wins from about 15,000 on.  144
+#: blocks, k = 2: 7,200 took 1.09x the serial time, 14,400 1.00x, 28,800
+#: 0.85x; 400 blocks, k = 2: 20,000 0.87x; 144 blocks, k = 4, 2 internal
+#: samples: 28,800 0.87x.  A command pays the start-up once, so the
+#: threshold applies to its sum.
 POOL_MIN_WORK = 20_000
 
 
@@ -526,59 +532,164 @@ def _pool_size(work, n_samples):
     return min(cpus, n_samples)
 
 
-#: The blocks a pool worker samples; set in the worker only, by _start_worker.
-_worker_blocks = None
+#: Root-sample tasks a pooled ``RootSamplePool`` keeps outstanding per
+#: worker.  It bounds the results that wait in the pipe and that the parent
+#: holds out of order; a task is two small ints, so the parent's writes never
+#: fill the task pipe and block while a worker blocks on its result write.
+IN_FLIGHT = 3
 
 
-def _start_worker(blocks):
-    global _worker_blocks
-    _worker_blocks = blocks
+def _planned_build(n_seats, k, seed, tol, root_samples, internal_samples):
+    """``(build, n_root)``: a k-district build's parameters and root-sample count."""
+    alloc = SizeAllocation.for_seats(n_seats, k)
+    n_root, n_internal = _sample_counts(k, root_samples, internal_samples)
+    return _Build(alloc.small_size, alloc.small_count, alloc.large_count, tol.epsilon,
+                  n_internal, seed), n_root
 
 
-def _worker_sample(task):
-    return _root_sample(_worker_blocks, *task)
+def _describe(planned):
+    build, n_root = planned
+    return (f"k={build.n_small + build.n_large}, seed={build.seed!r}, {n_root} root and "
+            f"{build.n_internal} internal samples, epsilon {build.epsilon}")
+
+
+def _work(blocks, plan, tasks, task_lock, results, result_lock, parent_ends):
+    """A pool worker: ``(build, i)`` tasks in, ``(build, i, ok, result or
+    (exception, traceback text))`` out, until the parent closes the task pipe
+    or kills it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
+    for end in parent_ends:  # so the task pipe reaches EOF when the parent exits
+        end.close()
+    while True:
+        with task_lock:
+            try:
+                b, i = tasks.recv()
+            except EOFError:
+                return
+        try:
+            message = (b, i, True, _root_sample(blocks, plan[b][0], i))
+        except Exception as e:  # raised in the parent when it reaches sample i
+            message = (b, i, False, (e, traceback.format_exc()))
+        with result_lock:
+            results.send(message)
 
 
 class RootSamplePool:
     """Runs the root samples of one command's tree builds on one state.
 
-    ``ks`` and the sample counts are the builds the command will make; a
-    k-district build's root sample splits the state's blocks once, then each
-    of up to k - 2 internal nodes below the root about ``internal_samples``
-    times, so the builds' work is estimated as the sum of root samples *
-    blocks * (1 + internal_samples * (k - 2)).  At ``POOL_MIN_WORK`` or more
-    the pool forks its workers here, once, with the state's blocks; below,
-    and without ``fork``, it runs the samples serially.  Fork, not spawn,
-    because a spawned worker would import the package and receive the state
-    again; the workers run pure Python, so forking after numpy has started
-    threads is safe here.  Close it, or use it as a context manager.
+    ``builds`` lists the command's ``(k, seed)`` builds in the order it will
+    make them; each ``build_tree(..., pool=pool)`` with k > 1 must be the
+    next of them, with the pool's sample counts and ``tol``.  A k-district
+    build's root sample splits the state's blocks once, then each of up to
+    k - 2 internal nodes below the root about ``internal_samples`` times, so
+    the builds' work is estimated as the sum of root samples * blocks *
+    (1 + internal_samples * (k - 2)).
+
+    At ``POOL_MIN_WORK`` or more the pool forks its workers here, once, with
+    the state's blocks and the planned builds, and queues every build's
+    tasks in order, at most ``IN_FLIGHT`` per worker at a time: the workers
+    start on the next build while the caller still works on the last tree.
+    The parent has no helper thread.  It reads results in the calling thread,
+    waiting on the result pipe and the workers' sentinels, so a worker that
+    exits raises an error naming its exit code.  Below ``POOL_MIN_WORK``,
+    and without ``fork``, each build's samples run serially as the caller
+    takes them.  Fork, not spawn, because a spawned worker would import the
+    package and receive the state again; the workers run pure Python, so
+    forking after numpy has started threads is safe here.  Close it, or use
+    it as a context manager.
     """
 
-    def __init__(self, state, ks, root_samples=None, internal_samples=None):
+    def __init__(self, state, builds, root_samples=None, internal_samples=None,
+                 tol: BalanceTolerance = BalanceTolerance()):
         self.state = state
         self.blocks = _Blocks.of(state)
-        counts = {k: _sample_counts(k, root_samples, internal_samples) for k in ks if k > 1}
-        work = sum(n_root * len(self.blocks.ids) * (1 + n_internal * (k - 2))
-                   for k, (n_root, n_internal) in counts.items())
-        workers = _pool_size(work, max((n_root for n_root, _ in counts.values()), default=1))
-        self._pool = None
+        self._plan = [_planned_build(state.total_seats, k, seed, tol, root_samples,
+                                     internal_samples) for k, seed in builds if k > 1]
+        self._next_build = 0
+        work = sum(n_root * len(self.blocks.ids) * (1 + b.n_internal * (b.n_small + b.n_large - 2))
+                   for b, n_root in self._plan)
+        workers = _pool_size(work, max((n_root for _, n_root in self._plan), default=1))
+        self._workers = []
         if workers > 1:
-            import multiprocessing
+            self._fork(workers)
 
-            self._pool = multiprocessing.get_context("fork").Pool(
-                workers, initializer=_start_worker, initargs=(self.blocks,))
+    def _fork(self, workers):
+        import multiprocessing.connection
+
+        ctx = multiprocessing.get_context("fork")
+        self._wait = multiprocessing.connection.wait
+        task_reader, self._tasks = ctx.Pipe(duplex=False)
+        self._results, result_writer = ctx.Pipe(duplex=False)
+        args = (self.blocks, self._plan, task_reader, ctx.Lock(), result_writer, ctx.Lock(),
+                (self._tasks, self._results))
+        self._workers = [ctx.Process(target=_work, args=args, daemon=True)
+                         for _ in range(workers)]
+        for p in self._workers:
+            p.start()
+        task_reader.close()
+        result_writer.close()
+        self._queue = ((b, i) for b, (_, n_root) in enumerate(self._plan)
+                       for i in range(n_root))
+        self._in_flight = 0
+        self._done = {}  # (build, i) -> (ok, value) of a result received ahead of use
+        self._submit()
 
     def samples(self, build: _Build, n_samples: int):
-        """``_root_sample`` results for samples 0..n_samples-1 of ``build``, in order."""
-        if self._pool is None:
+        """``_root_sample`` results for samples 0..n_samples-1 of ``build``, in order.
+
+        ``(build, n_samples)`` must be the pool's next planned build.
+        """
+        if self._next_build == len(self._plan):
+            raise ValueError(f"the root-sample pool has no planned build left for "
+                             f"{_describe((build, n_samples))}")
+        if self._plan[self._next_build] != (build, n_samples):
+            raise ValueError(f"the root-sample pool's next planned build is "
+                             f"{_describe(self._plan[self._next_build])}, not "
+                             f"{_describe((build, n_samples))}")
+        b = self._next_build
+        self._next_build += 1
+        if not self._workers:
             return (_root_sample(self.blocks, build, i) for i in range(n_samples))
-        return self._pool.imap(_worker_sample, zip(itertools.repeat(build), range(n_samples)))
+        return self._collect(b, n_samples)
+
+    def _collect(self, b, n_samples):
+        for i in range(n_samples):
+            while (b, i) not in self._done:
+                self._receive()
+            ok, value = self._done.pop((b, i))
+            if not ok:
+                error, worker_traceback = value
+                raise error from RuntimeError(f"in a root-sample worker:\n{worker_traceback}")
+            yield value
+
+    def _submit(self):
+        while self._in_flight < IN_FLIGHT * len(self._workers):
+            task = next(self._queue, None)
+            if task is None:
+                return
+            self._tasks.send(task)
+            self._in_flight += 1
+
+    def _receive(self):
+        ready = self._wait([self._results, *(p.sentinel for p in self._workers)])
+        for p in self._workers:
+            if p.sentinel in ready:
+                p.join()
+                raise RuntimeError(f"root-sample worker {p.pid} exited with code {p.exitcode}")
+        b, i, ok, value = self._results.recv()
+        self._in_flight -= 1
+        self._done[b, i] = ok, value
+        self._submit()
 
     def close(self):
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        if self._workers:
+            for p in self._workers:
+                p.kill()
+            for p in self._workers:
+                p.join()
+            self._tasks.close()
+            self._results.close()
+            self._workers = []
 
     def __enter__(self):
         return self
@@ -602,13 +713,14 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
     ``random.Random(f"{seed}:{i}")``.  A ``str`` seed goes through SHA-512,
     so the stream does not depend on ``PYTHONHASHSEED``, and the first n
     samples do not depend on how many follow.  The root samples run in
-    ``pool``, the command's ``RootSamplePool`` for ``state``; without one,
-    the build opens a pool of its own.  The tree, its node ids and its
-    diagnostics are the same for any worker count.
+    ``pool``, the command's ``RootSamplePool`` for ``state``, whose next
+    planned build this must be; without one, the build opens a pool that
+    plans this build alone.  The tree, its node ids and its diagnostics are
+    the same for any worker count.
     """
     n_seats = state.total_seats
     alloc = SizeAllocation.for_seats(n_seats, k)
-    n_root, n_internal = _sample_counts(k, root_samples, internal_samples)
+    build, n_root = _planned_build(n_seats, k, seed, tol, root_samples, internal_samples)
     if pool is not None and pool.state is not state:
         raise ValueError("the root-sample pool was opened for another state")
 
@@ -617,11 +729,10 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
                     n_districts=k, n_small=alloc.small_count, n_large=alloc.large_count)
     attempts, failures = {}, {}
     if k > 1:
-        build = _Build(j, alloc.small_count, alloc.large_count, tol.epsilon, n_internal, seed)
         with contextlib.ExitStack() as own:
             if pool is None:
                 pool = own.enter_context(
-                    RootSamplePool(state, [k], root_samples, internal_samples))
+                    RootSamplePool(state, [(k, seed)], root_samples, internal_samples, tol))
             # Node ids run in creation order, as if the samples ran one after another.
             id_offset = root.node_id
             for children, created, sample_attempts, sample_failures in pool.samples(

@@ -2,7 +2,7 @@ import argparse
 import csv
 import json
 import multiprocessing
-import multiprocessing.pool
+import multiprocessing.process
 
 import pytest
 
@@ -330,37 +330,37 @@ def test_diversity_rejects_an_empty_ensemble(state_file, tmp_path, capsys):
 
 
 @pytest.fixture
-def counted_pools(monkeypatch):
-    """Every process pool constructed while the test runs."""
-    pools = []
+def worker_starts(monkeypatch):
+    """Every child process started while the test runs."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
 
-    class CountedPool(multiprocessing.pool.Pool):
-        def __init__(self, *args, **kwargs):
-            pools.append(self)
-            super().__init__(*args, **kwargs)
+    def counted_start(self):
+        started.append(self)
+        start(self)
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", CountedPool)
-    return pools
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
+    return started
 
 
 @needs_fork
 def test_one_sweep_forks_one_pool_and_writes_the_serial_bytes(state_file, tmp_path, monkeypatch,
-                                                               counted_pools):
+                                                               worker_starts):
     argv = ["sweep", "--state", str(state_file), "--k", "all", "--seed", "1",
             "--root-samples", "6", "--internal-samples", "2", "--ensemble-size", "10"]
     monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 1)
     assert run(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
-    assert counted_pools == []
+    assert worker_starts == []
     monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
     assert run(argv + ["--out", str(tmp_path / "pooled.csv")]) == 0
-    assert len(counted_pools) == 1
+    assert len(worker_starts) == 2
     assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
 def test_a_k_that_fails_to_build_keeps_the_pool_for_later_k(tmp_path, monkeypatch,
-                                                            counted_pools):
+                                                            worker_starts):
     # On this path no two-district split balances, but three districts do.
     state = tmp_path / "path.json"
     save_state(make_path_state([1, 1, 2, 2], [0.6, 0.4, 0.5, 0.3], seats=6), state)
@@ -372,13 +372,13 @@ def test_a_k_that_fails_to_build_keeps_the_pool_for_later_k(tmp_path, monkeypatc
     built = {row[0] for row in read_csv(out)[1:] if row[2] != "failed"}
     failed = {row[0] for row in read_csv(out)[1:] if row[2] == "failed"}
     assert (built, failed) == ({"1", "3"}, {"2"})
-    assert len(counted_pools) == 1
+    assert len(worker_starts) == 2
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
 def test_a_worker_exception_ends_the_command_and_its_pool(state_file, tmp_path, monkeypatch,
-                                                          counted_pools):
+                                                          worker_starts):
     def fail(*args, **kwargs):
         raise RuntimeError("split failed in a worker")
 
@@ -387,5 +387,5 @@ def test_a_worker_exception_ends_the_command_and_its_pool(state_file, tmp_path, 
     with pytest.raises(RuntimeError, match="split failed in a worker"):
         run(["sweep", "--state", str(state_file), "--k", "all", "--root-samples", "6",
              "--internal-samples", "2", "--out", str(tmp_path / "metrics.csv")])
-    assert len(counted_pools) == 1
+    assert len(worker_starts) == 2
     assert multiprocessing.active_children() == []

@@ -1,6 +1,10 @@
 import dataclasses
 import multiprocessing
+import multiprocessing.process
+import os
 import random
+import signal
+import threading
 
 import pytest
 
@@ -264,9 +268,75 @@ def test_trees_do_not_depend_on_block_ids_or_their_listing_order(monkeypatch, wo
 
 def test_a_pool_serves_only_the_state_it_was_opened_for(grid_state):
     other = generate_synthetic_state(16, 4, 0.4, 1, seed=3)
-    with tree_mod.RootSamplePool(other, [2], 4, 2) as pool:
+    with tree_mod.RootSamplePool(other, [(2, 1)], 4, 2) as pool:
         with pytest.raises(ValueError, match="opened for another state"):
             build_tree(grid_state, 2, seed=1, root_samples=4, internal_samples=2, pool=pool)
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+def test_a_pool_builds_only_its_next_planned_build(grid_state, monkeypatch, workers):
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
+    counts = {"root_samples": 4, "internal_samples": 2}
+    want = [_tree_dump(build_tree(grid_state, k, seed=1, **counts)) for k in (2, 4)]
+    with tree_mod.RootSamplePool(grid_state, [(1, 1), (2, 1), (4, 1)], **counts) as pool:
+        for k, seed, n_root in ((4, 1, 4), (2, 2, 4), (2, 1, 5)):
+            with pytest.raises(ValueError, match="next planned build is k=2, seed=1, 4 root"):
+                build_tree(grid_state, k, seed=seed, root_samples=n_root, internal_samples=2,
+                           pool=pool)
+        got = [_tree_dump(build_tree(grid_state, k, seed=1, pool=pool, **counts))
+               for k in (1, 2, 4)]
+        with pytest.raises(ValueError, match="no planned build left"):
+            build_tree(grid_state, 4, seed=1, pool=pool, **counts)
+    assert got[1:] == want
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_pooled_build_starts_no_thread_in_the_parent(grid_state, monkeypatch):
+    threads, processes = [], []
+    thread_start = threading.Thread.start
+    process_start = multiprocessing.process.BaseProcess.start
+
+    def record_thread(self):
+        threads.append(self.name)
+        thread_start(self)
+
+    def record_process(self):
+        processes.append(self)
+        process_start(self)
+
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(threading.Thread, "start", record_thread)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record_process)
+    build_tree(grid_state, 4, seed=1, root_samples=4, internal_samples=2)
+    assert (len(processes), threads) == (2, [])
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_dead_worker_raises_instead_of_hanging(grid_state, monkeypatch):
+    parent = os.getpid()
+    split_region = tree_mod.split_region
+
+    def exit_in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return split_region(*args, **kwargs)
+
+    def hung(signum, frame):
+        raise AssertionError("the build still waits on a dead worker")
+
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "split_region", exit_in_a_worker)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            build_tree(grid_state, 4, seed=1, root_samples=4, internal_samples=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 def test_first_root_samples_do_not_depend_on_later_ones(grid_state):

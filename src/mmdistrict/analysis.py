@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import voters as voters_mod
-from .model import BalanceTolerance, district_vote_share, vote_share
+from .model import district_vote_share, vote_share
 from .rules import SeatShareRule, UncertaintyModel, deterministic_seats, expected_seats
 from .stv import run_stv
-from .tree import RootSamplePool, SampleTree, TreeBuildError, build_tree, walk_nodes
-# sample_plans is not called here; it stays bound in this module because
-# perfbench/tracer.py times the calls made through this name.
-from .tree import sample_plans  # noqa: F401
+from .tree import SampleTree, TreeBuildError, build_trees, walk_nodes
+# build_tree and sample_plans are not called here; they stay bound in this
+# module because perfbench/tracer.py times the calls made through these names.
+from .tree import build_tree, sample_plans  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -184,37 +184,31 @@ def sweep_k(state, rule: SeatShareRule, k_set, u: UncertaintyModel,
     """Optimized and ensemble records for each requested district count.
 
     Returns (records, failures): one max_R / max_D / min_gap / median record
-    per k that built, and a reason string per k that did not.  Every k's
-    root samples run in one ``RootSamplePool``, planned up front, so its
-    workers start each k's build while the last k's tree is scored.
+    per k that built, and a reason string per k that did not.  The trees
+    come from ``build_trees``, whose pool starts each k's build while the
+    last k's tree is scored.
     """
     y = state.statewide_vote_share()
     n = state.total_seats
     records, failures = [], {}
-    builds = [(k, seed * 100003 + k) for k in sorted(k_set)]
-    with RootSamplePool(state, builds, root_samples, internal_samples) as pool:
-        for k, k_seed in builds:
-            try:
-                tree = build_tree(state, k, BalanceTolerance(), seed=k_seed,
-                                  root_samples=root_samples, internal_samples=internal_samples,
-                                  pool=pool)
-            except TreeBuildError as e:
-                failures[k] = str(e)
-                continue
-            scores = score_leaves(tree, state, rule, u)
-            for party, stat in (("R", "max_R"), ("D", "max_D")):
-                leaves, _ = optimize_partisan(tree, scores, party)
-                seats = sum(scores[leaf.node_id].deterministic_r_seats for leaf in leaves)
-                records.append(MetricsRecord(k, rule.name, stat, float(seats),
-                                             seats / n, abs(seats / n - y)))
-            tables = seat_histograms(tree, scores)
-            leaves, total, gap = optimize_fair(tree, tables, y)
-            records.append(MetricsRecord(k, rule.name, "min_gap", float(total), total / n, gap))
-            records.append(next(r for r in ensemble_metrics(tree, state, rule, tables)
-                                if r.statistic == "median"))
-            # Freed before the next k's build, which would otherwise run with
-            # this k's tree and tables still held (about 5 MB at 144 blocks).
-            del tree, scores, tables
+    for k, tree in build_trees(state, sorted(k_set), seed, root_samples, internal_samples):
+        if isinstance(tree, TreeBuildError):
+            failures[k] = str(tree)
+            continue
+        scores = score_leaves(tree, state, rule, u)
+        for party, stat in (("R", "max_R"), ("D", "max_D")):
+            leaves, _ = optimize_partisan(tree, scores, party)
+            seats = sum(scores[leaf.node_id].deterministic_r_seats for leaf in leaves)
+            records.append(MetricsRecord(k, rule.name, stat, float(seats),
+                                         seats / n, abs(seats / n - y)))
+        tables = seat_histograms(tree, scores)
+        leaves, total, gap = optimize_fair(tree, tables, y)
+        records.append(MetricsRecord(k, rule.name, "min_gap", float(total), total / n, gap))
+        records.append(next(r for r in ensemble_metrics(tree, state, rule, tables)
+                            if r.statistic == "median"))
+        # Freed before the next k's build, which would otherwise run with
+        # this k's tree and tables still held (about 5 MB at 144 blocks).
+        del tree, scores, tables
     return records, failures
 
 

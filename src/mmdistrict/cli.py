@@ -66,10 +66,10 @@ def _config(path, command, defaults):
     return config
 
 
-def _build(opts, state, k, seed, pool=None):
+def _build(opts, state, k, seed):
     return tree_mod.build_tree(state, k, BalanceTolerance(), seed=seed,
                                root_samples=opts["root_samples"],
-                               internal_samples=opts["internal_samples"], pool=pool)
+                               internal_samples=opts["internal_samples"])
 
 
 def _voter_file(opts, state):
@@ -207,22 +207,18 @@ def cmd_diversity(opts):
     vfile = _voter_file(opts, state)
     seed = opts["seed"]
     rows, failed = [], []
-    builds = [(k, seed * 100003 + k) for k in k_set]
-    with tree_mod.RootSamplePool(state, builds, opts["root_samples"],
-                                 opts["internal_samples"]) as pool:
-        for k, k_seed in builds:
-            try:
-                built = _build(opts, state, k, k_seed, pool)
-            except tree_mod.TreeBuildError as e:
-                print(f"warning: k={k} failed to build: {e}", file=sys.stderr)
-                failed.append(k)
-                continue
-            plans = tree_mod.sample_plans(built, opts["ensemble_size"], seed=seed + k)
-            records = analysis.intra_party_analysis(
-                state, plans, vfile, opts["mode"], opts["per_party"] or 0, seed=seed + k)
-            for r in records:
-                rows.append([k, r.party, repr(r.winner_score_stddev),
-                             repr(r.coalition_score_stddev), repr(r.coalition_geo_dispersion)])
+    for k, built in tree_mod.build_trees(state, k_set, seed, opts["root_samples"],
+                                         opts["internal_samples"]):
+        if isinstance(built, tree_mod.TreeBuildError):
+            print(f"warning: k={k} failed to build: {built}", file=sys.stderr)
+            failed.append(k)
+            continue
+        plans = tree_mod.sample_plans(built, opts["ensemble_size"], seed=seed + k)
+        records = analysis.intra_party_analysis(
+            state, plans, vfile, opts["mode"], opts["per_party"] or 0, seed=seed + k)
+        for r in records:
+            rows.append([k, r.party, repr(r.winner_score_stddev),
+                         repr(r.coalition_score_stddev), repr(r.coalition_geo_dispersion)])
     _write_csv(opts["out"], ["k", "party", "winner_score_stddev",
                              "coalition_score_stddev", "coalition_geo_km"], rows)
     return 1 if len(failed) == len(k_set) else 0

@@ -24,18 +24,18 @@ rather than searching the whole donor district.
 
 Root sample ``i`` of a build draws everything, its internal samples
 included, from its own stream ``random.Random(f"{seed}:{i}")``, so no sample
-reads another's RNG state.  A command opens one ``RootSamplePool`` for all
-its builds on a state and names them, ``(k, seed)`` in order, up front.
-When the builds' summed estimated work reaches ``POOL_MIN_WORK``, the pool
-forks one worker per usable CPU, once, with the state's blocks and the
-planned builds.  The workers take ``(build, sample index)`` tasks from one
-pipe, in build order, so they start the next build while the caller scores
-the last, and put their results on another; the parent reads them in the
-calling thread, runs no helper thread, and raises when a worker dies.
-``build_tree`` merges the results in sample order.  Smaller commands, and
-platforms without ``fork``, run the same per-sample function serially.
-``build_tree`` without a pool opens one that plans its build alone.  The
-tree, its node ids and its diagnostics do not depend on the number of cores.
+reads another's RNG state.  ``build_trees`` plans a command's builds on one
+state, one per district count, up front in one root-sample pool.  When the
+builds' summed estimated work reaches ``POOL_MIN_WORK``, the pool forks one
+worker per usable CPU, once, with the state's blocks and the planned builds.
+The workers take ``(build, sample index)`` tasks from one pipe, in build
+order, so they start the next build while the caller scores the last, and
+put their results on another; the parent reads them in the calling thread,
+runs no helper thread, and raises when a worker dies.  ``build_tree`` merges
+the results in sample order.  Smaller commands, and platforms without
+``fork``, run the same per-sample function serially.  ``build_tree`` on its
+own opens a pool for its build alone.  The tree, its node ids and its
+diagnostics do not depend on the number of cores.
 """
 from __future__ import annotations
 
@@ -378,7 +378,7 @@ SPLIT_RETRIES = 20
 #: Largest number of children a node subdivision may have.
 MAX_FANOUT = 4
 #: Smallest estimated work, in block visits summed over one command's builds,
-#: for which a ``RootSamplePool`` forks workers; see ``_pool_size``.  Timed
+#: for which a ``_RootSamplePool`` forks workers; see ``_pool_size``.  Timed
 #: on a 2-core VM, one build per two-worker pool against the same build
 #: serially (median of 15 alternating builds each): opening and closing the
 #: pool takes about 4 ms, and the pool wins from about 15,000 on.  144
@@ -423,8 +423,22 @@ class _Build:
     n_small: int
     n_large: int
     epsilon: float
+    n_root: int
     n_internal: int
     seed: int
+
+    @classmethod
+    def of(cls, n_seats, k, seed, tol, root_samples, internal_samples):
+        """A k-district build; a sample count of None follows ``sample_counts``."""
+        alloc = SizeAllocation.for_seats(n_seats, k)
+        default_root, default_internal = sample_counts(k)
+        counts = (default_root if root_samples is None else root_samples,
+                  default_internal if internal_samples is None else internal_samples)
+        for name, count in zip(("root_samples", "internal_samples"), counts):
+            if count < 1:
+                raise ValueError(f"{name} must be >= 1, got {count}")
+        return cls(alloc.small_size, alloc.small_count, alloc.large_count, tol.epsilon,
+                   *counts, seed)
 
 
 def _root_sample(blocks: _Blocks, build: _Build, i: int):
@@ -507,18 +521,6 @@ def _decode(encoded, id_offset, small_size):
                              for sample in samples])
 
 
-def _sample_counts(k, root_samples, internal_samples):
-    """(root, internal) sample counts of a k-district build: the given ones,
-    or the ``sample_counts`` schedule where None."""
-    default_root, default_internal = sample_counts(k)
-    counts = (default_root if root_samples is None else root_samples,
-              default_internal if internal_samples is None else internal_samples)
-    for name, count in zip(("root_samples", "internal_samples"), counts):
-        if count < 1:
-            raise ValueError(f"{name} must be >= 1, got {count}")
-    return counts
-
-
 def _pool_size(work, n_samples):
     """Worker processes for ``work`` estimated block visits in builds of at
     most ``n_samples`` root samples; 1 runs them serially."""
@@ -532,25 +534,11 @@ def _pool_size(work, n_samples):
     return min(cpus, n_samples)
 
 
-#: Root-sample tasks a pooled ``RootSamplePool`` keeps outstanding per
+#: Root-sample tasks a pooled ``_RootSamplePool`` keeps outstanding per
 #: worker.  It bounds the results that wait in the pipe and that the parent
 #: holds out of order; a task is two small ints, so the parent's writes never
 #: fill the task pipe and block while a worker blocks on its result write.
 IN_FLIGHT = 3
-
-
-def _planned_build(n_seats, k, seed, tol, root_samples, internal_samples):
-    """``(build, n_root)``: a k-district build's parameters and root-sample count."""
-    alloc = SizeAllocation.for_seats(n_seats, k)
-    n_root, n_internal = _sample_counts(k, root_samples, internal_samples)
-    return _Build(alloc.small_size, alloc.small_count, alloc.large_count, tol.epsilon,
-                  n_internal, seed), n_root
-
-
-def _describe(planned):
-    build, n_root = planned
-    return (f"k={build.n_small + build.n_large}, seed={build.seed!r}, {n_root} root and "
-            f"{build.n_internal} internal samples, epsilon {build.epsilon}")
 
 
 def _work(blocks, plan, tasks, task_lock, results, result_lock, parent_ends):
@@ -567,23 +555,20 @@ def _work(blocks, plan, tasks, task_lock, results, result_lock, parent_ends):
             except EOFError:
                 return
         try:
-            message = (b, i, True, _root_sample(blocks, plan[b][0], i))
+            message = (b, i, True, _root_sample(blocks, plan[b], i))
         except Exception as e:  # raised in the parent when it reaches sample i
             message = (b, i, False, (e, traceback.format_exc()))
         with result_lock:
             results.send(message)
 
 
-class RootSamplePool:
-    """Runs the root samples of one command's tree builds on one state.
+class _RootSamplePool:
+    """Runs the root samples of ``plan``, a list of ``_Build``s with k > 1, on ``blocks``.
 
-    ``builds`` lists the command's ``(k, seed)`` builds in the order it will
-    make them; each ``build_tree(..., pool=pool)`` with k > 1 must be the
-    next of them, with the pool's sample counts and ``tol``.  A k-district
-    build's root sample splits the state's blocks once, then each of up to
-    k - 2 internal nodes below the root about ``internal_samples`` times, so
-    the builds' work is estimated as the sum of root samples * blocks *
-    (1 + internal_samples * (k - 2)).
+    A k-district build's root sample splits the state's blocks once, then
+    each of up to k - 2 internal nodes below the root about ``n_internal``
+    times, so the builds' work is estimated as the sum of root samples *
+    blocks * (1 + n_internal * (k - 2)).
 
     At ``POOL_MIN_WORK`` or more the pool forks its workers here, once, with
     the state's blocks and the planned builds, and queues every build's
@@ -599,16 +584,13 @@ class RootSamplePool:
     it as a context manager.
     """
 
-    def __init__(self, state, builds, root_samples=None, internal_samples=None,
-                 tol: BalanceTolerance = BalanceTolerance()):
-        self.state = state
-        self.blocks = _Blocks.of(state)
-        self._plan = [_planned_build(state.total_seats, k, seed, tol, root_samples,
-                                     internal_samples) for k, seed in builds if k > 1]
-        self._next_build = 0
-        work = sum(n_root * len(self.blocks.ids) * (1 + b.n_internal * (b.n_small + b.n_large - 2))
-                   for b, n_root in self._plan)
-        workers = _pool_size(work, max((n_root for _, n_root in self._plan), default=1))
+    def __init__(self, blocks: _Blocks, plan):
+        self.blocks = blocks
+        self._plan = plan
+        self._next_build = enumerate(plan)
+        work = sum(b.n_root * len(blocks.ids) * (1 + b.n_internal * (b.n_small + b.n_large - 2))
+                   for b in plan)
+        workers = _pool_size(work, max((b.n_root for b in plan), default=1))
         self._workers = []
         if workers > 1:
             self._fork(workers)
@@ -628,29 +610,18 @@ class RootSamplePool:
             p.start()
         task_reader.close()
         result_writer.close()
-        self._queue = ((b, i) for b, (_, n_root) in enumerate(self._plan)
-                       for i in range(n_root))
+        self._queue = ((b, i) for b, build in enumerate(self._plan)
+                       for i in range(build.n_root))
         self._in_flight = 0
         self._done = {}  # (build, i) -> (ok, value) of a result received ahead of use
         self._submit()
 
-    def samples(self, build: _Build, n_samples: int):
-        """``_root_sample`` results for samples 0..n_samples-1 of ``build``, in order.
-
-        ``(build, n_samples)`` must be the pool's next planned build.
-        """
-        if self._next_build == len(self._plan):
-            raise ValueError(f"the root-sample pool has no planned build left for "
-                             f"{_describe((build, n_samples))}")
-        if self._plan[self._next_build] != (build, n_samples):
-            raise ValueError(f"the root-sample pool's next planned build is "
-                             f"{_describe(self._plan[self._next_build])}, not "
-                             f"{_describe((build, n_samples))}")
-        b = self._next_build
-        self._next_build += 1
+    def samples(self):
+        """``_root_sample`` results of the next planned build, in sample order."""
+        b, build = next(self._next_build)
         if not self._workers:
-            return (_root_sample(self.blocks, build, i) for i in range(n_samples))
-        return self._collect(b, n_samples)
+            return (_root_sample(self.blocks, build, i) for i in range(build.n_root))
+        return self._collect(b, build.n_root)
 
     def _collect(self, b, n_samples):
         for i in range(n_samples):
@@ -699,9 +670,29 @@ class RootSamplePool:
         return False
 
 
+def build_trees(state, ks, seed: int, root_samples: int = None, internal_samples: int = None,
+                tol: BalanceTolerance = BalanceTolerance()):
+    """Yield ``(k, tree)`` for each k of ``ks`` in order, all from one root-sample pool.
+
+    Each k's ``build_tree`` gets its own seed, derived from ``seed``; a k that
+    finds no map yields its ``TreeBuildError``, and the later k still build.
+    The pool closes when the generator ends or is closed, as it is when a
+    caller's exception releases it.
+    """
+    builds = [(k, seed * 100003 + k) for k in ks]
+    plan = [_Build.of(state.total_seats, k, k_seed, tol, root_samples, internal_samples)
+            for k, k_seed in builds if k > 1]
+    with _RootSamplePool(_Blocks.of(state), plan) as pool:
+        for k, k_seed in builds:
+            try:  # build_tree through its module name, which perfbench/tracer.py times
+                yield k, build_tree(state, k, tol, k_seed, root_samples, internal_samples, pool)
+            except TreeBuildError as e:
+                yield k, e
+
+
 def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
                seed: int = 0, root_samples: int = None,
-               internal_samples: int = None, pool: RootSamplePool = None) -> SampleTree:
+               internal_samples: int = None, pool: _RootSamplePool = None) -> SampleTree:
     """Sample a hierarchy of region subdivisions encoding K-district plans.
 
     Sampling counts default to the (1000/k)^1.2 and (300/k)^0.5 schedule;
@@ -712,31 +703,23 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
     Root sample ``i`` and its whole subtree draw only from
     ``random.Random(f"{seed}:{i}")``.  A ``str`` seed goes through SHA-512,
     so the stream does not depend on ``PYTHONHASHSEED``, and the first n
-    samples do not depend on how many follow.  The root samples run in
-    ``pool``, the command's ``RootSamplePool`` for ``state``, whose next
-    planned build this must be; without one, the build opens a pool that
-    plans this build alone.  The tree, its node ids and its diagnostics are
+    samples do not depend on how many follow.  The root samples run in a
+    pool of their own, or, from ``build_trees``, in ``pool``, whose next
+    planned build this is.  The tree, its node ids and its diagnostics are
     the same for any worker count.
     """
-    n_seats = state.total_seats
-    alloc = SizeAllocation.for_seats(n_seats, k)
-    build, n_root = _planned_build(n_seats, k, seed, tol, root_samples, internal_samples)
-    if pool is not None and pool.state is not state:
-        raise ValueError("the root-sample pool was opened for another state")
-
-    j = alloc.small_size
-    root = TreeNode(node_id=1, region=frozenset(set(state.block_map)), seats=n_seats,
-                    n_districts=k, n_small=alloc.small_count, n_large=alloc.large_count)
+    build = _Build.of(state.total_seats, k, seed, tol, root_samples, internal_samples)
+    j = build.small_size
+    root = TreeNode(node_id=1, region=frozenset(set(state.block_map)), seats=state.total_seats,
+                    n_districts=k, n_small=build.n_small, n_large=build.n_large)
     attempts, failures = {}, {}
     if k > 1:
         with contextlib.ExitStack() as own:
             if pool is None:
-                pool = own.enter_context(
-                    RootSamplePool(state, [(k, seed)], root_samples, internal_samples, tol))
+                pool = own.enter_context(_RootSamplePool(_Blocks.of(state), [build]))
             # Node ids run in creation order, as if the samples ran one after another.
             id_offset = root.node_id
-            for children, created, sample_attempts, sample_failures in pool.samples(
-                    build, n_root):
+            for children, created, sample_attempts, sample_failures in pool.samples():
                 if children is not None:
                     root.samples.append([_decode(c, id_offset, j) for c in children])
                 id_offset += created
@@ -746,7 +729,7 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
         if not root.samples:
             raise TreeBuildError(f"no feasible {k}-district map found for seed {seed}")
 
-    tree = SampleTree(root, alloc, tol, seed, {})
+    tree = SampleTree(root, SizeAllocation(j, build.n_large, build.n_small), tol, seed, {})
     node_count = leaf_count = 0
     for node in walk_nodes(tree):
         node_count += 1

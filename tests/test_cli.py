@@ -7,7 +7,7 @@ import multiprocessing.process
 import pytest
 
 import mmdistrict.tree as tree_mod
-from mmdistrict import cli
+from mmdistrict import analysis, cli
 from mmdistrict.model import load_plan, load_state, save_state, validate_plan
 from mmdistrict.voters import generate_voter_file, save_voter_file
 from conftest import make_path_state, needs_fork
@@ -387,5 +387,27 @@ def test_a_worker_exception_ends_the_command_and_its_pool(state_file, tmp_path, 
     with pytest.raises(RuntimeError, match="split failed in a worker"):
         run(["sweep", "--state", str(state_file), "--k", "all", "--root-samples", "6",
              "--internal-samples", "2", "--out", str(tmp_path / "metrics.csv")])
+    assert len(worker_starts) == 2
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_an_exception_between_trees_ends_the_command_and_its_pool(state_file, tmp_path,
+                                                                  monkeypatch, worker_starts):
+    score_leaves = analysis.score_leaves
+    scored = []
+
+    def fail_at_the_second_k(tree, *args, **kwargs):
+        scored.append(tree.root.n_districts)
+        if len(scored) == 2:
+            raise RuntimeError("scoring failed")
+        return score_leaves(tree, *args, **kwargs)
+
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(analysis, "score_leaves", fail_at_the_second_k)
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        run(["sweep", "--state", str(state_file), "--k", "all", "--root-samples", "6",
+             "--internal-samples", "2", "--out", str(tmp_path / "metrics.csv")])
+    assert scored == [1, 2]
     assert len(worker_starts) == 2
     assert multiprocessing.active_children() == []

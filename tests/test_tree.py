@@ -266,28 +266,21 @@ def test_trees_do_not_depend_on_block_ids_or_their_listing_order(monkeypatch, wo
         assert dump(shuffled) == want
 
 
-def test_a_pool_serves_only_the_state_it_was_opened_for(grid_state):
-    other = generate_synthetic_state(16, 4, 0.4, 1, seed=3)
-    with tree_mod.RootSamplePool(other, [(2, 1)], 4, 2) as pool:
-        with pytest.raises(ValueError, match="opened for another state"):
-            build_tree(grid_state, 2, seed=1, root_samples=4, internal_samples=2, pool=pool)
-
-
 @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
-def test_a_pool_builds_only_its_next_planned_build(grid_state, monkeypatch, workers):
+def test_build_trees_match_single_builds(monkeypatch, workers):
+    # On this path no two-district split balances, but three districts do.
     monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
-    counts = {"root_samples": 4, "internal_samples": 2}
-    want = [_tree_dump(build_tree(grid_state, k, seed=1, **counts)) for k in (2, 4)]
-    with tree_mod.RootSamplePool(grid_state, [(1, 1), (2, 1), (4, 1)], **counts) as pool:
-        for k, seed, n_root in ((4, 1, 4), (2, 2, 4), (2, 1, 5)):
-            with pytest.raises(ValueError, match="next planned build is k=2, seed=1, 4 root"):
-                build_tree(grid_state, k, seed=seed, root_samples=n_root, internal_samples=2,
-                           pool=pool)
-        got = [_tree_dump(build_tree(grid_state, k, seed=1, pool=pool, **counts))
-               for k in (1, 2, 4)]
-        with pytest.raises(ValueError, match="no planned build left"):
-            build_tree(grid_state, 4, seed=1, pool=pool, **counts)
-    assert got[1:] == want
+    state = make_path_state([1, 1, 2, 2], [0.6, 0.4, 0.5, 0.3], seats=6)
+    seed, counts = 1, {"root_samples": 6, "internal_samples": 2}
+    got = list(tree_mod.build_trees(state, (1, 2, 3), seed, **counts))
+    assert [k for k, _ in got] == [1, 2, 3]
+    failed = got[1][1]
+    assert isinstance(failed, TreeBuildError)
+    with pytest.raises(TreeBuildError, match=f"^{failed}$"):
+        build_tree(state, 2, seed=seed * 100003 + 2, **counts)
+    for k, tree in (got[0], got[2]):
+        assert _tree_dump(tree) == _tree_dump(build_tree(state, k, seed=seed * 100003 + k,
+                                                         **counts))
     assert multiprocessing.active_children() == []
 
 

@@ -20,10 +20,17 @@ from .rules import RULES, UncertaintyModel, get_rule
 from .stv import partisan_split, run_stv  # noqa: F401
 
 
+def _parse_k(text):
+    try:
+        return int(str(text))
+    except ValueError:
+        raise ValueError(f"--k must be a whole district count, got {text!r}") from None
+
+
 def _parse_k_set(text: str, n_seats: int):
     if text == "all":
         return list(range(1, n_seats + 1))
-    ks = sorted({int(part) for part in text.split(",") if part})
+    ks = sorted({_parse_k(part) for part in text.split(",") if part})
     if not ks:
         raise SystemExit(f"error: --k {text!r} names no district count")
     bad = [k for k in ks if not 1 <= k <= n_seats]
@@ -43,6 +50,8 @@ def _options(args):
     missing = ["--" + key.replace("_", "-") for key in required if opts[key] is None]
     if missing:
         raise SystemExit(f"error: {args.command} requires {', '.join(missing)}")
+    if opts.get("per_party") is not None and opts["per_party"] < 1:
+        raise ValueError(f"--per-party must be >= 1, got {opts['per_party']}")
     return opts
 
 
@@ -66,8 +75,9 @@ def _config(path, command, defaults):
     return config
 
 
-def _build(opts, state, k, seed):
-    return tree_mod.build_tree(state, k, BalanceTolerance(), seed=seed,
+def _build(opts, state):
+    """The tree of the one district count that --k gives."""
+    return tree_mod.build_tree(state, _parse_k(opts["k"]), BalanceTolerance(), seed=opts["seed"],
                                root_samples=opts["root_samples"],
                                internal_samples=opts["internal_samples"])
 
@@ -120,8 +130,7 @@ def cmd_sweep(opts):
 def cmd_optimize(opts):
     state = load_state(opts["state"])
     rule = get_rule(opts["rule"])
-    k = int(opts["k"])
-    built = _build(opts, state, k, opts["seed"])
+    built = _build(opts, state)
     scores = analysis.score_leaves(built, state, rule, UncertaintyModel(opts["sigma"]))
     y = state.statewide_vote_share()
     objective = opts["objective"]
@@ -140,7 +149,7 @@ def cmd_optimize(opts):
     save_plan(plan, out / "plan.json")
     seats = sum(scores[leaf.node_id].deterministic_r_seats for leaf in leaves)
     summary = {
-        "objective": objective, "rule": rule.name, "k": k,
+        "objective": objective, "rule": rule.name, "k": built.root.n_districts,
         "statewide_vote_share_r": y, "optimized_value": value,
         "seats_r": seats, "seat_share_r": seats / state.total_seats,
         "proportionality_gap": abs(seats / state.total_seats - y),
@@ -152,7 +161,7 @@ def cmd_optimize(opts):
 def cmd_ensemble(opts):
     state = load_state(opts["state"])
     rule = get_rule(opts["rule"])
-    built = _build(opts, state, int(opts["k"]), opts["seed"])
+    built = _build(opts, state)
     scores = analysis.score_leaves(built, state, rule)
     records = analysis.ensemble_metrics(built, state, rule,
                                         analysis.seat_histograms(built, scores))

@@ -418,7 +418,7 @@ class _Blocks:
 
 @dataclass(frozen=True)
 class _Build:
-    """One build's parameters, which each of its root-sample tasks carries."""
+    """One build's parameters, which each of its root samples reads."""
     small_size: int
     n_small: int
     n_large: int

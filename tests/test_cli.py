@@ -329,6 +329,29 @@ def test_diversity_rejects_an_empty_ensemble(state_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-3", "0"])
+@pytest.mark.parametrize("command", ["stv", "diversity"])
+def test_per_party_below_one_is_an_error(state_file, tmp_path, capsys, command, value):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"districts": [{"seats": 4, "blocks": list(range(16))}]}))
+    out = tmp_path / "out"
+    argv = {"stv": ["--plan", str(plan)], "diversity": ["--k", "1"]}[command]
+    assert run([command, "--state", str(state_file), *argv, "--per-party", value,
+                "--out", str(out)]) == 1
+    assert f"error: --per-party must be >= 1, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["all", "2.5"])
+@pytest.mark.parametrize("command", ["optimize", "ensemble"])
+def test_k_that_is_not_one_whole_count_is_an_error(state_file, tmp_path, capsys, command,
+                                                    value):
+    out = tmp_path / "out"
+    assert run([command, "--state", str(state_file), "--k", value, "--out", str(out)]) == 1
+    assert f"error: --k must be a whole district count, got '{value}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture
 def worker_starts(monkeypatch):
     """Every child process started while the test runs."""

@@ -1,0 +1,134 @@
+"""The tree builder's ``split_region`` as it was before its growth and repair
+loops were rewritten, kept verbatim as the oracle that
+``tests/test_tree_properties.py`` compares the current one against.  The two
+must return None together and otherwise the same parts, each iterating its
+blocks in the same order.
+"""
+import heapq
+
+from mmdistrict.tree import _stays_connected
+
+
+def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
+                 state_pop, total_seats, epsilon, ids):
+    """Grow child regions from centers, then boundary-swap toward balance.
+
+    Each child targets state_pop * seats / total_seats people.  Growth is
+    capacity-weighted nearest-frontier accretion, ordered by the hop
+    distances ``dist_maps`` that ``select_centers`` returned with the
+    centers; ``region`` holds block indices and ``neighbors`` lists each
+    block's neighbours inside it.  Repair moves boundary blocks between
+    adjacent children when that lowers total balance error and keeps the
+    donor contiguous.  Growth only adds blocks next to a child and repair
+    keeps every donor contiguous, so the children are contiguous before each
+    swap, and ``_stays_connected`` decides a swap from the moved block's
+    surroundings.  Returns each child's set of state ids (block ``b`` is
+    ``ids[b]``), or None if any child misses its tolerance.
+    """
+    f = len(centers)
+    targets = [state_pop * s / total_seats for s in child_seats]
+
+    owner = [-1] * len(neighbors)
+    child_blocks = [set() for _ in range(f)]  # state ids, added and discarded as blocks move
+    child_pop = [0.0] * f
+    heaps = [[] for _ in range(f)]
+    pushed = [bytearray(len(neighbors)) for _ in range(f)]  # blocks ever on each child's frontier
+
+    def assign(b, c):
+        owner[b] = c
+        child_blocks[c].add(ids[b])
+        child_pop[c] += pops[b]
+        dist, heap, seen = dist_maps[c], heaps[c], pushed[c]
+        for v in neighbors[b]:
+            if owner[v] < 0 and not seen[v]:
+                seen[v] = 1
+                heapq.heappush(heap, (dist[v], v))
+
+    for c, center in enumerate(centers):
+        if owner[center] >= 0:
+            return None  # duplicate centers cannot seed distinct children
+        assign(center, c)
+
+    # The least full child grows next, equally full children by index.  A
+    # child gains frontier blocks only when it grows, so one whose frontier
+    # has run out leaves the queue for good.
+    growing = [(child_pop[c] / targets[c], c) for c in range(f)]
+    heapq.heapify(growing)
+    n_assigned = f
+    while n_assigned < len(region):
+        if not growing:
+            return None
+        c = growing[0][1]
+        h = heaps[c]
+        while h and owner[h[0][1]] >= 0:
+            heapq.heappop(h)
+        if not h:
+            heapq.heappop(growing)
+            continue
+        assign(heapq.heappop(h)[1], c)
+        n_assigned += 1
+        heapq.heapreplace(growing, (child_pop[c] / targets[c], c))
+
+    err = [child_pop[i] - targets[i] for i in range(f)]
+
+    def balanced():
+        return all(abs(err[i]) <= epsilon * targets[i] + 1e-9 for i in range(f))
+
+    def on_boundary(b):
+        a = owner[b]
+        return any(owner[v] != a for v in neighbors[b])
+
+    # Only a block with a neighbour in another child can move.  Each pass
+    # visits the blocks on a boundary in sorted order; a swap changes the
+    # boundary only around the moved block, so neighbours that join it and
+    # sort after the moved block are still visited in the same pass.  Most
+    # splits grow balanced and skip repair, and with it this set.
+    boundary = set() if balanced() else {
+        b for b in region for v in neighbors[b] if owner[v] != owner[b]}
+    max_swaps = 10 * len(region)
+    swaps = 0
+    while not balanced() and swaps < max_swaps:
+        improved = False
+        queue = sorted(boundary)
+        queued = set(queue)
+        while queue:
+            b = heapq.heappop(queue)
+            a = owner[b]
+            donor = child_blocks[a]
+            if len(donor) <= 1:
+                continue
+            nbr_children = set(map(owner.__getitem__, neighbors[b]))
+            nbr_children.discard(a)
+            if not nbr_children:
+                continue
+            p = pops[b]
+            best_delta, best_t = -1e-12, None
+            for t in sorted(nbr_children):
+                delta = (abs(err[a] - p) + abs(err[t] + p)) - (abs(err[a]) + abs(err[t]))
+                if delta < best_delta:
+                    best_delta, best_t = delta, t
+            if best_t is None:
+                continue
+            if not _stays_connected(owner, b, neighbors):
+                continue
+            donor.discard(ids[b])
+            child_blocks[best_t].add(ids[b])
+            owner[b] = best_t
+            err[a] -= p
+            err[best_t] += p
+            for u in (b, *neighbors[b]):
+                if not on_boundary(u):
+                    boundary.discard(u)
+                    continue
+                boundary.add(u)
+                if u > b and u not in queued:
+                    queued.add(u)
+                    heapq.heappush(queue, u)
+            swaps += 1
+            improved = True
+            if swaps >= max_swaps:
+                break
+        if not improved:
+            break
+
+    return child_blocks if balanced() else None

@@ -178,7 +178,7 @@ def select_centers(region, neighbors, pops, n_children: int, rng):
     nearest = dist_maps[0][:]
     while len(centers) < n_children:
         rest = [b for b in blocks if b not in centers]
-        weights = [pops[b] * d ** 2 if (d := nearest[b]) < m else 0 for b in rest]
+        weights = [pops[b] * (d * d) if (d := nearest[b]) < m else 0 for b in rest]
         if sum(weights) == 0:
             centers.append(_weighted_choice(rest, [1.0] * len(rest), rng))
         else:

@@ -1,7 +1,9 @@
 """Property tests for contiguity, the tree builder's search, centering and
 splitting steps, and whole builds on path states.
 
-networkx serves only as an independent oracle for distances and contiguity.
+networkx serves only as an independent oracle for distances and contiguity;
+``split_region_reference`` keeps an earlier ``split_region`` as the oracle
+for the current one.
 """
 import random
 
@@ -10,7 +12,6 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from mmdistrict.model import (BalanceTolerance, generate_synthetic_state, is_connected,
                               validate_plan)
-from split_region_reference import split_region as reference_split_region
 from mmdistrict.tree import (
     _bfs_distances,
     _stays_connected,
@@ -21,6 +22,7 @@ from mmdistrict.tree import (
     select_centers,
     split_region,
 )
+from split_region_reference import split_region as reference_split_region
 
 SETTINGS = settings(max_examples=150, deadline=None)
 

@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from mmdistrict import cli, tree
+from mmdistrict.model import load_state
+from mmdistrict.voters import generate_voter_file, load_voter_file, save_voter_file
 from conftest import needs_fork
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -91,12 +93,12 @@ def synth(name, out_dir):
     return path
 
 
-def run_case(name, out_dir):
+def run_case(name, out_dir, extra=()):
     """Run one case on the golden state; returns the directory holding its outputs."""
     command, state, flags, output = CASES[name]
     case_dir = out_dir / name
     case_dir.mkdir(parents=True)
-    argv = [command, "--state", str(GOLDEN / state), *flags,
+    argv = [command, "--state", str(GOLDEN / state), *flags, *extra,
             "--out", str(case_dir / output)]
     assert cli.main(argv) == 0, argv
     return case_dir
@@ -111,8 +113,26 @@ def test_synth_matches_golden_state(name, tmp_path):
     assert synth(name, tmp_path).read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def assert_matches_golden(name, out_dir):
-    got = run_case(name, out_dir)
+def save_voters72(path):
+    """The voter file that stv72_partisan generates, written as CSV."""
+    save_voter_file(generate_voter_file(load_state(GOLDEN / "state72.json"), 10, 0.5, seed=9),
+                    path)
+    return path
+
+
+def test_generated_voter_file_matches_golden(tmp_path):
+    assert save_voters72(tmp_path / "voters72.csv").read_bytes() == \
+        (GOLDEN / "voters72.csv").read_bytes()
+
+
+def test_golden_voter_file_loads_and_saves_to_the_same_bytes(tmp_path):
+    path = tmp_path / "voters72.csv"
+    save_voter_file(load_voter_file(GOLDEN / "voters72.csv"), path)
+    assert path.read_bytes() == (GOLDEN / "voters72.csv").read_bytes()
+
+
+def assert_matches_golden(name, out_dir, extra=()):
+    got = run_case(name, out_dir, extra)
     want = GOLDEN / name
     assert files(got) == files(want)
     for rel in files(want):
@@ -122,6 +142,12 @@ def assert_matches_golden(name, out_dir):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_command_matches_golden_outputs(name, tmp_path):
     assert_matches_golden(name, tmp_path)
+
+
+def test_stv_reading_the_golden_voter_file_matches_the_generated_run(tmp_path):
+    # The same voters, read from CSV instead of generated, elect the same winners.
+    assert_matches_golden("stv72_partisan", tmp_path,
+                          ["--voter-file", str(GOLDEN / "voters72.csv")])
 
 
 @needs_fork
@@ -150,10 +176,11 @@ def test_optimize_fair_matches_golden_under_python_O(tmp_path):
 
 
 def regenerate():
-    """Rewrite the states and every case's outputs; the frozen plans stay."""
+    """Rewrite the states, the voter file and every case's outputs; the frozen plans stay."""
     GOLDEN.mkdir(exist_ok=True)
     for name in STATES:
         synth(name, GOLDEN)
+    save_voters72(GOLDEN / "voters72.csv")
     for name in CASES:
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
         run_case(name, GOLDEN)

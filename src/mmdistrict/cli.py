@@ -83,10 +83,17 @@ def _build(opts, state):
 
 
 def _voter_file(opts, state):
-    if opts["voter_file"]:
-        return voters_mod.load_voter_file(opts["voter_file"])
-    return voters_mod.generate_voter_file(
-        state, opts["voters_per_block"], opts["score_spread"], opts["seed"])
+    path = opts["voter_file"]
+    if not path:
+        return voters_mod.generate_voter_file(
+            state, opts["voters_per_block"], opts["score_spread"], opts["seed"])
+    vfile = voters_mod.load_voter_file(path)
+    stray = [rows[0] for b, rows in vfile.block_rows.items() if b not in state.block_map]
+    if stray:
+        row = min(stray)
+        raise model.StateFormatError(f"{path}: voter {vfile.columns.id[row]} is in block "
+                                     f"{vfile.block_id[row]}, which the state does not have")
+    return vfile
 
 
 def _write_csv(path, header, rows):

@@ -94,7 +94,6 @@ class SampleTree:
     root: TreeNode
     allocation: SizeAllocation
     tol: BalanceTolerance
-    seed: int
     diagnostics: dict
 
 
@@ -429,9 +428,7 @@ class _Blocks:
 @dataclass(frozen=True)
 class _Build:
     """One build's parameters, which each of its root samples reads."""
-    small_size: int
-    n_small: int
-    n_large: int
+    allocation: SizeAllocation
     epsilon: float
     n_root: int
     n_internal: int
@@ -447,8 +444,7 @@ class _Build:
         for name, count in zip(("root_samples", "internal_samples"), counts):
             if count < 1:
                 raise ValueError(f"{name} must be >= 1, got {count}")
-        return cls(alloc.small_size, alloc.small_count, alloc.large_count, tol.epsilon,
-                   *counts, seed)
+        return cls(alloc, tol.epsilon, *counts, seed)
 
 
 def _root_sample(blocks: _Blocks, build: _Build, i: int):
@@ -470,7 +466,7 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
     them, in the same order whichever way it was built.
     """
     rng = random.Random(f"{build.seed}:{i}")
-    index, pops, j = blocks.index, blocks.pops, build.small_size
+    index, pops, j = blocks.index, blocks.pops, build.allocation.small_size
     node_ids = itertools.count(1)
     attempts, failures = {}, {}
 
@@ -518,7 +514,8 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
             failures[depth] = failures.get(depth, 0) + 1
         return children
 
-    children = try_sample(blocks.root_order, blocks.neighbors, build.n_small, build.n_large, 0)
+    children = try_sample(blocks.root_order, blocks.neighbors, build.allocation.small_count,
+                          build.allocation.large_count, 0)
     return children, next(node_ids) - 1, attempts, failures
 
 
@@ -598,7 +595,8 @@ class _RootSamplePool:
         self.blocks = blocks
         self._plan = plan
         self._next_build = enumerate(plan)
-        work = sum(b.n_root * len(blocks.ids) * (1 + b.n_internal * (b.n_small + b.n_large - 2))
+        work = sum(b.n_root * len(blocks.ids)
+                   * (1 + b.n_internal * (b.allocation.small_count + b.allocation.large_count - 2))
                    for b in plan)
         workers = _pool_size(work, max((b.n_root for b in plan), default=1))
         self._workers = []
@@ -719,9 +717,9 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
     the same for any worker count.
     """
     build = _Build.of(state.total_seats, k, seed, tol, root_samples, internal_samples)
-    j = build.small_size
+    alloc = build.allocation
     root = TreeNode(node_id=1, region=frozenset(set(state.block_map)), seats=state.total_seats,
-                    n_districts=k, n_small=build.n_small, n_large=build.n_large)
+                    n_districts=k, n_small=alloc.small_count, n_large=alloc.large_count)
     attempts, failures = {}, {}
     if k > 1:
         with contextlib.ExitStack() as own:
@@ -731,7 +729,8 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
             id_offset = root.node_id
             for children, created, sample_attempts, sample_failures in pool.samples():
                 if children is not None:
-                    root.samples.append([_decode(c, id_offset, j) for c in children])
+                    root.samples.append([_decode(c, id_offset, alloc.small_size)
+                                         for c in children])
                 id_offset += created
                 for total, counts in ((attempts, sample_attempts), (failures, sample_failures)):
                     for depth, n in counts.items():
@@ -739,7 +738,7 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
         if not root.samples:
             raise TreeBuildError(f"no feasible {k}-district map found for seed {seed}")
 
-    tree = SampleTree(root, SizeAllocation(j, build.n_large, build.n_small), tol, seed, {})
+    tree = SampleTree(root, alloc, tol, {})
     node_count = leaf_count = 0
     for node in walk_nodes(tree):
         node_count += 1

@@ -3,13 +3,14 @@
 Stands in for a proprietary individual-level voter file: voters are placed
 around block centroids with party labels calibrated to the block vote share
 and one-dimensional partisan scores (D negative, R positive).  A ``VoterFile``
-keeps its voters as column arrays (``Voters``: id, party, score, x, y) and an
-index from each block to its rows, so a district's voters are its blocks'
-rows, sorted back into file order.  Candidate slates and ballots are built
-from those columns.  Ballots rank all own-party candidates before the other
-party, by score or geographic distance, so every simulated election satisfies
-the party-line assumption; voters with the same ranking are returned as one
-``BallotGroup``.
+is column arrays, one row per voter: the ``Voters`` columns (id, party,
+score, x, y) and a block-id column, which the generator and the CSV loader
+fill directly.  An index from each block to its rows makes a district's
+voters its blocks' rows, sorted back into file order.  Candidate slates and
+ballots are built from those columns.  Ballots rank all own-party candidates
+before the other party, by score or geographic distance, so every simulated
+election satisfies the party-line assumption; voters with the same ranking
+are returned as one ``BallotGroup``.
 """
 from __future__ import annotations
 
@@ -30,16 +31,6 @@ BLOCK_LEAN_SHIFT = 1.0
 RANKING_MODES = ("partisan_score", "geographic")
 
 
-@dataclass(frozen=True)
-class Voter:
-    id: int
-    block_id: int
-    party: str
-    partisan_score: float
-    x: float
-    y: float
-
-
 @dataclass(frozen=True, eq=False)
 class Voters:
     """Column arrays of some voters of a file, one entry per voter, in file order."""
@@ -58,30 +49,33 @@ class Voters:
                       self.x[rows], self.y[rows])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoterFile:
-    """Voters with unique ids, their columns, and a block id -> rows index."""
-    voters: tuple
-    columns: Voters = field(init=False, repr=False, compare=False)
-    block_rows: dict = field(init=False, repr=False, compare=False)  # ascending rows
-    _by_id: np.ndarray = field(init=False, repr=False, compare=False)  # rows in id order
+    """Voters with unique ids: their columns, each one's block id, and a block id -> rows index."""
+    columns: Voters
+    block_id: np.ndarray  # int64
+    block_rows: dict = field(init=False, repr=False)  # ascending rows
+    _by_id: np.ndarray = field(init=False, repr=False)  # rows in id order
+
+    @classmethod
+    def of(cls, ids, block_ids, parties, scores, xs, ys):
+        """A voter file from its columns as sequences, in the CSV's column order."""
+        return cls(Voters(np.array(ids, dtype=np.int64), np.array(parties, dtype="<U1"),
+                          np.array(scores, dtype=float), np.array(xs, dtype=float),
+                          np.array(ys, dtype=float)),
+                   np.array(block_ids, dtype=np.int64))
 
     def __post_init__(self):
-        voters = self.voters
-        columns = Voters(np.array([v.id for v in voters], dtype=np.int64),
-                         np.array([v.party for v in voters], dtype="<U1"),
-                         np.array([v.partisan_score for v in voters], dtype=float),
-                         np.array([v.x for v in voters], dtype=float),
-                         np.array([v.y for v in voters], dtype=float))
+        columns, blocks = self.columns, self.block_id
+        if len({len(blocks), *map(len, vars(columns).values())}) > 1:
+            raise ValueError("voter columns differ in length")
         by_id = np.argsort(columns.id)
         sorted_ids = columns.id[by_id]
         repeats = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
         if len(repeats):
             raise ValueError(f"voter id {repeats[0]} repeats")
-        blocks = np.array([v.block_id for v in voters], dtype=np.int64)
         by_block = np.argsort(blocks, kind="stable")
         block_ids, starts = np.unique(blocks[by_block], return_index=True)
-        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "block_rows",
                            dict(zip(block_ids.tolist(), np.split(by_block, starts[1:]))))
         object.__setattr__(self, "_by_id", by_id)
@@ -112,27 +106,22 @@ def generate_voter_file(state, voters_per_block: int, score_spread: float,
         raise ValueError(f"score_spread must be finite and positive, got {score_spread}")
     rng = np.random.default_rng(seed)
     mean_pop = state.total_population / len(state.blocks)
-    voters = []
-    next_id = 0
+    blocks, parties, scores, xs, ys = [], [], [], [], []
     for block in sorted(state.blocks, key=lambda b: b.id):
         n = int(round(voters_per_block * block.population / mean_pop))
-        if n == 0:
-            continue
         share = vote_share((block,))
         n_r = int(round(share * n))
         shift = BLOCK_LEAN_SHIFT * (share - 0.5)
-        parties = ["R"] * n_r + ["D"] * (n - n_r)
-        for p in parties:
-            mean = 1.0 if p == "R" else -1.0
-            score = rng.normal(mean, score_spread) + shift
+        block_parties = ["R"] * n_r + ["D"] * (n - n_r)
+        blocks += [block.id] * n
+        parties += block_parties
+        for p in block_parties:
+            scores.append(rng.normal(1.0 if p == "R" else -1.0, score_spread) + shift)
             radius = LOCATION_JITTER_KM * math.sqrt(rng.uniform())
             theta = rng.uniform(0, 2 * math.pi)
-            voters.append(Voter(
-                id=next_id, block_id=block.id, party=p, partisan_score=float(score),
-                x=block.x + radius * math.cos(theta),
-                y=block.y + radius * math.sin(theta)))
-            next_id += 1
-    return VoterFile(tuple(voters))
+            xs.append(block.x + radius * math.cos(theta))
+            ys.append(block.y + radius * math.sin(theta))
+    return VoterFile.of(range(len(blocks)), blocks, parties, scores, xs, ys)
 
 
 def generate_candidates(voters: Voters, seats: int, per_party: int):
@@ -216,7 +205,7 @@ def build_ballots(voters: Voters, candidates, mode: str):
 
 def load_voter_file(path) -> VoterFile:
     """Load a voter file; a malformed one raises StateFormatError naming the path and line."""
-    voters = []
+    columns = ([], [], [], [], [], [])  # in the CSV's column order
     line_of = {}  # voter id -> line it was read from
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -227,23 +216,25 @@ def load_voter_file(path) -> VoterFile:
             try:
                 if len(row) != 6 or row[2] not in ("R", "D"):
                     raise ValueError(f"expected 6 fields with party R or D, got {row}")
-                voter = Voter(int(row[0]), int(row[1]), row[2], *map(float, row[3:]))
-                for name in ("partisan_score", "x", "y"):
-                    if not math.isfinite(getattr(voter, name)):
-                        raise ValueError(f"{name} {getattr(voter, name)} is not finite")
-                if voter.id in line_of:
-                    raise ValueError(f"voter id {voter.id} repeats line {line_of[voter.id]}")
-                line_of[voter.id] = reader.line_num
-                voters.append(voter)
+                voter_id, block_id = int(row[0]), int(row[1])
+                score, x, y = map(float, row[3:])
+                for name, value in (("partisan_score", score), ("x", x), ("y", y)):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{name} {value} is not finite")
+                if voter_id in line_of:
+                    raise ValueError(f"voter id {voter_id} repeats line {line_of[voter_id]}")
             except ValueError as e:
                 raise StateFormatError(f"{path}: line {reader.line_num}: {e}") from e
-    return VoterFile(tuple(voters))
+            line_of[voter_id] = reader.line_num
+            for column, value in zip(columns, (voter_id, block_id, row[2], score, x, y)):
+                column.append(value)
+    return VoterFile.of(*columns)
 
 
 def save_voter_file(voter_file: VoterFile, path) -> None:
+    c = voter_file.columns
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["voter_id", "block_id", "party", "partisan_score", "x", "y"])
-        for v in voter_file.voters:
-            writer.writerow([v.id, v.block_id, v.party, repr(v.partisan_score),
-                             repr(v.x), repr(v.y)])
+        writer.writerows(zip(c.id.tolist(), voter_file.block_id.tolist(), c.party.tolist(),
+                             *(map(repr, a.tolist()) for a in (c.score, c.x, c.y))))

@@ -250,14 +250,10 @@ def polarized_voter_file(state, seed):
     import numpy as np
     base = generate_voter_file(state, voters_per_block=20, score_spread=0.5, seed=seed + 50)
     rng = np.random.default_rng(seed + 99)
-    out = []
-    for v in base.voters:
-        if v.party == "D":
-            score = rng.normal(-2.2, 0.15) if rng.random() < 0.25 else rng.normal(-0.5, 0.15)
-            out.append(dataclasses.replace(v, partisan_score=float(score)))
-        else:
-            out.append(v)
-    return VoterFile(tuple(out))
+    score = base.columns.score.copy()
+    for row in np.flatnonzero(base.columns.party == "D").tolist():
+        score[row] = rng.normal(-2.2, 0.15) if rng.random() < 0.25 else rng.normal(-0.5, 0.15)
+    return VoterFile(dataclasses.replace(base.columns, score=score), base.block_id)
 
 
 def test_criterion_9_multi_member_districts_diversify_winners(capsys):

@@ -172,7 +172,7 @@ def test_unanimous_single_winner_coalition_spread(grid_state):
     assert len(records) == 1  # losing party has no winners and is omitted
     winner_party = records[0].party
     assert winner_party == "R"  # majority party's lone candidate sweeps round one
-    supporters = [v.partisan_score for v in vf.voters if v.party == winner_party]
+    supporters = vf.columns.score[vf.columns.party == winner_party]
     assert records[0].coalition_score_stddev == pytest.approx(float(np.std(supporters)))
     assert records[0].winner_score_stddev == 0.0
 
@@ -208,8 +208,9 @@ def test_elect_is_one_scan_of_the_voter_file_then_the_stv_count(grid_state, monk
 
 
 def test_elect_without_voters_has_no_result(grid_state):
-    vf = VoterFile(tuple(v for v in generate_voter_file(grid_state, 4, 0.5, seed=0).voters
-                         if v.block_id != 0))
+    full = generate_voter_file(grid_state, 4, 0.5, seed=0)
+    kept = full.block_id != 0
+    vf = VoterFile(full.columns.take(kept), full.block_id[kept])
     candidates, voters, result = elect(District(frozenset({0}), 1), vf, "partisan_score", 0, 0)
     assert len(voters) == 0 and result is None
     assert {c.party for c in candidates} == {"R", "D"}

@@ -240,6 +240,38 @@ def test_stv_rejects_malformed_voter_file_naming_path_and_line(
     assert f"error: {voters}: line {line}: " in err and reason in err
 
 
+def voters_in_a_block_the_state_lacks(state_file, tmp_path):
+    """A voter file of the state in which voters 2 to 6 sit in block 999."""
+    path = tmp_path / "voters.csv"
+    save_voter_file(generate_voter_file(load_state(state_file), 4, 0.5, seed=1), path)
+    lines = path.read_text().splitlines()
+    for i in range(3, 8):
+        voter_id, _, rest = lines[i].split(",", 2)
+        lines[i] = f"{voter_id},999,{rest}"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return path
+
+
+def test_stv_rejects_voters_in_a_block_the_state_lacks(state_file, plan_file, tmp_path, capsys):
+    voters = voters_in_a_block_the_state_lacks(state_file, tmp_path)
+    assert run(["stv", "--state", str(state_file), "--plan", str(plan_file),
+                "--voter-file", str(voters), "--out", str(tmp_path / "x")]) == 1
+    assert (f"error: {voters}: voter 2 is in block 999, which the state does not have"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
+def test_diversity_rejects_voters_in_a_block_the_state_lacks(state_file, tmp_path, capsys):
+    voters = voters_in_a_block_the_state_lacks(state_file, tmp_path)
+    out = tmp_path / "div.csv"
+    assert run(["diversity", "--state", str(state_file), "--k", "1,2", "--seed", "6",
+                "--ensemble-size", "1", "--root-samples", "3", "--internal-samples", "1",
+                "--voter-file", str(voters), "--out", str(out)]) == 1
+    assert (f"error: {voters}: voter 2 is in block 999, which the state does not have"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_config_must_be_a_json_object(state_file, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps([["k", "1"]]))

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from mmdistrict.stv import Ballot, Candidate, _group, run_stv
 from mmdistrict.voters import (
     LOCATION_JITTER_KM,
     RANKING_MODES,
-    Voter,
     VoterFile,
     build_ballots,
     generate_candidates,
@@ -26,9 +27,32 @@ def whole_state_district(state):
     return District(block_ids=frozenset(b.id for b in state.blocks), seats=state.total_seats)
 
 
+class Voter(NamedTuple):
+    """One row of a voter file, for the per-voter reference code below."""
+    id: int
+    block_id: int
+    party: str
+    partisan_score: float
+    x: float
+    y: float
+
+
+def rows(voter_file):
+    """The file's voters as ``Voter`` rows, in file order."""
+    c = voter_file.columns
+    return [Voter(*row) for row in zip(c.id.tolist(), voter_file.block_id.tolist(),
+                                       c.party.tolist(), c.score.tolist(), c.x.tolist(),
+                                       c.y.tolist())]
+
+
+def voter_file(voters):
+    """A voter file of ``Voter`` rows."""
+    return VoterFile.of(*([v[i] for v in voters] for i in range(len(Voter._fields))))
+
+
 def as_voters(voter_file, columns):
-    """The ``Voter`` objects behind some columns of the file, in column order."""
-    by_id = {v.id: v for v in voter_file.voters}
+    """The ``Voter`` rows behind some columns of the file, in column order."""
+    by_id = {v.id: v for v in rows(voter_file)}
     return [by_id[i] for i in columns.id.tolist()]
 
 
@@ -42,7 +66,7 @@ def test_block_calibration_within_one_voter():
     state = make_path_state([100, 100], [0.25, 0.70], seats=1)
     vf = generate_voter_file(state, voters_per_block=100, score_spread=0.5, seed=0)
     by_block = {}
-    for v in vf.voters:
+    for v in rows(vf):
         by_block.setdefault(v.block_id, []).append(v)
     assert len(by_block[0]) == 100
     n_r = sum(1 for v in by_block[0] if v.party == "R")
@@ -54,7 +78,7 @@ def test_block_calibration_within_one_voter():
 def test_statewide_calibration(grid_state):
     vpb = 25
     vf = generate_voter_file(grid_state, voters_per_block=vpb, score_spread=0.5, seed=2)
-    r_frac = sum(1 for v in vf.voters if v.party == "R") / len(vf.voters)
+    r_frac = sum(1 for v in rows(vf) if v.party == "R") / len(rows(vf))
     assert abs(r_frac - grid_state.statewide_vote_share()) <= 1 / vpb + 0.005
 
 
@@ -62,22 +86,22 @@ def test_voter_count_scales_with_population():
     state = make_path_state([50, 150], [0.5, 0.5], seats=1)
     vf = generate_voter_file(state, voters_per_block=10, score_spread=0.5, seed=0)
     counts = {0: 0, 1: 0}
-    for v in vf.voters:
+    for v in rows(vf):
         counts[v.block_id] += 1
     assert counts[0] == 5 and counts[1] == 15
 
 
 def test_scores_separate_by_party(grid_state):
     vf = generate_voter_file(grid_state, voters_per_block=50, score_spread=0.3, seed=1)
-    r = [v.partisan_score for v in vf.voters if v.party == "R"]
-    d = [v.partisan_score for v in vf.voters if v.party == "D"]
+    r = [v.partisan_score for v in rows(vf) if v.party == "R"]
+    d = [v.partisan_score for v in rows(vf) if v.party == "D"]
     assert np.mean(r) > 0.5
     assert np.mean(d) < -0.5
 
 
 def test_locations_jittered_within_radius(grid_state):
     vf = generate_voter_file(grid_state, voters_per_block=30, score_spread=0.5, seed=4)
-    for v in vf.voters:
+    for v in rows(vf):
         b = grid_state.block_map[v.block_id]
         assert math.hypot(v.x - b.x, v.y - b.y) <= LOCATION_JITTER_KM + 1e-12
 
@@ -85,7 +109,7 @@ def test_locations_jittered_within_radius(grid_state):
 def test_voter_file_deterministic(grid_state):
     a = generate_voter_file(grid_state, voters_per_block=10, score_spread=0.5, seed=8)
     b = generate_voter_file(grid_state, voters_per_block=10, score_spread=0.5, seed=8)
-    assert a == b
+    assert rows(a) == rows(b)
 
 
 def test_generation_argument_validation(grid_state):
@@ -167,7 +191,7 @@ def test_voter_file_csv_round_trip(tmp_path, grid_state):
     path = tmp_path / "voters.csv"
     save_voter_file(vf, path)
     loaded = load_voter_file(path)
-    assert loaded == vf
+    assert rows(loaded) == rows(vf)
 
 
 def test_load_voter_file_rejects_bad_header(tmp_path):
@@ -221,7 +245,7 @@ def slates(draw):
 @example(([], [Candidate(id=0, party="R"), Candidate(id=1, party="D")]), "geographic")
 def test_rankings_match_a_per_voter_sort(slate, mode):
     voters, candidates = slate
-    ballots = per_voter(build_ballots(VoterFile(tuple(voters)).columns, candidates, mode), voters)
+    ballots = per_voter(build_ballots(voter_file(voters).columns, candidates, mode), voters)
     assert [b.voter_id for b in ballots] == [v.id for v in voters]
     assert [b.ranking for b in ballots] == sorted_rankings(voters, candidates, mode)
     assert all(type(c) is int for b in ballots for c in b.ranking)
@@ -238,7 +262,15 @@ def test_load_voter_file_rejects_a_repeated_voter_id(tmp_path):
     assert f"{path}: line 4: voter id 7 repeats line 2" in str(err.value)
     voter = Voter(id=7, block_id=0, party="R", partisan_score=1.0, x=0.0, y=0.0)
     with pytest.raises(ValueError, match="voter id 7 repeats"):
-        VoterFile((voter, voter))
+        voter_file([voter, voter])
+
+
+def test_voter_file_rejects_columns_of_unequal_length():
+    vf = voter_file([Voter(7, 0, "R", 1.0, 0.0, 0.0), Voter(8, 0, "D", -1.0, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="voter columns differ in length"):
+        VoterFile(vf.columns, vf.block_id[:1])
+    with pytest.raises(ValueError, match="voter columns differ in length"):
+        VoterFile(dataclasses.replace(vf.columns, x=vf.columns.x[:1]), vf.block_id)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -322,7 +354,7 @@ def test_ballot_groups_match_the_grouped_per_voter_ballots(case, mode, per_party
     voters, candidates, district = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "voters.csv"
-        save_voter_file(VoterFile(tuple(voters)), path)
+        save_voter_file(voter_file(voters), path)
         columns = load_voter_file(path).in_district(district)
     expected_voters = parent_in_district(voters, district)
     assert columns.id.tolist() == [v.id for v in expected_voters]

@@ -1,8 +1,7 @@
 """The tree builder's ``split_region`` as it was before its growth and repair
 loops were rewritten, kept verbatim as the oracle that
 ``tests/test_tree_properties.py`` compares the current one against.  The two
-must return None together and otherwise the same parts, each iterating its
-blocks in the same order.
+must return None together and otherwise parts that hold the same blocks.
 """
 import heapq
 

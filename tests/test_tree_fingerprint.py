@@ -1,10 +1,11 @@
 """Fingerprints of whole trees, node by node, pinned across changes to the builder.
 
 Each fingerprint hashes, for every node in ``walk_nodes`` order, its id,
-``tuple(node.region)``, seats, small and large district counts and the child
-ids of each sample, followed by the build's diagnostics.  The region goes in
-as a tuple, not a set, so the order a region iterates its blocks in is pinned
-too: leaf scoring sums floats in that order.
+``tuple(sorted(node.region))``, seats, small and large district counts and
+the child ids of each sample, followed by the build's diagnostics.  A region
+goes in as its sorted blocks: the order a frozenset iterates its blocks in
+is no part of the tree, since vote shares are summed in ascending id order
+whatever that order is.
 """
 import hashlib
 from pathlib import Path
@@ -20,7 +21,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def tree_fingerprint(tree):
     h = hashlib.sha256()
     for n in walk_nodes(tree):
-        h.update(repr((n.node_id, tuple(n.region), n.seats, n.n_small, n.n_large,
+        h.update(repr((n.node_id, tuple(sorted(n.region)), n.seats, n.n_small, n.n_large,
                        [[c.node_id for c in sample] for sample in n.samples])).encode())
     h.update(repr(sorted(tree.diagnostics.items())).encode())
     return h.hexdigest()[:16]
@@ -31,24 +32,24 @@ FINGERPRINTS = {
     ("state144.json", 2, 0, 30, 6): "4e9663019a9bf2c7",
     ("state144.json", 2, 1, 30, 6): "25364c131c2bff75",
     ("state144.json", 2, 2, 30, 6): "7687f7e31635f7d5",
-    ("state144.json", 3, 0, 30, 6): "c0abd430bc91067d",
-    ("state144.json", 3, 1, 30, 6): "21a165631258f36d",
-    ("state144.json", 3, 2, 30, 6): "95bbc55832cf6001",
-    ("state144.json", 4, 0, 30, 6): "8b837b61c0208697",
-    ("state144.json", 4, 1, 30, 6): "f134165068ea32f6",
-    ("state144.json", 4, 2, 30, 6): "ffca40aadf93df98",
-    ("state144.json", 5, 0, 30, 6): "480567d537853bcf",
-    ("state144.json", 5, 1, 30, 6): "f8e9fae09b2e9e9f",
-    ("state144.json", 5, 2, 30, 6): "39b8f8e00f2bf70c",
-    ("state144.json", 6, 0, 30, 6): "60892b69fc36fbb1",
-    ("state144.json", 6, 1, 30, 6): "9f3be0757d5a57f2",
-    ("state144.json", 6, 2, 30, 6): "b5bb0e7ec2053210",
+    ("state144.json", 3, 0, 30, 6): "4f0a1c607bb68c4c",
+    ("state144.json", 3, 1, 30, 6): "9e0665e0ae24cd07",
+    ("state144.json", 3, 2, 30, 6): "28b14f646d211d6e",
+    ("state144.json", 4, 0, 30, 6): "fdb8dbae4aea98d8",
+    ("state144.json", 4, 1, 30, 6): "0bceabc0b818c6e5",
+    ("state144.json", 4, 2, 30, 6): "5b4cc556cdde7351",
+    ("state144.json", 5, 0, 30, 6): "a1f454b335777c88",
+    ("state144.json", 5, 1, 30, 6): "de50493c7034f36f",
+    ("state144.json", 5, 2, 30, 6): "9424a83bb0d0f581",
+    ("state144.json", 6, 0, 30, 6): "e0f83a57f66cc4ea",
+    ("state144.json", 6, 1, 30, 6): "5ed6d34d94ac176b",
+    ("state144.json", 6, 2, 30, 6): "abc4588836b20a25",
     ("state72.json", 2, 4, 30, 6): "de6a7d5b00583265",
-    ("state72.json", 3, 4, 30, 6): "64e122a2cbbb8758",
-    ("state72.json", 4, 4, 30, 6): "df70044e4e65e5c2",
-    ("state72.json", 5, 4, 30, 6): "db99b76f219141b5",
-    ("state72.json", 6, 4, 30, 6): "55ab6f8e9d12a0cd",
-    ("synth1600", 6, 7, 5, 2): "f67ea6d26f26d206",
+    ("state72.json", 3, 4, 30, 6): "2592a60a166a2270",
+    ("state72.json", 4, 4, 30, 6): "513051811d2f7cd8",
+    ("state72.json", 5, 4, 30, 6): "7b1e915527172532",
+    ("state72.json", 6, 4, 30, 6): "ca96b4d76afdd0d9",
+    ("synth1600", 6, 7, 5, 2): "ce1551b8711527ec",
 }
 
 _STATES = {}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import voters as voters_mod
-from .model import district_vote_share, vote_share
+from .model import district_vote_share, region_vote_share
 from .rules import SeatShareRule, UncertaintyModel, deterministic_seats, expected_seats
 from .stv import run_stv
 from .tree import SampleTree, TreeBuildError, build_trees, walk_nodes
@@ -61,7 +61,7 @@ def score_leaves(tree: SampleTree, state, rule: SeatShareRule,
     for node in walk_nodes(tree):
         if not node.is_leaf:
             continue
-        y = vote_share(state.block_map[bid] for bid in node.region)
+        y = region_vote_share(state, node.region)
         scores[node.node_id] = LeafScore(
             leaf_id=node.node_id, vote_share=y, seats=node.seats,
             expected_r_seats=expected_seats(y, node.seats, rule, u),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +36,21 @@ class Block:
                 raise StateFormatError(f"block {self.id}: {name} {getattr(self, name)} is not finite")
         if self.votes_r < 0 or self.votes_d < 0:
             raise StateFormatError(f"block {self.id}: negative vote counts")
+
+
+@dataclass(frozen=True)
+class SizeAllocation:
+    """District size multiset for N seats in K districts."""
+    small_size: int   # j = floor(N / K)
+    large_count: int  # L = N mod K
+    small_count: int  # K - L
+
+    @classmethod
+    def for_seats(cls, n_seats: int, k: int) -> "SizeAllocation":
+        if not 1 <= k <= n_seats:
+            raise ValueError(f"k must be in 1..{n_seats}, got {k}")
+        j, l = divmod(n_seats, k)
+        return cls(small_size=j, large_count=l, small_count=k - l)
 
 
 @dataclass(frozen=True)
@@ -153,9 +168,14 @@ def vote_share(blocks) -> float:
     return 0.5 if total == 0 else r / total
 
 
+def region_vote_share(state: StateInstance, block_ids) -> float:
+    """Two-party R vote share over ``block_ids``, summed in ascending id order."""
+    return vote_share(map(state.block_map.__getitem__, sorted(block_ids)))
+
+
 def district_vote_share(state: StateInstance, district: District) -> float:
     """Two-party R vote share over the district's blocks; KeyError on an unknown block."""
-    return vote_share(state.block_map[bid] for bid in district.block_ids)
+    return region_vote_share(state, district.block_ids)
 
 
 def district_population(state: StateInstance, district: District) -> int:
@@ -165,23 +185,16 @@ def district_population(state: StateInstance, district: District) -> int:
 def validate_plan(state: StateInstance, plan: Plan, tol: BalanceTolerance = BalanceTolerance()) -> ValidationReport:
     """Check partition, contiguity, balance, seat total, and the size multiset.
 
-    District seat sizes must all be j = floor(N/K) or j+1, with exactly
-    N mod K districts of the larger size.
+    District seat sizes must be ``SizeAllocation.for_seats(N, K)``'s, which
+    more districts than seats cannot have: their seat total is wrong already.
     """
     report = ValidationReport()
     n_total = state.total_seats
 
-    assigned = []
-    for d in plan.districts:
-        assigned.extend(d.block_ids)
-    counted = set()
-    dupes = set()
-    for bid in assigned:
-        if bid in counted:
-            dupes.add(bid)
-        counted.add(bid)
-    missing = state.block_ids - counted
-    unknown = counted - state.block_ids
+    counts = Counter(bid for d in plan.districts for bid in d.block_ids)
+    dupes = {bid for bid, n in counts.items() if n > 1}
+    missing = state.block_ids - counts.keys()
+    unknown = counts.keys() - state.block_ids
     if dupes:
         report.violations.append(f"partition: blocks in multiple districts: {sorted(dupes)}")
     if missing:
@@ -200,11 +213,13 @@ def validate_plan(state: StateInstance, plan: Plan, tol: BalanceTolerance = Bala
         report.violations.append(f"seat total {seat_sum} != state total {n_total}")
 
     k = len(plan.districts)
-    j, n_large = n_total // k, n_total % k
-    sizes = sorted(d.seats for d in plan.districts)
-    expected = sorted([j] * (k - n_large) + [j + 1] * n_large)
-    if sizes != expected:
-        report.violations.append(f"size allocation {sizes} != required {expected} for K={k}, N={n_total}")
+    if k <= n_total:
+        a = SizeAllocation.for_seats(n_total, k)
+        sizes = sorted(d.seats for d in plan.districts)
+        expected = [a.small_size] * a.small_count + [a.small_size + 1] * a.large_count
+        if sizes != expected:
+            report.violations.append(
+                f"size allocation {sizes} != required {expected} for K={k}, N={n_total}")
 
     if not unknown:
         pop = state.total_population
@@ -249,6 +264,10 @@ def load_state(path) -> StateInstance:
     adjacency = {}
     for rec in raw_blocks:
         try:
+            for name, v in (("id", rec["id"]), ("population", rec["population"]),
+                            *(("neighbor id", n) for n in rec["neighbors"])):
+                if isinstance(v, float) and not v.is_integer():  # int() would truncate it
+                    raise ValueError(f"block {rec['id']}: {name} {v} is not an integer")
             blocks.append(Block(
                 id=int(rec["id"]), population=int(rec["population"]),
                 votes_r=float(rec["votes_r"]), votes_d=float(rec["votes_d"]),

@@ -11,10 +11,10 @@ The builder works on dense block indices: block ``i`` is the state's
 populations, distances and owners are lists indexed by block.  The index
 map keeps id order, so every sorted scan and tie-break orders as it would on
 ids, and so does a growth heap's int key ``distance * n + block``: with
-``n`` blocks in the state, it orders as ``(distance, block)``.  Node regions
-stay frozensets of state ids: each child's id set receives the same adds and
-discards, in the same order, as the split makes, so a region iterates its
-blocks, and leaf scoring sums over them, in one fixed order.
+``n`` blocks in the state, it orders as ``(distance, block)``.  A region is
+an ascending list of block indices in the builder and a frozenset of state
+ids in the tree; no builder step reads the order of its blocks, and leaf
+scoring sums them in ascending id order (``model.region_vote_share``).
 
 A subdivision attempt runs one breadth-first search per center, inside the
 node's region: ``select_centers`` runs it as it picks the center, and the
@@ -52,26 +52,11 @@ from dataclasses import dataclass, field
 
 # is_connected is not called here; it stays bound in this module because
 # perfbench/tracer.py times the calls made through this name.
-from .model import BalanceTolerance, District, Plan, is_connected  # noqa: F401
+from .model import BalanceTolerance, District, Plan, SizeAllocation, is_connected  # noqa: F401
 
 
 class TreeBuildError(RuntimeError):
     """Raised when no feasible map can be sampled."""
-
-
-@dataclass(frozen=True)
-class SizeAllocation:
-    """District size multiset for N seats in K districts."""
-    small_size: int   # j = floor(N / K)
-    large_count: int  # L = N mod K
-    small_count: int  # K - L
-
-    @classmethod
-    def for_seats(cls, n_seats: int, k: int) -> "SizeAllocation":
-        if not 1 <= k <= n_seats:
-            raise ValueError(f"k must be in 1..{n_seats}, got {k}")
-        j, l = divmod(n_seats, k)
-        return cls(small_size=j, large_count=l, small_count=k - l)
 
 
 @dataclass
@@ -148,9 +133,11 @@ def _bfs_distances(neighbors, source, unreached):
 
 def _weighted_choice(items, weights, rng):
     """The first item whose running weight total reaches a uniform draw."""
-    r = rng.random() * sum(weights)
-    i = bisect.bisect_left(list(itertools.accumulate(weights)), r)
-    return items[i] if i < len(items) else items[-1]
+    # The weights are ints or all 1.0, so the last total is their sum exactly,
+    # as sum() would give; on Python 3.12+ sum() of other floats is compensated.
+    # A draw below that sum lands on an item.
+    totals = list(itertools.accumulate(weights))
+    return items[bisect.bisect_left(totals, rng.random() * totals[-1])]
 
 
 def select_centers(region, neighbors, pops, n_children: int, rng):
@@ -249,7 +236,7 @@ def _stays_connected(owner, b, neighbors):
 
 
 def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
-                 state_pop, total_seats, epsilon, ids):
+                 state_pop, total_seats, epsilon):
     """Grow child regions from centers, then boundary-swap toward balance.
 
     Each child targets state_pop * seats / total_seats people.  Growth is
@@ -263,14 +250,13 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
     balance error most, the lowest-numbered on a tie, if the donor stays
     contiguous.  Growth only adds blocks next to a child and repair keeps
     every donor contiguous, so ``_stays_connected`` can decide that from the
-    moved block's surroundings.  Returns each child's set of state ids
-    (block ``b`` is ``ids[b]``), or None if any child misses its tolerance.
+    moved block's surroundings.  Returns each child's list of block indices,
+    in ``region``'s order, or None if any child misses its tolerance.
     """
     f, n = len(centers), len(neighbors)
     targets = [state_pop * s / total_seats for s in child_seats]
 
     owner = [-1] * n
-    child_blocks = [set() for _ in range(f)]  # state ids, added and discarded as blocks move
     child_pop = [0.0] * f
     heaps = [[] for _ in range(f)]
     pushed = [bytearray(n) for _ in range(f)]  # blocks ever on each child's frontier
@@ -278,7 +264,6 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
 
     def seed(b, c):
         owner[b] = c
-        child_blocks[c].add(ids[b])
         child_pop[c] += pops[b]
         dist, heap, seen = dist_maps[c], heaps[c], pushed[c]
         for v in neighbors[b]:
@@ -310,7 +295,6 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
             pop(growing)
             continue
         owner[b] = c
-        child_blocks[c].add(ids[b])
         child_pop[c] += pops[b]
         dist, seen = dist_maps[c], pushed[c]
         for v in neighbors[b]:
@@ -325,9 +309,6 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
     def balanced():
         return all(abs(err[i]) <= epsilon * targets[i] + 1e-9 for i in range(f))
 
-    if balanced():
-        return child_blocks
-
     # Only a block with a neighbour in another child can move.  Each pass
     # visits the blocks on a boundary in sorted order; a swap changes the
     # boundary only around the moved block, so neighbours that join it and
@@ -335,6 +316,7 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
     # splits need repair (5,071 of 7,278 in a 144-block sweep of k = 1..6),
     # and most visits find no move that lowers the error (88,089 of 108,000).
     boundary = {b for b in region for v in neighbors[b] if owner[v] != owner[b]}
+    child_size = [owner.count(c) for c in range(f)]
     max_swaps = 10 * len(region)
     swaps = 0
     while not balanced() and swaps < max_swaps:
@@ -344,7 +326,7 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
         while queue:
             b = pop(queue)
             a = owner[b]
-            if len(child_blocks[a]) <= 1:
+            if child_size[a] <= 1:
                 continue
             p = pops[b]
             moved_a, kept_a = abs(err[a] - p), abs(err[a])
@@ -358,9 +340,9 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
                     best_delta, best_t = delta, t
             if best_t is None or not _stays_connected(owner, b, neighbors):
                 continue
-            child_blocks[a].discard(ids[b])
-            child_blocks[best_t].add(ids[b])
             owner[b] = best_t
+            child_size[a] -= 1
+            child_size[best_t] += 1
             err[a] -= p
             err[best_t] += p
             for u in (b, *neighbors[b]):
@@ -379,7 +361,12 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
         if not improved:
             break
 
-    return child_blocks if balanced() else None
+    if not balanced():
+        return None
+    children = [[] for _ in range(f)]
+    for b in region:
+        children[owner[b]].append(b)
+    return children
 
 
 #: Center-resampling attempts per node sample before giving up on it.
@@ -402,15 +389,11 @@ POOL_MIN_WORK = 20_000
 class _Blocks:
     """A state's blocks on dense indices, which every root sample reads.
 
-    Block ``i`` is ``ids[i]``, the ``i``-th smallest id, and ``index`` maps
-    an id back to it.  ``root_order`` lists the indices of the root region,
-    ``frozenset(set(state.block_map))``, in the order that region iterates.
+    Block ``i`` is ``ids[i]``, the ``i``-th smallest id.
     """
     ids: tuple
-    index: dict
     neighbors: tuple
     pops: tuple
-    root_order: tuple
     total_population: float
     total_seats: int
 
@@ -418,10 +401,8 @@ class _Blocks:
     def of(cls, state):
         ids = tuple(sorted(state.block_map))
         index = {b: i for i, b in enumerate(ids)}
-        return cls(ids, index,
-                   tuple(tuple(index[v] for v in state.adjacency[b]) for b in ids),
+        return cls(ids, tuple(tuple(index[v] for v in state.adjacency[b]) for b in ids),
                    tuple(state.block_map[b].population for b in ids),
-                   tuple(index[b] for b in frozenset(set(state.block_map))),
                    state.total_population, state.total_seats)
 
 
@@ -452,39 +433,35 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
 
     Every draw, the internal samples' included, comes from
     ``random.Random(f"{seed}:{i}")``.  Returns ``(children, created,
-    attempts, failures)``: the children as ``(node_id, block ids, n_small,
-    n_large, samples)`` with nested tuples, or None when the sample is
-    rejected; how many nodes the sample created, rejected ones included,
+    attempts, failures)``: the children as ``(node_id, block indices,
+    n_small, n_large, samples)`` with nested tuples, or None when the sample
+    is rejected; how many nodes the sample created, rejected ones included,
     numbered 1..created in creation order; and its attempts and failures per
     depth.  It must not call numpy: pool workers are forked from a process
     whose BLAS threads may hold locks.
 
-    A frozenset pickles as its items and unpickles at about twice the table
-    size that ``frozenset(set(...))`` gives, so a region travels as the tuple
-    of its frozenset's blocks and ``_decode`` rebuilds it.  Serial builds
-    take the same round trip, so a region iterates its blocks, and sums over
-    them, in the same order whichever way it was built.
+    The root region is every block, in ascending order, and ``split_region``
+    lists each child's blocks in its parent's order, so every region is
+    ascending.  ``_decode`` maps a region's indices to state ids.
     """
     rng = random.Random(f"{build.seed}:{i}")
-    index, pops, j = blocks.index, blocks.pops, build.allocation.small_size
+    pops, j = blocks.pops, build.allocation.small_size
     node_ids = itertools.count(1)
     attempts, failures = {}, {}
 
-    def subdivide(order, neighbors, n_small, n_large, depth):
-        """``order`` lists the region's block indices in the order it iterates."""
+    def subdivide(region, neighbors, n_small, n_large, depth):
         n_districts = n_small + n_large
         fanout = rng.randint(2, min(MAX_FANOUT, n_districts))
-        if fanout > len(order):
+        if fanout > len(region):
             return None
         parts = sizes = None
         for _ in range(SPLIT_RETRIES):
-            centers, dist_maps = select_centers(order, neighbors, pops, fanout, rng)
-            cell_pops = _voronoi_cell_pops(order, pops, dist_maps)
+            centers, dist_maps = select_centers(region, neighbors, pops, fanout, rng)
+            cell_pops = _voronoi_cell_pops(region, pops, dist_maps)
             sizes = assign_child_sizes(n_districts, n_small, n_large, cell_pops)
             child_seats = [s * j + l * (j + 1) for s, l in sizes]
-            parts = split_region(order, neighbors, pops, centers, dist_maps, child_seats,
-                                 blocks.total_population, blocks.total_seats, build.epsilon,
-                                 blocks.ids)
+            parts = split_region(region, neighbors, pops, centers, dist_maps, child_seats,
+                                 blocks.total_population, blocks.total_seats, build.epsilon)
             if parts is not None:
                 break
         if parts is None:
@@ -493,38 +470,40 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
         child_ids = [next(node_ids) for _ in parts]
         children = []
         for node_id, part, (s, l) in zip(child_ids, parts, sizes):
-            region = frozenset(part)
             samples = []
             if s + l > 1:
-                child_order = [index[b] for b in region]
-                child_neighbors = region_neighbors(child_order, blocks.neighbors)
+                child_neighbors = region_neighbors(part, blocks.neighbors)
                 for _ in range(build.n_internal):
-                    sample = try_sample(child_order, child_neighbors, s, l, depth + 1)
+                    sample = try_sample(part, child_neighbors, s, l, depth + 1)
                     if sample is not None:
                         samples.append(sample)
                 if not samples:
                     return None
-            children.append((node_id, tuple(region), s, l, tuple(samples)))
+            children.append((node_id, tuple(part), s, l, tuple(samples)))
         return tuple(children)
 
-    def try_sample(order, neighbors, n_small, n_large, depth):
+    def try_sample(region, neighbors, n_small, n_large, depth):
         attempts[depth] = attempts.get(depth, 0) + 1
-        children = subdivide(order, neighbors, n_small, n_large, depth)
+        children = subdivide(region, neighbors, n_small, n_large, depth)
         if children is None:
             failures[depth] = failures.get(depth, 0) + 1
         return children
 
-    children = try_sample(blocks.root_order, blocks.neighbors, build.allocation.small_count,
-                          build.allocation.large_count, 0)
+    children = try_sample(range(len(blocks.ids)), blocks.neighbors,
+                          build.allocation.small_count, build.allocation.large_count, 0)
     return children, next(node_ids) - 1, attempts, failures
 
 
-def _decode(encoded, id_offset, small_size):
-    node_id, ids, n_small, n_large, samples = encoded
-    return TreeNode(node_id=id_offset + node_id, region=frozenset(set(ids)),
+def _decode(encoded, id_offset, small_size, ids):
+    """A ``_root_sample`` child as a ``TreeNode``; block ``b`` is state id ``ids[b]``."""
+    node_id, region, n_small, n_large, samples = encoded
+    # A frozenset copied from a set has a table sized to it; one built from a
+    # list grows it by inserts, to 2,264 bytes against 1,240 at 24 blocks.
+    region = frozenset(set(map(ids.__getitem__, region)))
+    return TreeNode(node_id=id_offset + node_id, region=region,
                     seats=n_small * small_size + n_large * (small_size + 1),
                     n_districts=n_small + n_large, n_small=n_small, n_large=n_large,
-                    samples=[[_decode(c, id_offset, small_size) for c in sample]
+                    samples=[[_decode(c, id_offset, small_size, ids) for c in sample]
                              for sample in samples])
 
 
@@ -729,7 +708,7 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
             id_offset = root.node_id
             for children, created, sample_attempts, sample_failures in pool.samples():
                 if children is not None:
-                    root.samples.append([_decode(c, id_offset, alloc.small_size)
+                    root.samples.append([_decode(c, id_offset, alloc.small_size, pool.blocks.ids)
                                          for c in children])
                 id_offset += created
                 for total, counts in ((attempts, sample_attempts), (failures, sample_failures)):

@@ -19,9 +19,10 @@ from mmdistrict.analysis import (
     seat_histograms,
     sweep_k,
 )
-from mmdistrict.model import District, Plan, district_vote_share, generate_synthetic_state
+from mmdistrict.model import (BalanceTolerance, Block, District, Plan, SizeAllocation,
+                              StateInstance, district_vote_share, generate_synthetic_state)
 from mmdistrict.rules import RULES, STV, UncertaintyModel, deterministic_seats, expected_seats
-from mmdistrict.tree import build_tree, plan_from_leaves, sample_plans
+from mmdistrict.tree import SampleTree, TreeNode, build_tree, plan_from_leaves, sample_plans
 from mmdistrict.stv import run_stv
 from mmdistrict.voters import VoterFile, build_ballots, generate_candidates, generate_voter_file
 
@@ -45,9 +46,27 @@ def test_score_leaves_match_district_scores(grid_state, scored_tree):
         s = scores[node.node_id]
         d = District(block_ids=node.region, seats=node.seats)
         y = district_vote_share(grid_state, d)
-        assert s.vote_share == pytest.approx(y)
+        assert s.vote_share == y
         assert s.deterministic_r_seats == deterministic_seats(y, node.seats, STV).seats_r
         assert s.expected_r_seats == expected_seats(y, node.seats, STV, NO_NOISE)
+
+
+def test_equal_regions_score_alike_however_their_sets_iterate():
+    # Blocks 0, 8 and 16 collide in a small set table, so these two equal
+    # frozensets iterate in different orders; summed in iteration order,
+    # their R shares differ in the last bit.
+    blocks = [Block(id=b, population=100, votes_r=r, votes_d=1.0, x=float(b), y=0.0)
+              for b, r in ((0, 0.1), (8, 0.2), (16, 0.3))]
+    state = StateInstance(blocks, {0: {8}, 8: {0, 16}, 16: {8}}, 1)
+    regions = frozenset([0, 8, 16]), frozenset([16, 8, 0])
+    assert list(regions[0]) != list(regions[1])
+    shares = []
+    for region in regions:
+        leaf = TreeNode(node_id=1, region=region, seats=1, n_districts=1, n_small=1, n_large=0)
+        tree = SampleTree(leaf, SizeAllocation.for_seats(1, 1), BalanceTolerance(), {})
+        shares.append(score_leaves(tree, state, STV, NO_NOISE)[1].vote_share)
+        shares.append(district_vote_share(state, District(region, 1)))
+    assert shares == [shares[0]] * 4
 
 
 def brute_force(tree, state, rule, u):

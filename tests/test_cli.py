@@ -84,6 +84,30 @@ def test_sweep_missing_state_file_fails(tmp_path):
                 "--out", str(tmp_path / "m.csv")]) == 1
 
 
+@pytest.mark.parametrize("field, reason", [
+    ("id", "block 3.5: id 3.5 is not an integer"),
+    ("population", "block 3: population 1000.5 is not an integer"),
+    ("neighbors", "block 3: neighbor id 2.5 is not an integer"),
+], ids=["id", "population", "neighbor"])
+def test_sweep_rejects_a_state_number_that_is_not_whole(state_file, tmp_path, capsys,
+                                                         field, reason):
+    # Each value truncates to the one it replaces, so a truncating load
+    # would run the sweep on the original state.
+    data = json.loads(state_file.read_text())
+    block = data["blocks"][3]
+    if field == "neighbors":
+        block["neighbors"] = [b + 0.5 if b == 2 else b for b in block["neighbors"]]
+    else:
+        block[field] += 0.5
+    bad = tmp_path / "state.json"
+    bad.write_text(json.dumps(data))
+    assert run(["sweep", "--state", str(bad), "--k", "2", "--root-samples", "2",
+                "--internal-samples", "1", "--out", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: malformed block record" in err and reason in err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_optimize_objectives_bracket(state_file, tmp_path):
     values = {}
     for objective in ("max-r", "fair", "max-d"):

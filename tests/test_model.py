@@ -130,6 +130,14 @@ def test_validate_plan_flags_wrong_size_multiset():
     assert any("size allocation" in v for v in report.violations)
 
 
+def test_validate_plan_reports_more_districts_than_seats_without_raising():
+    # No size allocation has more districts than seats; the seat total is the violation.
+    state = make_path_state([100] * 3, [0.5] * 3, seats=2)
+    plan = Plan(tuple(District(frozenset({b}), 1) for b in range(3)))
+    report = validate_plan(state, plan)
+    assert any("seat total 3 != state total 2" in v for v in report.violations)
+
+
 def test_validate_plan_flags_population_imbalance():
     state = make_path_state([100, 100, 100, 700], [0.5] * 4, seats=2)
     plan = Plan((District(frozenset({0, 1}), 1), District(frozenset({2, 3}), 1)))
@@ -175,6 +183,19 @@ def test_load_state_rejects_non_finite_block_values(tmp_path, path_state, field,
         load_state(path)
     assert str(path) in str(err.value)
     assert f"block 2: {field} {value} is not finite" in str(err.value)
+
+
+def test_load_state_takes_whole_floats_as_ints(tmp_path, path_state):
+    path = tmp_path / "state.json"
+    save_state(path_state, path)
+    data = json.loads(path.read_text())
+    block = data["blocks"][2]
+    block["id"], block["population"] = 2.0, float(block["population"])
+    block["neighbors"] = [float(b) for b in block["neighbors"]]
+    path.write_text(json.dumps(data))
+    loaded = load_state(path)
+    assert loaded.block_map[2] == path_state.block_map[2]
+    assert loaded.adjacency == path_state.adjacency
 
 
 def test_load_state_rejects_missing_fields(tmp_path):

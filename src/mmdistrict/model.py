@@ -264,10 +264,11 @@ def load_state(path) -> StateInstance:
     adjacency = {}
     for rec in raw_blocks:
         try:
-            for name, v in (("id", rec["id"]), ("population", rec["population"]),
-                            *(("neighbor id", n) for n in rec["neighbors"])):
-                if isinstance(v, float) and not v.is_integer():  # int() would truncate it
-                    raise ValueError(f"block {rec['id']}: {name} {v} is not an integer")
+            if float in map(type, (rec["id"], rec["population"], *rec["neighbors"])):
+                for name, v in (("id", rec["id"]), ("population", rec["population"]),
+                                *(("neighbor id", n) for n in rec["neighbors"])):
+                    if isinstance(v, float) and not v.is_integer():  # int() would truncate it
+                        raise ValueError(f"block {rec['id']}: {name} {v} is not an integer")
             blocks.append(Block(
                 id=int(rec["id"]), population=int(rec["population"]),
                 votes_r=float(rec["votes_r"]), votes_d=float(rec["votes_d"]),

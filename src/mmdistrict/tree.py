@@ -496,10 +496,10 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
 
 def _decode(encoded, id_offset, small_size, ids):
     """A ``_root_sample`` child as a ``TreeNode``; block ``b`` is state id ``ids[b]``."""
-    node_id, region, n_small, n_large, samples = encoded
+    node_id, indices, n_small, n_large, samples = encoded
     # A frozenset copied from a set has a table sized to it; one built from a
     # list grows it by inserts, to 2,264 bytes against 1,240 at 24 blocks.
-    region = frozenset(set(map(ids.__getitem__, region)))
+    region = frozenset(set(map(ids.__getitem__, indices)))
     return TreeNode(node_id=id_offset + node_id, region=region,
                     seats=n_small * small_size + n_large * (small_size + 1),
                     n_districts=n_small + n_large, n_small=n_small, n_large=n_large,

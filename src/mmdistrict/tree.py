@@ -133,9 +133,8 @@ def _bfs_distances(neighbors, source, unreached):
 
 def _weighted_choice(items, weights, rng):
     """The first item whose running weight total reaches a uniform draw."""
-    # The weights are ints or all 1.0, so the last total is their sum exactly,
-    # as sum() would give; on Python 3.12+ sum() of other floats is compensated.
-    # A draw below that sum lands on an item.
+    # The weights are ints or all 1.0, so the last total is their exact sum (on
+    # Python 3.12+ sum() compensates other floats); a draw below it hits an item.
     totals = list(itertools.accumulate(weights))
     return items[bisect.bisect_left(totals, rng.random() * totals[-1])]
 
@@ -315,7 +314,8 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
     # sort after the moved block are still visited in the same pass.  Most
     # splits need repair (5,071 of 7,278 in a 144-block sweep of k = 1..6),
     # and most visits find no move that lowers the error (88,089 of 108,000).
-    boundary = {b for b in region for v in neighbors[b] if owner[v] != owner[b]}
+    boundary = set() if balanced() else {
+        b for b in region for v in neighbors[b] if owner[v] != owner[b]}
     child_size = [owner.count(c) for c in range(f)]
     max_swaps = 10 * len(region)
     swaps = 0
@@ -499,7 +499,7 @@ def _decode(encoded, id_offset, small_size, ids):
     node_id, indices, n_small, n_large, samples = encoded
     # A frozenset copied from a set has a table sized to it; one built from a
     # list grows it by inserts, to 2,264 bytes against 1,240 at 24 blocks.
-    region = frozenset(set(map(ids.__getitem__, indices)))
+    region = frozenset({ids[b] for b in indices})
     return TreeNode(node_id=id_offset + node_id, region=region,
                     seats=n_small * small_size + n_large * (small_size + 1),
                     n_districts=n_small + n_large, n_small=n_small, n_large=n_large,

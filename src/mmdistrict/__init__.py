@@ -1,7 +1,6 @@
 """Multi-member redistricting and social choice toolkit."""
 
 from .model import (
-    BalanceTolerance,
     Block,
     District,
     Plan,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, model, tree as tree_mod, voters as voters_mod
-from .model import BalanceTolerance, load_plan, load_state, save_plan, save_state, validate_plan
+from .model import load_plan, load_state, save_plan, save_state, validate_plan
 from .rules import RULES, UncertaintyModel, get_rule
 # run_stv is not called here; it stays bound in this module because
 # perfbench/tracer.py times the calls made through this name.
@@ -77,9 +77,8 @@ def _config(path, command, defaults):
 
 def _build(opts, state):
     """The tree of the one district count that --k gives."""
-    return tree_mod.build_tree(state, _parse_k(opts["k"]), BalanceTolerance(), seed=opts["seed"],
-                               root_samples=opts["root_samples"],
-                               internal_samples=opts["internal_samples"])
+    return tree_mod.build_tree(state, _parse_k(opts["k"]), opts["seed"], opts["root_samples"],
+                               opts["internal_samples"])
 
 
 def _voter_file(opts, state):

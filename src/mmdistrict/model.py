@@ -53,13 +53,13 @@ class SizeAllocation:
         return cls(small_size=j, large_count=l, small_count=k - l)
 
 
-@dataclass(frozen=True)
-class BalanceTolerance:
-    epsilon: float = 0.01
+#: Relative population tolerance of every district; see ``balance_slack``.
+EPSILON = 0.01
 
-    def __post_init__(self):
-        if not 0 <= self.epsilon < 1:
-            raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
+
+def balance_slack(target, epsilon):
+    """People a district may be off its ``target``, P*s/N for s of N seats; 1e-9 absorbs rounding."""
+    return epsilon * target + 1e-9
 
 
 class StateInstance:
@@ -103,8 +103,8 @@ class StateInstance:
         return frozenset(self.block_map)
 
     def statewide_vote_share(self) -> float:
-        """Statewide R share of the two-party vote."""
-        return vote_share(self.blocks)
+        """Statewide R share of the two-party vote, summed in ascending id order as every region is."""
+        return region_vote_share(self, self.block_map)
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def district_population(state: StateInstance, district: District) -> int:
     return sum(state.block_map[bid].population for bid in district.block_ids)
 
 
-def validate_plan(state: StateInstance, plan: Plan, tol: BalanceTolerance = BalanceTolerance()) -> ValidationReport:
+def validate_plan(state: StateInstance, plan: Plan) -> ValidationReport:
     """Check partition, contiguity, balance, seat total, and the size multiset.
 
     District seat sizes must be ``SizeAllocation.for_seats(N, K)``'s, which
@@ -224,12 +224,11 @@ def validate_plan(state: StateInstance, plan: Plan, tol: BalanceTolerance = Bala
     if not unknown:
         pop = state.total_population
         for i, d in enumerate(plan.districts):
-            target = d.seats / n_total
-            ratio = district_population(state, d) / pop
-            if abs(ratio - target) > tol.epsilon * target + 1e-12:
+            people, target = district_population(state, d), pop * d.seats / n_total
+            if abs(people - target) > balance_slack(target, EPSILON):
                 report.violations.append(
-                    f"district {i}: population ratio {ratio:.6f} outside "
-                    f"{target:.6f} +/- {tol.epsilon:.4f} relative")
+                    f"district {i}: population ratio {people / pop:.6f} outside "
+                    f"{d.seats / n_total:.6f} +/- {EPSILON:.4f} relative")
     return report
 
 
@@ -252,28 +251,33 @@ def write_json(data, path) -> None:
         f.write("\n")
 
 
+def _number(v, where, name, whole=False):
+    """A file's number: an int where it must be ``whole`` (an integral float counts), else a float."""
+    if type(v) is int:
+        return v if whole else float(v)
+    if type(v) is float and (not whole or v.is_integer()):
+        return int(v) if whole else v
+    # int() and float() would take a bool or a numeric string, and int() truncates 3.5.
+    raise StateFormatError(f"{where}: {name} {v!r} is not {'an integer' if whole else 'a number'}")
+
+
 def load_state(path) -> StateInstance:
-    """Load and validate a state JSON file."""
+    """Load and validate a state JSON file; a malformed file raises StateFormatError naming it."""
     data = read_json(path)
     try:
-        total_seats = data["total_seats"]
+        total_seats = _number(data["total_seats"], path, "total_seats", whole=True)
         raw_blocks = data["blocks"]
     except (KeyError, TypeError) as e:
         raise StateFormatError(f"{path}: missing field {e}") from e
-    blocks = []
-    adjacency = {}
+    blocks, adjacency = [], {}
     for rec in raw_blocks:
         try:
-            if float in map(type, (rec["id"], rec["population"], *rec["neighbors"])):
-                for name, v in (("id", rec["id"]), ("population", rec["population"]),
-                                *(("neighbor id", n) for n in rec["neighbors"])):
-                    if isinstance(v, float) and not v.is_integer():  # int() would truncate it
-                        raise ValueError(f"block {rec['id']}: {name} {v} is not an integer")
+            where = f"block {rec['id']}"
+            bid = _number(rec["id"], where, "id", whole=True)
             blocks.append(Block(
-                id=int(rec["id"]), population=int(rec["population"]),
-                votes_r=float(rec["votes_r"]), votes_d=float(rec["votes_d"]),
-                x=float(rec["x"]), y=float(rec["y"])))
-            adjacency[int(rec["id"])] = {int(n) for n in rec["neighbors"]}
+                bid, _number(rec["population"], where, "population", whole=True),
+                *(_number(rec[k], where, k) for k in ("votes_r", "votes_d", "x", "y"))))
+            adjacency[bid] = {_number(n, where, "neighbor id", whole=True) for n in rec["neighbors"]}
         except (KeyError, TypeError, ValueError) as e:
             raise StateFormatError(f"{path}: malformed block record {rec!r}: {e}") from e
     return StateInstance(blocks, adjacency, total_seats)
@@ -296,12 +300,13 @@ def load_plan(path) -> Plan:
     """Load a plan JSON file; a malformed file raises StateFormatError naming it."""
     data = read_json(path)
     try:
-        districts = tuple(
-            District(block_ids=frozenset(int(b) for b in d["blocks"]), seats=int(d["seats"]))
-            for d in data["districts"])
+        return Plan(tuple(
+            District(frozenset(_number(b, f"district {i}", "block id", whole=True)
+                               for b in d["blocks"]),
+                     _number(d["seats"], f"district {i}", "seats", whole=True))
+            for i, d in enumerate(data["districts"])))
     except (KeyError, TypeError, ValueError) as e:
         raise StateFormatError(f"{path}: malformed plan: {e}") from e
-    return Plan(districts)
 
 
 def save_plan(plan: Plan, path) -> None:

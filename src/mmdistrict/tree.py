@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 # is_connected is not called here; it stays bound in this module because
 # perfbench/tracer.py times the calls made through this name.
-from .model import BalanceTolerance, District, Plan, SizeAllocation, is_connected  # noqa: F401
+from .model import EPSILON, District, Plan, SizeAllocation, balance_slack, is_connected  # noqa: F401
 
 
 class TreeBuildError(RuntimeError):
@@ -78,7 +78,6 @@ class TreeNode:
 class SampleTree:
     root: TreeNode
     allocation: SizeAllocation
-    tol: BalanceTolerance
     diagnostics: dict
 
 
@@ -254,6 +253,7 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
     """
     f, n = len(centers), len(neighbors)
     targets = [state_pop * s / total_seats for s in child_seats]
+    slack = [balance_slack(t, epsilon) for t in targets]
 
     owner = [-1] * n
     child_pop = [0.0] * f
@@ -306,7 +306,7 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
     err = [child_pop[i] - targets[i] for i in range(f)]
 
     def balanced():
-        return all(abs(err[i]) <= epsilon * targets[i] + 1e-9 for i in range(f))
+        return all(abs(err[i]) <= slack[i] for i in range(f))
 
     # Only a block with a neighbour in another child can move.  Each pass
     # visits the blocks on a boundary in sorted order; a swap changes the
@@ -410,13 +410,12 @@ class _Blocks:
 class _Build:
     """One build's parameters, which each of its root samples reads."""
     allocation: SizeAllocation
-    epsilon: float
     n_root: int
     n_internal: int
     seed: int
 
     @classmethod
-    def of(cls, n_seats, k, seed, tol, root_samples, internal_samples):
+    def of(cls, n_seats, k, seed, root_samples, internal_samples):
         """A k-district build; a sample count of None follows ``sample_counts``."""
         alloc = SizeAllocation.for_seats(n_seats, k)
         default_root, default_internal = sample_counts(k)
@@ -425,7 +424,7 @@ class _Build:
         for name, count in zip(("root_samples", "internal_samples"), counts):
             if count < 1:
                 raise ValueError(f"{name} must be >= 1, got {count}")
-        return cls(alloc, tol.epsilon, *counts, seed)
+        return cls(alloc, *counts, seed)
 
 
 def _root_sample(blocks: _Blocks, build: _Build, i: int):
@@ -461,7 +460,7 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
             sizes = assign_child_sizes(n_districts, n_small, n_large, cell_pops)
             child_seats = [s * j + l * (j + 1) for s, l in sizes]
             parts = split_region(region, neighbors, pops, centers, dist_maps, child_seats,
-                                 blocks.total_population, blocks.total_seats, build.epsilon)
+                                 blocks.total_population, blocks.total_seats, EPSILON)
             if parts is not None:
                 break
         if parts is None:
@@ -657,8 +656,7 @@ class _RootSamplePool:
         return False
 
 
-def build_trees(state, ks, seed: int, root_samples: int = None, internal_samples: int = None,
-                tol: BalanceTolerance = BalanceTolerance()):
+def build_trees(state, ks, seed: int, root_samples: int = None, internal_samples: int = None):
     """Yield ``(k, tree)`` for each k of ``ks`` in order, all from one root-sample pool.
 
     Each k's ``build_tree`` gets its own seed, derived from ``seed``; a k that
@@ -667,18 +665,17 @@ def build_trees(state, ks, seed: int, root_samples: int = None, internal_samples
     caller's exception releases it.
     """
     builds = [(k, seed * 100003 + k) for k in ks]
-    plan = [_Build.of(state.total_seats, k, k_seed, tol, root_samples, internal_samples)
+    plan = [_Build.of(state.total_seats, k, k_seed, root_samples, internal_samples)
             for k, k_seed in builds if k > 1]
     with _RootSamplePool(_Blocks.of(state), plan) as pool:
         for k, k_seed in builds:
             try:  # build_tree through its module name, which perfbench/tracer.py times
-                yield k, build_tree(state, k, tol, k_seed, root_samples, internal_samples, pool)
+                yield k, build_tree(state, k, k_seed, root_samples, internal_samples, pool)
             except TreeBuildError as e:
                 yield k, e
 
 
-def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
-               seed: int = 0, root_samples: int = None,
+def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
                internal_samples: int = None, pool: _RootSamplePool = None) -> SampleTree:
     """Sample a hierarchy of region subdivisions encoding K-district plans.
 
@@ -695,7 +692,7 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
     planned build this is.  The tree, its node ids and its diagnostics are
     the same for any worker count.
     """
-    build = _Build.of(state.total_seats, k, seed, tol, root_samples, internal_samples)
+    build = _Build.of(state.total_seats, k, seed, root_samples, internal_samples)
     alloc = build.allocation
     root = TreeNode(node_id=1, region=frozenset(set(state.block_map)), seats=state.total_seats,
                     n_districts=k, n_small=alloc.small_count, n_large=alloc.large_count)
@@ -717,7 +714,7 @@ def build_tree(state, k: int, tol: BalanceTolerance = BalanceTolerance(),
         if not root.samples:
             raise TreeBuildError(f"no feasible {k}-district map found for seed {seed}")
 
-    tree = SampleTree(root, alloc, tol, {})
+    tree = SampleTree(root, alloc, {})
     node_count = leaf_count = 0
     for node in walk_nodes(tree):
         node_count += 1

@@ -201,7 +201,7 @@ def test_criterion_6_ensemble_map_validity(capsys):
         tree = build_tree(state, k, seed=31 * k, root_samples=150, internal_samples=6)
         for plan in sample_plans(tree, per_k, seed=k):
             total += 1
-            if not validate_plan(state, plan, tree.tol).ok:
+            if not validate_plan(state, plan).ok:
                 bad += 1
     report(capsys, 6, total >= 10000 and bad == 0,
            f"{total} sampled plans across k=1..6, {bad} validation failures")

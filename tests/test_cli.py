@@ -108,6 +108,30 @@ def test_sweep_rejects_a_state_number_that_is_not_whole(state_file, tmp_path, ca
     assert not (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("edit, reason", [
+    (lambda d: d.update(total_seats=4.5), "total_seats 4.5 is not an integer"),
+    (lambda d: d.update(total_seats=True), "total_seats True is not an integer"),
+    (lambda d: d.update(total_seats="4"), "total_seats '4' is not an integer"),
+    (lambda d: d.update(total_seats=None), "total_seats None is not an integer"),
+    (lambda d: d["blocks"][3].update(id="3"), "block 3: id '3' is not an integer"),
+    (lambda d: d["blocks"][3].update(population=True), "block 3: population True is not an integer"),
+    (lambda d: d["blocks"][3].update(votes_r="12"), "block 3: votes_r '12' is not a number"),
+], ids=["seats_fraction", "seats_bool", "seats_string", "seats_null", "id_string",
+        "population_bool", "votes_string"])
+def test_sweep_rejects_a_state_number_of_the_wrong_type(state_file, tmp_path, capsys,
+                                                        edit, reason):
+    # int() and float() would take each of these, or crash on it.
+    data = json.loads(state_file.read_text())
+    edit(data)
+    bad = tmp_path / "state.json"
+    bad.write_text(json.dumps(data))
+    assert run(["sweep", "--state", str(bad), "--k", "1", "--root-samples", "2",
+                "--internal-samples", "1", "--out", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and reason in err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_optimize_objectives_bracket(state_file, tmp_path):
     values = {}
     for objective in ("max-r", "fair", "max-d"):
@@ -172,6 +196,40 @@ def test_stv_rejects_invalid_plan(state_file, tmp_path):
     bad.write_text(json.dumps({"districts": [{"seats": 4, "blocks": [0, 1]}]}))
     assert run(["stv", "--state", str(state_file), "--plan", str(bad),
                 "--out", str(tmp_path / "x")]) == 1
+
+
+@pytest.mark.parametrize("field, change", [
+    ("seats", lambda v: v + 0.7),
+    ("seats", str),
+    ("seats", lambda v: True),
+    ("block id", lambda v: v + 0.5),
+    ("block id", str),
+], ids=["seats_fraction", "seats_string", "seats_bool", "block_fraction", "block_string"])
+def test_stv_rejects_a_plan_number_of_the_wrong_type(state_file, plan_file, tmp_path, capsys,
+                                                     field, change):
+    # int() would truncate each fraction and take each string or bool; the
+    # fractions and strings would then run the election on the original plan.
+    data = json.loads(plan_file.read_text())
+    district = data["districts"][0]
+    if field == "seats":
+        district["seats"] = value = change(district["seats"])
+    else:
+        district["blocks"][0] = value = change(district["blocks"][0])
+    bad = tmp_path / "plan.json"
+    bad.write_text(json.dumps(data))
+    assert run(["stv", "--state", str(state_file), "--plan", str(bad),
+                "--out", str(tmp_path / "x")]) == 1
+    assert (f"error: {bad}: malformed plan: district 0: {field} {value!r} is not an integer"
+            in capsys.readouterr().err)
+
+
+def test_stv_names_a_plan_file_without_districts(state_file, tmp_path, capsys):
+    bad = tmp_path / "plan.json"
+    bad.write_text(json.dumps({"districts": []}))
+    assert run(["stv", "--state", str(state_file), "--plan", str(bad),
+                "--out", str(tmp_path / "x")]) == 1
+    assert (f"error: {bad}: malformed plan: plan must contain at least one district"
+            in capsys.readouterr().err)
 
 
 def test_stv_reports_invalid_plan_json_with_its_path(state_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import multiprocessing
 import multiprocessing.process
@@ -9,8 +10,7 @@ import threading
 import pytest
 
 import mmdistrict.tree as tree_mod
-from mmdistrict.model import (BalanceTolerance, StateInstance, generate_synthetic_state,
-                              validate_plan)
+from mmdistrict.model import StateInstance, generate_synthetic_state, validate_plan
 from mmdistrict.tree import (
     SizeAllocation,
     TreeBuildError,
@@ -129,7 +129,7 @@ def test_all_sampled_plans_validate(grid_state):
     for k in (2, 3, 4):
         tree = build_tree(grid_state, k, seed=k, root_samples=10, internal_samples=3)
         for plan in sample_plans(tree, 20, seed=k):
-            report = validate_plan(grid_state, plan, tree.tol)
+            report = validate_plan(grid_state, plan)
             assert report.ok, (k, report.violations)
             assert len(plan.districts) == k
 
@@ -164,7 +164,7 @@ def test_enumerate_matches_count(grid_state):
     plans = enumerate_plans(tree)
     assert len(plans) == count_plans(tree.root)
     for leaves in plans[:10]:
-        assert validate_plan(grid_state, plan_from_leaves(leaves), tree.tol).ok
+        assert validate_plan(grid_state, plan_from_leaves(leaves)).ok
 
 
 def test_enumerate_respects_limit(grid_state):
@@ -304,6 +304,24 @@ def test_a_pooled_build_starts_no_thread_in_the_parent(grid_state, monkeypatch):
     build_tree(grid_state, 4, seed=1, root_samples=4, internal_samples=2)
     assert (len(processes), threads) == (2, [])
     assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors via /proc")
+@pytest.mark.parametrize("fails", [False, True], ids=["built", "worker_error"])
+def test_a_pooled_build_closes_its_pipes(grid_state, monkeypatch, fails):
+    # A leaked multiprocessing pipe raises no ResourceWarning, so count
+    # descriptors.  A failed build's traceback still holds the pool.
+    def fail(*args, **kwargs):
+        raise RuntimeError("split failed in a worker")
+
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    if fails:
+        monkeypatch.setattr(tree_mod, "split_region", fail)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(RuntimeError) if fails else contextlib.nullcontext():
+        build_tree(grid_state, 4, seed=1, root_samples=4, internal_samples=2)
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 @needs_fork

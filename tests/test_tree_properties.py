@@ -8,9 +8,10 @@ for the current one.
 import random
 
 import networkx as nx
+import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
-from mmdistrict.model import (BalanceTolerance, generate_synthetic_state, is_connected,
+from mmdistrict.model import (EPSILON, District, Plan, generate_synthetic_state, is_connected,
                               validate_plan)
 from mmdistrict.tree import (
     _bfs_distances,
@@ -22,6 +23,7 @@ from mmdistrict.tree import (
     select_centers,
     split_region,
 )
+from conftest import make_path_state
 from split_region_reference import split_region as reference_split_region
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -86,7 +88,7 @@ def test_prime_block_count_gives_a_path_state_whose_plans_validate(n, data, seed
     tree = build_tree(state, k, seed=seed, root_samples=4, internal_samples=2)
     for plan in sample_plans(tree, 5, seed=seed):
         assert len(plan.districts) == k
-        assert validate_plan(state, plan, tree.tol).ok
+        assert validate_plan(state, plan).ok
 
 
 @SETTINGS
@@ -228,18 +230,34 @@ def test_repair_moves_a_block_to_the_lower_child_on_a_tied_gain():
     assert parts == [[0, 1], [2], [3]]
 
 
+@pytest.mark.parametrize("pops, balanced", [
+    ([10_100, 9_900], True),   # each district exactly EPSILON * 10,000 off its target
+    ([10_101, 9_899], False),  # one person past that edge
+], ids=["at_edge", "past_edge"])
+def test_builder_and_validator_share_the_balance_window(pops, balanced):
+    # Two one-seat children of a two-block path, one block each: growth has
+    # no choice and repair cannot move a child's only block.
+    state = make_path_state(pops, [0.5, 0.5], seats=2)
+    neighbors = [(1,), (0,)]
+    maps = [_bfs_distances(neighbors, c, 2) for c in (0, 1)]
+    parts = split_region(range(2), neighbors, pops, [0, 1], maps, [1, 1],
+                         state.total_population, 2, EPSILON)
+    assert parts == ([[0], [1]] if balanced else None)
+    plan = Plan((District(frozenset({0}), 1), District(frozenset({1}), 1)))
+    assert validate_plan(state, plan).ok is balanced
+
+
 def test_split_region_succeeds_on_an_easy_grid():
     # Four 1-seat children of a 12x12 uniform grid with 1% tolerance
     state = generate_synthetic_state(144, 4, 0.5, 0, seed=0)
     pops = {b.id: b.population for b in state.blocks}
     region = state.block_ids
     neighbors = region_neighbors(region, state.adjacency)
-    tol = BalanceTolerance()
     successes = 0
     for seed in range(10):
         centers, maps = select_centers(region, neighbors, pops, 4, random.Random(seed))
         parts = split_region(region, neighbors, pops, centers, maps, [1, 1, 1, 1],
-                             state.total_population, 4, tol.epsilon)
+                             state.total_population, 4, EPSILON)
         if parts is not None:
             successes += 1
             assert all(is_connected(p, state.adjacency) for p in parts)

@@ -12,6 +12,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from . import voters as voters_mod
 from .model import district_vote_share, region_vote_share
 from .rules import SeatShareRule, UncertaintyModel, deterministic_seats, expected_seats
 from .stv import run_stv
-from .tree import SampleTree, TreeBuildError, build_trees, walk_nodes
+from .tree import SampleTree, TreeBuildError, build_trees, descend, fold, walk_nodes
 # build_tree and sample_plans are not called here; they stay bound in this
 # module because perfbench/tracer.py times the calls made through these names.
 from .tree import build_tree, sample_plans  # noqa: F401
@@ -73,28 +74,15 @@ def optimize_partisan(tree: SampleTree, scores: dict, party: str):
     """Plan maximizing the target party's summed expected leaf seats.
 
     Internal node value is the max over sampled partitions of the children's
-    value sum; the witness plan is recovered by backtracking the argmax.
-    Returns (leaf nodes, value).
+    value sum; the witness takes at each node the first sample whose sum,
+    redone in the same order, equals it exactly.  Returns (leaf nodes, value).
     """
     if party not in ("R", "D"):
         raise ValueError(f"party must be R or D, got {party!r}")
-    value, choice = {}, {}
-    for node in reversed(list(walk_nodes(tree))):  # children before parents
-        if node.is_leaf:
-            s = scores[node.node_id]
-            value[node.node_id] = (s.expected_r_seats if party == "R"
-                                   else node.seats - s.expected_r_seats)
-            continue
-        totals = [sum(value[child.node_id] for child in sample) for sample in node.samples]
-        best = totals.index(max(totals))  # the first best sample
-        value[node.node_id], choice[node.node_id] = totals[best], best
-    leaves, stack = [], [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            leaves.append(node)
-        else:
-            stack.extend(reversed(node.samples[choice[node.node_id]]))
+    value = fold(tree.root, lambda n: scores[n.node_id].expected_r_seats if party == "R"
+                 else n.seats - scores[n.node_id].expected_r_seats, operator.add, max)
+    leaves = descend(tree.root, lambda n: next(s for s in n.samples if functools.reduce(
+        operator.add, [value[c.node_id] for c in s]) == value[n.node_id]))
     return leaves, value[tree.root.node_id]
 
 
@@ -107,50 +95,48 @@ def _convolve(a: dict, b: dict) -> dict:
     return out
 
 
+def _merge(tables) -> dict:
+    """Table of every table's counts added up by total."""
+    out = {}
+    for total, count in itertools.chain.from_iterable(table.items() for table in tables):
+        out[total] = out.get(total, 0) + count
+    return out
+
+
 def seat_histograms(tree: SampleTree, scores: dict) -> dict:
     """Per node id, {deterministic R-seat total: number of encoded plans}: a leaf
     counts its own total once, an internal node sums its samples' convolutions."""
-    tables = {}
-    for node in reversed(list(walk_nodes(tree))):  # children before parents
-        table = tables[node.node_id] = {}
-        if node.is_leaf:
-            table[scores[node.node_id].deterministic_r_seats] = 1
-        for sample in node.samples:
-            for total, count in functools.reduce(
-                    _convolve, [tables[c.node_id] for c in sample]).items():
-                table[total] = table.get(total, 0) + count
-    return tables
+    return fold(tree.root, lambda n: {scores[n.node_id].deterministic_r_seats: 1},
+                _convolve, _merge)
 
 
 def optimize_fair(tree: SampleTree, tables: dict, y_r: float):
     """Plan whose deterministic R-seat total is closest to proportional.
 
     Picks the root total of the ``seat_histograms`` tables minimizing
-    |total/N - y_r|, ties toward fewer R seats, and backtracks a witness: at
+    |total/N - y_r|, ties toward fewer R seats, and descends to a witness: at
     each node the first sample reaching its target, split into the smallest
     feasible child totals in child order.  Returns (leaf nodes, total R
     seats, gap).
     """
     n = tree.root.seats
     best = min(sorted(tables[tree.root.node_id]), key=lambda t: (abs(t / n - y_r), t))
-    leaves, stack = [], [(tree.root, best)]
-    while stack:
-        node, target = stack.pop()
-        if node.is_leaf:
-            leaves.append(node)
+    targets = {tree.root.node_id: best}
+
+    def pick(node):
+        target = targets[node.node_id]
         for sample in node.samples:
             # rests[i]: the table of the sample's last i children
             rests = list(itertools.accumulate([tables[c.node_id] for c in reversed(sample)],
                                               _convolve, initial={0: 1}))
             if target in rests[-1]:
-                split = []
                 for child, rest in zip(sample, reversed(rests[:-1])):
-                    t = min(t for t in tables[child.node_id] if target - t in rest)
-                    split.append((child, t))
+                    t = targets[child.node_id] = min(
+                        t for t in tables[child.node_id] if target - t in rest)
                     target -= t
-                stack.extend(reversed(split))
-                break
-    return leaves, best, abs(best / n - y_r)
+                return sample
+
+    return descend(tree.root, pick), best, abs(best / n - y_r)
 
 
 def plan_deterministic_seats(plan, state, rule: SeatShareRule) -> int:

@@ -280,7 +280,10 @@ def load_state(path) -> StateInstance:
             adjacency[bid] = {_number(n, where, "neighbor id", whole=True) for n in rec["neighbors"]}
         except (KeyError, TypeError, ValueError) as e:
             raise StateFormatError(f"{path}: malformed block record {rec!r}: {e}") from e
-    return StateInstance(blocks, adjacency, total_seats)
+    try:
+        return StateInstance(blocks, adjacency, total_seats)
+    except StateFormatError as e:
+        raise StateFormatError(f"{path}: {e}") from e
 
 
 def save_state(state: StateInstance, path) -> None:
@@ -300,11 +303,16 @@ def load_plan(path) -> Plan:
     """Load a plan JSON file; a malformed file raises StateFormatError naming it."""
     data = read_json(path)
     try:
-        return Plan(tuple(
-            District(frozenset(_number(b, f"district {i}", "block id", whole=True)
-                               for b in d["blocks"]),
-                     _number(d["seats"], f"district {i}", "seats", whole=True))
-            for i, d in enumerate(data["districts"])))
+        districts = []
+        for i, d in enumerate(data["districts"]):
+            where = f"district {i}"
+            block_ids = frozenset(_number(b, where, "block id", whole=True) for b in d["blocks"])
+            seats = _number(d["seats"], where, "seats", whole=True)
+            try:
+                districts.append(District(block_ids, seats))
+            except ValueError as e:
+                raise StateFormatError(f"{where}: {e}") from e
+        return Plan(tuple(districts))
     except (KeyError, TypeError, ValueError) as e:
         raise StateFormatError(f"{path}: malformed plan: {e}") from e
 

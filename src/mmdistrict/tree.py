@@ -42,8 +42,10 @@ from __future__ import annotations
 
 import bisect
 import contextlib
+import functools
 import heapq
 import itertools
+import operator
 import os
 import random
 import signal
@@ -714,20 +716,15 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
         if not root.samples:
             raise TreeBuildError(f"no feasible {k}-district map found for seed {seed}")
 
-    tree = SampleTree(root, alloc, {})
-    node_count = leaf_count = 0
-    for node in walk_nodes(tree):
-        node_count += 1
-        leaf_count += node.is_leaf
-    tree.diagnostics = {
+    nodes = list(_subtree(root))
+    return SampleTree(root, alloc, {
         "k": k,
-        "node_count": node_count,
-        "leaf_count": leaf_count,
+        "node_count": len(nodes),
+        "leaf_count": sum(node.is_leaf for node in nodes),
         "sample_attempts_per_depth": attempts,
         "sample_failures_per_depth": failures,
         "implicit_plan_count": count_plans(root),
-    }
-    return tree
+    })
 
 
 def _voronoi_cell_pops(region, pops, dist_maps):
@@ -753,7 +750,11 @@ def _voronoi_cell_pops(region, pops, dist_maps):
 
 def walk_nodes(tree: SampleTree):
     """Every node in the tree, parents before children."""
-    stack = [tree.root]
+    return _subtree(tree.root)
+
+
+def _subtree(node: TreeNode):
+    stack = [node]
     while stack:
         node = stack.pop()
         yield node
@@ -761,16 +762,30 @@ def walk_nodes(tree: SampleTree):
             stack.extend(sample)
 
 
+def fold(root: TreeNode, leaf, within, across) -> dict:
+    """Per node id under ``root``, children first: ``leaf(node)`` at a leaf, else ``across``
+    over the node's samples of each sample's child values reduced by ``within``."""
+    values = {}
+    for node in reversed(list(_subtree(root))):
+        values[node.node_id] = leaf(node) if node.is_leaf else across([
+            functools.reduce(within, [values[c.node_id] for c in sample]) for sample in node.samples])
+    return values
+
+
+def descend(node: TreeNode, pick) -> list:
+    """Leaves, in order, of the plan taking sample ``pick(n)`` at each internal node, in preorder."""
+    leaves, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaves.append(node)
+        else:
+            stack.extend(reversed(pick(node)))
+    return leaves
+
+
 def count_plans(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 1
-    total = 0
-    for sample in node.samples:
-        prod = 1
-        for child in sample:
-            prod *= count_plans(child)
-        total += prod
-    return total
+    return fold(node, lambda n: 1, operator.mul, sum)[node.node_id]
 
 
 def plan_from_leaves(leaves) -> Plan:
@@ -781,15 +796,5 @@ def sample_plans(tree: SampleTree, count: int, seed: int = 0):
     """Draw plans by independent top-down descent, one uniform sample per node."""
     if count < 0:
         raise ValueError(f"plan count must be >= 0, got {count}")
-    rng = random.Random(seed)
-
-    def descend(node):
-        if node.is_leaf:
-            return [node]
-        sample = rng.choice(node.samples)
-        leaves = []
-        for child in sample:
-            leaves.extend(descend(child))
-        return leaves
-
-    return [plan_from_leaves(descend(tree.root)) for _ in range(count)]
+    draw = random.Random(seed).choice
+    return [plan_from_leaves(descend(tree.root, lambda n: draw(n.samples))) for _ in range(count)]

@@ -132,6 +132,33 @@ def test_sweep_rejects_a_state_number_of_the_wrong_type(state_file, tmp_path, ca
     assert not (tmp_path / "m.csv").exists()
 
 
+def _isolate_block_3(data):
+    for block in data["blocks"]:
+        block["neighbors"] = [] if block["id"] == 3 else [b for b in block["neighbors"] if b != 3]
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda d: d.update(total_seats=0), "total_seats must be >= 1, got 0"),
+    (lambda d: d["blocks"][3].update(id=2), "duplicate block id 2"),
+    (lambda d: d["blocks"][3]["neighbors"].append(99), "block 3 lists unknown neighbor 99"),
+    (lambda d: d["blocks"][3].update(neighbors=d["blocks"][3]["neighbors"][1:]),
+     "adjacency not symmetric"),
+    (_isolate_block_3, "block graph is disconnected"),
+], ids=["zero_seats", "duplicate_id", "unknown_neighbor", "asymmetric", "disconnected"])
+def test_sweep_names_the_state_file_for_an_invalid_state(state_file, tmp_path, capsys,
+                                                         edit, reason):
+    # The records parse, but the state they describe is invalid.
+    data = json.loads(state_file.read_text())
+    edit(data)
+    bad = tmp_path / "state.json"
+    bad.write_text(json.dumps(data))
+    assert run(["sweep", "--state", str(bad), "--k", "1", "--root-samples", "2",
+                "--internal-samples", "1", "--out", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and reason in err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_optimize_objectives_bracket(state_file, tmp_path):
     values = {}
     for objective in ("max-r", "fair", "max-d"):
@@ -229,6 +256,22 @@ def test_stv_names_a_plan_file_without_districts(state_file, tmp_path, capsys):
     assert run(["stv", "--state", str(state_file), "--plan", str(bad),
                 "--out", str(tmp_path / "x")]) == 1
     assert (f"error: {bad}: malformed plan: plan must contain at least one district"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("seats", 0, "district seats must be >= 1, got 0"),
+    ("blocks", [], "district must contain at least one block"),
+], ids=["zero_seats", "no_blocks"])
+def test_stv_names_the_district_a_plan_file_gets_wrong(state_file, plan_file, tmp_path, capsys,
+                                                       field, value, reason):
+    data = json.loads(plan_file.read_text())
+    data["districts"][1][field] = value
+    bad = tmp_path / "plan.json"
+    bad.write_text(json.dumps(data))
+    assert run(["stv", "--state", str(state_file), "--plan", str(bad),
+                "--out", str(tmp_path / "x")]) == 1
+    assert (f"error: {bad}: malformed plan: district 1: {reason}"
             in capsys.readouterr().err)
 
 

@@ -95,6 +95,9 @@ class StateInstance:
         self.total_population = sum(b.population for b in blocks)
         if self.total_population <= 0:
             raise StateFormatError("total population must be positive")
+        if self.total_seats > self.total_population:
+            raise StateFormatError(f"total_seats {total_seats} exceeds the total population "
+                                   f"{self.total_population}")
         if not is_connected(set(ids), adj):
             raise StateFormatError("block graph is disconnected")
 
@@ -224,6 +227,9 @@ def validate_plan(state: StateInstance, plan: Plan) -> ValidationReport:
     if not unknown:
         pop = state.total_population
         for i, d in enumerate(plan.districts):
+            if d.seats > n_total:  # impossible, and its target may overflow a float
+                report.violations.append(f"district {i}: {d.seats} seats exceed the state's {n_total}")
+                continue
             people, target = district_population(state, d), pop * d.seats / n_total
             if abs(people - target) > balance_slack(target, EPSILON):
                 report.violations.append(
@@ -269,6 +275,8 @@ def load_state(path) -> StateInstance:
         raw_blocks = data["blocks"]
     except (KeyError, TypeError) as e:
         raise StateFormatError(f"{path}: missing field {e}") from e
+    if type(raw_blocks) is not list:
+        raise StateFormatError(f"{path}: blocks {raw_blocks!r} is not a list")
     blocks, adjacency = [], {}
     for rec in raw_blocks:
         try:

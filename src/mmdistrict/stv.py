@@ -1,18 +1,22 @@
 """Fractional (Scottish) STV election engine over explicit ranked ballots.
 
-A ``BallotGroup`` is the ballots of some voters who cast one ranking at one
-weight; a per-voter ``Ballot`` is a group of one.  The count regroups its
-input by (ranking, weight), so each distinct pair is counted once: a group
-counts weight x members, and its members share one weight history, so the
-count is the same as ballot by ballot up to float summation order.  A
-winner's coalition is the groups on its pile when it is seated, each as its
-voter ids and the one weight every member then holds.  The Droop quota is
-floor(W / (m + 1)) + 1 for total ballot weight W and m seats.  Each round
-counts weighted first preferences among continuing candidates, elects every
-candidate at or above the quota simultaneously, and otherwise eliminates the
-lowest-count candidate.  Surplus transfer keeps a (Q-1)/total fraction of
-each supporting ballot with the winner and passes the surplus/total fraction
-to the ballot's next continuing preference.
+The count works in whole units of 10**-5 of a vote (``UNIT`` to a vote), as
+the Scottish rules compute transfer values to five decimal places and ignore
+the remainder.  So every count, the quota and every comparison is an exact
+integer, and a tie is a tie.  A ``BallotGroup`` is the ballots of some
+voters who cast one ranking at one weight; a per-voter ``Ballot`` is a group
+of one.  The count converts each weight once, to the nearest unit, and
+regroups its input by (ranking, units): a group counts units x members, and
+its members share one weight history, so the count is the same integers as
+ballot by ballot.  A winner's coalition is the groups on its pile when it is
+seated, each as its voter ids and the one weight every member then holds.
+The Droop quota is floor(W / (m + 1)) + 1 for total ballot weight W and m
+seats.  Each round counts weighted first preferences among continuing
+candidates, elects every candidate at or above the quota simultaneously, and
+otherwise eliminates the lowest-count candidate.  A winner with T units and
+surplus S = T - (Q - 1) votes passes each supporting ballot of w units to its
+next continuing preference at w * S // T units, and retains the rest: Q - 1
+votes plus the truncation remainder.  Counts leave the count in votes.
 
 An elimination tie within one party is the only place the count reads its
 seeded generator; ``ElectionResult.tie_draws`` counts those draws, so a
@@ -20,15 +24,14 @@ result with ``tie_draws == 0`` is the same for every seed.
 """
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .rules import SeatOutcome
 
-#: Slack for floating-point comparisons against the integer quota.
-WEIGHT_EPS = 1e-9
+#: Count units to a vote: transfer values to five decimal places.
+UNIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -99,11 +102,11 @@ class ElectionResult:
             for r in self.rounds]
 
 
-def droop_quota(w: float, m: int) -> int:
+def droop_quota(w, m: int) -> int:
     """floor(w / (m + 1)) + 1 for total ballot weight w > 0 and m seats.
 
     With unit weights w is the voter count; a total below one still gives
-    quota 1.
+    quota 1.  ``run_stv`` passes its exact total in votes as a ``Fraction``.
     """
     if not w > 0 or m < 1:
         raise ValueError("ballot weight and seats must be positive")
@@ -111,7 +114,7 @@ def droop_quota(w: float, m: int) -> int:
 
 
 class _WorkingBallot:
-    """The ballots of one (ranking, weight) group, counted together."""
+    """The ballots of one (ranking, weight) group, counted together; weight in units."""
     __slots__ = ("voter_ids", "size", "ranking", "pos", "weight")
 
     def __init__(self, ranking, weight, voter_ids):
@@ -138,12 +141,15 @@ class _WorkingBallot:
 
 
 def _group(ballots):
-    """One working ballot per distinct (ranking, weight), in order of first appearance."""
+    """One working ballot per distinct (ranking, weight in units), in order of first appearance."""
     members = {}
     for b in ballots:
-        members.setdefault((b.ranking, b.weight), []).extend(b.voter_ids)
-    return [_WorkingBallot(ranking, weight, tuple(ids))
-            for (ranking, weight), ids in members.items()]
+        units = round(b.weight * UNIT)
+        if not units:
+            raise ValueError(f"ballot {b.voter_ids[0]} weight {b.weight} rounds to 0 units of 1/{UNIT}")
+        members.setdefault((b.ranking, units), []).extend(b.voter_ids)
+    return [_WorkingBallot(ranking, units, tuple(ids))
+            for (ranking, units), ids in members.items()]
 
 
 def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
@@ -170,16 +176,11 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
                 f"ballot {wb.voter_ids[0]} ranks unknown candidates {sorted(unknown)}")
 
     rng = random.Random(seed)
-    quota = droop_quota(math.fsum(itertools.chain.from_iterable(
-        itertools.repeat(wb.weight, wb.size) for wb in groups)), seats)
+    quota = droop_quota(Fraction(sum(wb.count for wb in groups), UNIT), seats)
     continuing = set(cand_ids)
     piles = {c: [] for c in cand_ids}
-    exhausted = 0.0
-    retained = 0.0
-    winners = []
-    coalitions = {}
-    rounds = []
-    tie_draws = 0
+    exhausted = retained = tie_draws = 0
+    winners, coalitions, rounds = [], {}, []
 
     for wb in groups:
         if wb.advance(continuing):
@@ -187,75 +188,73 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
         else:
             exhausted += wb.count
 
-    def totals():
-        return {c: sum(wb.count for wb in piles[c]) for c in continuing}
-
-    def transfer(pile, keep_factor, destinations):
+    def transfer(pile, surplus, total, destinations):
+        """Pass each ballot of w units on at w * surplus // total units."""
         nonlocal exhausted
         for wb in pile:
-            wb.weight *= keep_factor
-            if wb.weight <= 0:
+            wb.weight = wb.weight * surplus // total
+            if not wb.weight:
                 continue
             if wb.advance(destinations):
                 piles[wb.current].append(wb)
             else:
                 exhausted += wb.count
 
+    def seat(c):
+        winners.append(c)
+        coalitions[c] = tuple((wb.voter_ids, wb.weight / UNIT) for wb in piles[c])
+
+    def record(counts, elected, eliminated, factors, cont):
+        """The round in votes."""
+        rounds.append(RoundRecord(round_no, {c: n / UNIT for c, n in counts.items()}, elected,
+                                  eliminated, factors, cont / UNIT, retained / UNIT,
+                                  exhausted / UNIT))
+
     round_no = 0
     while len(winners) < seats:
         round_no += 1
-        counts = totals()
+        counts = {c: sum(wb.count for wb in piles[c]) for c in continuing}
         factors = {}
 
         if len(continuing) == seats - len(winners):
             # Remaining candidates exactly cover the remaining seats.
             by_votes = sorted(continuing, key=lambda c: (-counts[c], c))
             for c in by_votes:
-                winners.append(c)
-                coalitions[c] = tuple((wb.voter_ids, wb.weight) for wb in piles[c])
+                seat(c)
                 retained += counts[c]
             continuing.clear()
-            rounds.append(RoundRecord(round_no, counts, by_votes, None, {},
-                                      0.0, retained, exhausted))
+            record(counts, by_votes, None, {}, 0)
             break
 
         # With V not divisible by seats+1, one more candidate than the
         # remaining seats can reach quota; elect at most the remaining
         # count, highest totals first, exact ties resolved toward party D.
-        reachers = sorted((c for c in continuing if counts[c] >= quota - WEIGHT_EPS),
+        reachers = sorted((c for c in continuing if counts[c] >= quota * UNIT),
                           key=lambda c: (-counts[c], party[c] != "D", c))
         reachers = reachers[:seats - len(winners)]
         if reachers:
-            for c in reachers:
-                continuing.discard(c)
+            continuing.difference_update(reachers)
             for c in reachers:
                 total = counts[c]
-                winners.append(c)
-                coalitions[c] = tuple((wb.voter_ids, wb.weight) for wb in piles[c])
-                surplus = total - (quota - 1)
-                keep = surplus / total
-                factors[c] = keep
-                retained += total - surplus
+                seat(c)
+                surplus = total - (quota - 1) * UNIT
+                factors[c] = surplus / total
                 pile = piles.pop(c)
-                transfer(pile, keep, continuing)
+                transfer(pile, surplus, total, continuing)
+                retained += total - sum(wb.count for wb in pile)
             eliminated = None
         else:
             low = min(counts.values())
-            tied = sorted(c for c in continuing if counts[c] <= low + WEIGHT_EPS)
+            tied = sorted(c for c in continuing if counts[c] == low)
             pool = [c for c in tied if party[c] == "R"] or tied
-            if len(pool) == 1:
-                victim = pool[0]
-            else:
-                victim = rng.choice(pool)
-                tie_draws += 1
+            victim = rng.choice(pool) if len(pool) > 1 else pool[0]
+            tie_draws += len(pool) > 1
             continuing.discard(victim)
-            pile = piles.pop(victim)
-            transfer(pile, 1.0, continuing)
+            transfer(piles.pop(victim), 1, 1, continuing)
             eliminated = victim
 
-        cont_weight = sum(sum(wb.count for wb in piles[c]) for c in continuing)
-        rounds.append(RoundRecord(round_no, counts, list(reachers), eliminated, factors,
-                                  cont_weight, retained, exhausted))
+        record(counts, list(reachers), eliminated, factors,
+               sum(sum(wb.count for wb in piles[c]) for c in continuing))
 
     return ElectionResult(winners, rounds, coalitions, quota, tie_draws)
 

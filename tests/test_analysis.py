@@ -264,7 +264,7 @@ def elect_every_district(state, plans, vf, mode, per_party, seed):
 
 
 def test_diversity_reuses_only_counts_without_tie_draws(grid_state, monkeypatch):
-    vf = generate_voter_file(grid_state, voters_per_block=6, score_spread=0.5, seed=2)
+    vf = generate_voter_file(grid_state, voters_per_block=6, score_spread=0.5, seed=19)
     west = District(frozenset(range(8)), 2)
     east = District(frozenset(range(8, 16)), 2)
     south = District(frozenset(b for b in range(16) if b % 4 < 2), 2)

@@ -8,7 +8,8 @@ import pytest
 
 import mmdistrict.tree as tree_mod
 from mmdistrict import analysis, cli
-from mmdistrict.model import load_plan, load_state, save_state, validate_plan
+from mmdistrict.model import (StateFormatError, load_plan, load_state, save_state,
+                              validate_plan)
 from mmdistrict.voters import generate_voter_file, save_voter_file
 from conftest import make_path_state, needs_fork
 
@@ -130,6 +131,34 @@ def test_sweep_rejects_a_state_number_of_the_wrong_type(state_file, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and reason in err
     assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("blocks", [True, None, 5], ids=["bool", "null", "number"])
+def test_sweep_rejects_blocks_that_are_not_a_list(state_file, tmp_path, capsys, blocks):
+    data = json.loads(state_file.read_text())
+    data["blocks"] = blocks
+    bad = tmp_path / "state.json"
+    bad.write_text(json.dumps(data))
+    assert run(["sweep", "--state", str(bad), "--k", "1", "--root-samples", "2",
+                "--internal-samples", "1", "--out", str(tmp_path / "m.csv")]) == 1
+    assert f"error: {bad}: blocks {blocks!r} is not a list" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("total_seats", [1e308, 10 ** 30, 16001], ids=["1e308", "1e30", "one_more"])
+def test_load_state_rejects_more_seats_than_people(state_file, tmp_path, total_seats):
+    # Every block of the 16-block state holds 1,000 people.  Read as whole
+    # numbers, these seat counts would make a sweep's per-leaf seat tables
+    # grow without bound.
+    data = json.loads(state_file.read_text())
+    bad = tmp_path / "state.json"
+    bad.write_text(json.dumps({**data, "total_seats": 16000}))
+    assert load_state(bad).total_seats == 16000
+    bad.write_text(json.dumps({**data, "total_seats": total_seats}))
+    with pytest.raises(StateFormatError) as err:
+        load_state(bad)
+    assert str(err.value) == (f"{bad}: total_seats {int(total_seats)} exceeds the total "
+                              f"population 16000")
 
 
 def _isolate_block_3(data):
@@ -273,6 +302,20 @@ def test_stv_names_the_district_a_plan_file_gets_wrong(state_file, plan_file, tm
                 "--out", str(tmp_path / "x")]) == 1
     assert (f"error: {bad}: malformed plan: district 1: {reason}"
             in capsys.readouterr().err)
+
+
+def test_stv_reports_an_impossible_seat_count_as_a_violation(state_file, plan_file, tmp_path,
+                                                              capsys):
+    # The district's population target, people x seats / 4, overflows a float.
+    data = json.loads(plan_file.read_text())
+    data["districts"][0]["seats"] = 1e308
+    bad = tmp_path / "plan.json"
+    bad.write_text(json.dumps(data))
+    assert run(["stv", "--state", str(state_file), "--plan", str(bad),
+                "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: plan failed validation:")
+    assert f"district 0: {int(1e308)} seats exceed the state's 4" in err
 
 
 def test_stv_reports_invalid_plan_json_with_its_path(state_file, tmp_path, capsys):

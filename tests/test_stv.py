@@ -1,13 +1,13 @@
-import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from mmdistrict.rules import PAV, STV, deterministic_seats
 from mmdistrict.stv import (
-    WEIGHT_EPS,
+    UNIT,
     Ballot,
     BallotGroup,
     Candidate,
@@ -33,13 +33,18 @@ def party_line_ballots(n_r, n_d, r_ids, d_ids, rng):
     return ballots
 
 
-def per_voter(coalition):
-    """A coalition's (voter ids, weight) groups as voter id -> summed weight."""
+def per_voter(coalition, value=float):
+    """A coalition's (voter ids, weight) groups as voter id -> summed ``value(weight)``."""
     merged = {}
     for ids, weight in coalition:
         for voter_id in ids:
-            merged[voter_id] = merged.get(voter_id, 0.0) + weight
+            merged[voter_id] = merged.get(voter_id, 0) + value(weight)
     return merged
+
+
+def units(weight):
+    """A weight in votes as the count's whole units."""
+    return round(weight * UNIT)
 
 
 def check_conservation(result, total_weight):
@@ -292,23 +297,26 @@ def test_run_stv_conserves_fractional_ballot_weight(election, seed):
     result = run_stv(ballots, cands, seats, seed=seed)
     assert len(set(result.winners)) == seats
     # Criterion 4 measures the residual against the ballot count, which
-    # equals the total weight only for unit weights.
-    check_conservation(result, sum(b.weight for b in ballots))
+    # equals the total weight only for unit weights.  The count conserves
+    # the weights it reads, each rounded to a whole unit.
+    check_conservation(result, sum(units(b.weight) for b in ballots) / UNIT)
     # Each winner's coalition holds exactly the count that seated it.
     seated = {c: r.counts[c] for r in result.rounds for c in r.elected}
     for c in result.winners:
-        assert sum(w * len(ids) for ids, w in result.coalitions[c]) == seated[c]
+        assert sum(units(w) * len(ids) for ids, w in result.coalitions[c]) == units(seated[c])
 
 
 def ungrouped_stv(ballots, candidates, seats, seed):
-    """Reference count: one working ballot per input ballot, as before grouping."""
+    """Reference count: one working ballot per input ballot, in whole units of 1/UNIT vote."""
     cand_ids = {c.id for c in candidates}
     party = {c.id: c.party for c in candidates}
     rng = random.Random(seed)
-    quota = droop_quota(math.fsum(b.weight for b in ballots), seats)
+    working = [SimpleNamespace(voter_id=b.voter_id, ranking=b.ranking, pos=0,
+                               weight=units(b.weight)) for b in ballots]
+    quota = droop_quota(Fraction(sum(wb.weight for wb in working), UNIT), seats)
     continuing = set(cand_ids)
     piles = {c: [] for c in cand_ids}
-    exhausted = retained = 0.0
+    exhausted = retained = 0
     winners, coalitions, rounds = [], {}, []
 
     def place(wb, destinations):
@@ -321,21 +329,17 @@ def ungrouped_stv(ballots, candidates, seats, seed):
         else:
             exhausted += wb.weight
 
-    def transfer(pile, keep, destinations):
-        for wb in pile:
-            wb.weight *= keep
-            if wb.weight > 0:
-                place(wb, destinations)
-
     def coalition(pile):
         merged = {}
         for wb in pile:
-            merged[wb.voter_id] = merged.get(wb.voter_id, 0.0) + wb.weight
+            merged[wb.voter_id] = merged.get(wb.voter_id, 0) + wb.weight
         return merged
 
-    for b in ballots:
-        place(SimpleNamespace(voter_id=b.voter_id, ranking=b.ranking, pos=0, weight=b.weight),
-              continuing)
+    def votes(counts):
+        return {c: n / UNIT for c, n in counts.items()}
+
+    for wb in working:
+        place(wb, continuing)
     while len(winners) < seats:
         counts = {c: sum(wb.weight for wb in piles[c]) for c in continuing}
         factors = {}
@@ -345,9 +349,10 @@ def ungrouped_stv(ballots, candidates, seats, seed):
                 winners.append(c)
                 coalitions[c] = coalition(piles[c])
                 retained += counts[c]
-            rounds.append((counts, by_votes, None, {}, 0.0, retained, exhausted))
+            rounds.append((votes(counts), by_votes, None, {}, 0.0, retained / UNIT,
+                           exhausted / UNIT))
             break
-        reachers = sorted((c for c in continuing if counts[c] >= quota - WEIGHT_EPS),
+        reachers = sorted((c for c in continuing if counts[c] >= quota * UNIT),
                           key=lambda c: (-counts[c], party[c] != "D", c))
         reachers = reachers[:seats - len(winners)]
         eliminated = None
@@ -356,36 +361,26 @@ def ungrouped_stv(ballots, candidates, seats, seed):
             for c in reachers:
                 winners.append(c)
                 coalitions[c] = coalition(piles[c])
-                surplus = counts[c] - (quota - 1)
+                surplus = counts[c] - (quota - 1) * UNIT
                 factors[c] = surplus / counts[c]
-                retained += counts[c] - surplus
-                transfer(piles.pop(c), factors[c], continuing)
+                retained += counts[c]
+                for wb in piles.pop(c):
+                    wb.weight = wb.weight * surplus // counts[c]
+                    retained -= wb.weight
+                    if wb.weight:
+                        place(wb, continuing)
         else:
             low = min(counts.values())
-            tied = sorted(c for c in continuing if counts[c] <= low + WEIGHT_EPS)
+            tied = sorted(c for c in continuing if counts[c] == low)
             pool = [c for c in tied if party[c] == "R"] or tied
             eliminated = pool[0] if len(pool) == 1 else rng.choice(pool)
             continuing.discard(eliminated)
-            transfer(piles.pop(eliminated), 1.0, continuing)
+            for wb in piles.pop(eliminated):
+                place(wb, continuing)
         cont = sum(sum(wb.weight for wb in piles[c]) for c in continuing)
-        rounds.append((counts, list(reachers), eliminated, factors, cont, retained, exhausted))
+        rounds.append((votes(counts), list(reachers), eliminated, factors, cont / UNIT,
+                       retained / UNIT, exhausted / UNIT))
     return winners, quota, rounds, coalitions
-
-
-def close(a, b):
-    return math.isclose(a, b, rel_tol=1e-12)
-
-
-def same_comparisons(got, want, quota):
-    """True when two rounds' counts order every pair of candidates the same way
-    and fall on the same side of the quota and of the elimination tie band."""
-    def sign(x, y):
-        return (x > y) - (x < y)
-    low_got, low_want = min(got.values()), min(want.values())
-    return all(sign(got[c], got[d]) == sign(want[c], want[d]) for c in want for d in want) \
-        and all((got[c] >= quota - WEIGHT_EPS) == (want[c] >= quota - WEIGHT_EPS)
-                and (got[c] <= low_got + WEIGHT_EPS) == (want[c] <= low_want + WEIGHT_EPS)
-                for c in want)
 
 
 @st.composite
@@ -406,35 +401,51 @@ def repeated_rankings(draw):
     return ballots, cands, seats
 
 
+#: 23 half-weight ballots for four seats.  After candidate 2's surplus,
+#: candidates 0 and 3 hold 2.5 votes each in exact arithmetic, so a count
+#: whose sums round could order them either way, grouped or ballot by ballot.
+HALF_WEIGHT_TIE = ([Ballot(i, {"A": (2, 0, 3, 4), "B": (3, 2, 1), "C": (1,)}[k], weight=0.5)
+                    for i, k in enumerate("ABABCACCBAACBABCCCCAAAC")],
+                   [Candidate(id=i, party="R") for i in range(5)], 4)
+
+
 @settings(max_examples=300, deadline=None)
 @given(repeated_rankings(), st.integers(0, 2 ** 32 - 1))
+@example(HALF_WEIGHT_TIE, 0)
 def test_grouped_count_matches_ungrouped_reference(election, seed):
     ballots, cands, seats = election
     result = run_stv(ballots, cands, seats, seed=seed)
     winners, quota, rounds, coalitions = ungrouped_stv(ballots, cands, seats, seed)
     assert result.quota == quota
-    for got, (counts, elected, eliminated, factors, cont, kept, spent) in zip(
-            result.rounds, rounds):
-        assert got.counts.keys() == counts.keys()
-        assert all(close(got.counts[c], counts[c]) for c in counts)
-        if not same_comparisons(got.counts, counts, quota):
-            # A tie in exact arithmetic that the two summation orders round
-            # apart: the count orders candidates by exact float comparison,
-            # so from here on the two may legitimately diverge.
-            event("float near-tie")
-            return
-        assert got.elected == elected and got.eliminated == eliminated
-        assert got.transfer_factors.keys() == factors.keys()
-        assert all(close(got.transfer_factors[c], factors[c]) for c in factors)
-        assert close(got.continuing_weight, cont)
-        assert close(got.retained_weight, kept) and close(got.exhausted_weight, spent)
-    assert len(result.rounds) == len(rounds)
+    assert [(r.counts, r.elected, r.eliminated, r.transfer_factors, r.continuing_weight,
+             r.retained_weight, r.exhausted_weight) for r in result.rounds] == rounds
     assert result.winners == winners
-    assert result.coalitions.keys() == coalitions.keys()
-    for w, coalition in coalitions.items():
-        got = per_voter(result.coalitions[w])
-        assert got.keys() == coalition.keys()
-        assert all(close(got[v], coalition[v]) for v in coalition)
+    assert {w: per_voter(c, units) for w, c in result.coalitions.items()} == coalitions
+
+
+def test_a_truncated_transfer_decides_the_half_weight_tie():
+    # Quota 3 of 11.5 votes.  Candidates 1 and 2 hold 4.5 each and pass on
+    # 2.5 / 4.5 of each ballot: 50,000 units become 27,777, so candidate 0
+    # receives 9 x 27,777 units and ends 7 units behind candidate 3.
+    result = run_stv(*HALF_WEIGHT_TIE, seed=0)
+    assert result.quota == 3
+    assert result.rounds[1].counts == {0: 2.49993, 3: 2.5, 4: 0.0}
+    assert result.winners == [1, 2, 3, 0]
+    # Each winner retains Q - 1 = 2 votes plus its 7 truncated units;
+    # candidate 1's ballots rank no one else, so its passed surplus exhausts.
+    assert (result.rounds[0].retained_weight, result.rounds[0].exhausted_weight) == \
+        (4.00014, 2.49993)
+    check_conservation(result, 11.5)
+
+
+def test_one_unit_apart_is_not_a_tie():
+    # Quota 2 of 2.99999 votes.  R2 trails R1 by one unit, 10^-5 vote, so it
+    # is eliminated alone, with no draw, and R1 goes on to win.
+    ballots = [Ballot(0, (0,)), Ballot(1, (1, 0), weight=0.99999), Ballot(2, (2,))]
+    for seed in range(5):
+        result = run_stv(ballots, [R1, R2, D1], seats=1, seed=seed)
+        assert result.rounds[0].counts == {0: 1.0, 1: 0.99999, 2: 1.0}
+        assert (result.rounds[0].eliminated, result.tie_draws, result.winners) == (1, 0, [0])
 
 
 def test_same_ranking_with_different_weights_is_not_merged():
@@ -456,6 +467,9 @@ def test_group_checks_name_the_first_voter():
     for weight in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError, match=r"ballot 7 weight .* not in \(0, 1\]"):
             BallotGroup((0, 2), weight, (7, 3))
+    with pytest.raises(ValueError, match="ballot 7 weight 4e-06 rounds to 0 units"):
+        run_stv([BallotGroup((2,), 1.0, (1,)), BallotGroup((0, 2), 4e-6, (7, 3))],
+                [R1, R2, D1], seats=1)
     with pytest.raises(ValueError, match=r"ballot 7 ranks unknown candidates \[9\]"):
         run_stv([BallotGroup((2,), 1.0, (1,)), BallotGroup((0, 9), 1.0, (7, 3))],
                 [R1, R2, D1], seats=1)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mmdistrict.model import District, StateFormatError, generate_synthetic_state
-from mmdistrict.stv import Ballot, Candidate, _group, run_stv
+from mmdistrict.stv import UNIT, Ballot, Candidate, _group, run_stv
 from mmdistrict.voters import (
     LOCATION_JITTER_KM,
     RANKING_MODES,
@@ -363,7 +363,8 @@ def test_ballot_groups_match_the_grouped_per_voter_ballots(case, mode, per_party
             == parent_candidates(expected_voters, 1, per_party))
     groups = build_ballots(columns, candidates, mode)
     ballots = parent_ballots(expected_voters, candidates, mode)
-    assert ([(g.ranking, g.weight, g.voter_ids) for g in groups]
+    # The count holds each weight in whole units of 1/UNIT vote.
+    assert ([(g.ranking, round(g.weight * UNIT), g.voter_ids) for g in groups]
             == [(wb.ranking, wb.weight, wb.voter_ids) for wb in _group(ballots)])
     if ballots:
         assert run_stv(groups, candidates, 1, seed=3) == run_stv(ballots, candidates, 1, seed=3)

@@ -100,6 +100,11 @@ class StateInstance:
                                    f"{self.total_population}")
         if not is_connected(set(ids), adj):
             raise StateFormatError("block graph is disconnected")
+        r = d = 0.0
+        for b in sorted(blocks, key=lambda b: b.id):  # as region_vote_share sums them
+            r, d = r + b.votes_r, d + b.votes_d
+        if not math.isfinite(r + d):
+            raise StateFormatError(f"the summed votes, {r} R and {d} D, are not finite")
 
     @property
     def block_ids(self):

@@ -11,12 +11,12 @@ its members share one weight history, so the count is the same integers as
 ballot by ballot.  A winner's coalition is the groups on its pile when it is
 seated, each as its voter ids and the one weight every member then holds.
 The Droop quota is floor(W / (m + 1)) + 1 for total ballot weight W and m
-seats.  Each round counts weighted first preferences among continuing
-candidates, elects every candidate at or above the quota simultaneously, and
-otherwise eliminates the lowest-count candidate.  A winner with T units and
-surplus S = T - (Q - 1) votes passes each supporting ballot of w units to its
-next continuing preference at w * S // T units, and retains the rest: Q - 1
-votes plus the truncation remainder.  Counts leave the count in votes.
+seats.  A running tally holds the units on each continuing candidate's pile;
+each round elects every candidate at or above the quota simultaneously, and
+otherwise eliminates the lowest.  A winner with T units and surplus
+S = T - (Q - 1) votes passes each supporting ballot of w units to its next
+continuing preference at w * S // T units, and retains the rest: Q - 1 votes
+plus the truncation remainder.  Counts leave the count in votes.
 
 An elimination tie within one party is the only place the count reads its
 seeded generator; ``ElectionResult.tie_draws`` counts those draws, so a
@@ -129,15 +129,12 @@ class _WorkingBallot:
         return self.weight * self.size
 
     def advance(self, continuing):
-        """Move to the next continuing preference; False when exhausted."""
-        n = len(self.ranking)
-        while self.pos < n and self.ranking[self.pos] not in continuing:
+        """The next continuing preference from ``pos`` on, or None when exhausted."""
+        while self.pos < len(self.ranking):
+            if self.ranking[self.pos] in continuing:
+                return self.ranking[self.pos]
             self.pos += 1
-        return self.pos < n
-
-    @property
-    def current(self):
-        return self.ranking[self.pos]
+        return None
 
 
 def _group(ballots):
@@ -176,44 +173,48 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
                 f"ballot {wb.voter_ids[0]} ranks unknown candidates {sorted(unknown)}")
 
     rng = random.Random(seed)
-    quota = droop_quota(Fraction(sum(wb.count for wb in groups), UNIT), seats)
     continuing = set(cand_ids)
     piles = {c: [] for c in cand_ids}
+    tally = {c: 0 for c in cand_ids}  # units on each candidate's pile while it continues
     exhausted = retained = tie_draws = 0
     winners, coalitions, rounds = [], {}, []
 
-    for wb in groups:
-        if wb.advance(continuing):
-            piles[wb.current].append(wb)
-        else:
-            exhausted += wb.count
-
-    def transfer(pile, surplus, total, destinations):
-        """Pass each ballot of w units on at w * surplus // total units."""
+    def place(wb):
+        """Put a group on its next continuing preference's pile, or exhaust it; return its units."""
         nonlocal exhausted
+        units = wb.count
+        c = wb.advance(continuing)
+        if c is None:
+            exhausted += units
+        else:
+            piles[c].append(wb)
+            tally[c] += units
+        return units
+
+    def transfer(pile, surplus, total):
+        """Pass each ballot of w units on at w * surplus // total units; return the units passed."""
+        passed = 0
         for wb in pile:
             wb.weight = wb.weight * surplus // total
-            if not wb.weight:
-                continue
-            if wb.advance(destinations):
-                piles[wb.current].append(wb)
-            else:
-                exhausted += wb.count
+            if wb.weight:
+                passed += place(wb)
+        return passed
 
     def seat(c):
         winners.append(c)
         coalitions[c] = tuple((wb.voter_ids, wb.weight / UNIT) for wb in piles[c])
 
-    def record(counts, elected, eliminated, factors, cont):
+    def record(counts, elected, eliminated, factors):
         """The round in votes."""
         rounds.append(RoundRecord(round_no, {c: n / UNIT for c, n in counts.items()}, elected,
-                                  eliminated, factors, cont / UNIT, retained / UNIT,
-                                  exhausted / UNIT))
+                                  eliminated, factors, sum(tally[c] for c in continuing) / UNIT,
+                                  retained / UNIT, exhausted / UNIT))
 
+    quota = droop_quota(Fraction(sum(place(wb) for wb in groups), UNIT), seats)
     round_no = 0
     while len(winners) < seats:
         round_no += 1
-        counts = {c: sum(wb.count for wb in piles[c]) for c in continuing}
+        counts = {c: tally[c] for c in continuing}
         factors = {}
 
         if len(continuing) == seats - len(winners):
@@ -223,7 +224,7 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
                 seat(c)
                 retained += counts[c]
             continuing.clear()
-            record(counts, by_votes, None, {}, 0)
+            record(counts, by_votes, None, {})
             break
 
         # With V not divisible by seats+1, one more candidate than the
@@ -239,9 +240,7 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
                 seat(c)
                 surplus = total - (quota - 1) * UNIT
                 factors[c] = surplus / total
-                pile = piles.pop(c)
-                transfer(pile, surplus, total, continuing)
-                retained += total - sum(wb.count for wb in pile)
+                retained += total - transfer(piles.pop(c), surplus, total)
             eliminated = None
         else:
             low = min(counts.values())
@@ -250,11 +249,10 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
             victim = rng.choice(pool) if len(pool) > 1 else pool[0]
             tie_draws += len(pool) > 1
             continuing.discard(victim)
-            transfer(piles.pop(victim), 1, 1, continuing)
+            transfer(piles.pop(victim), 1, 1)
             eliminated = victim
 
-        record(counts, list(reachers), eliminated, factors,
-               sum(sum(wb.count for wb in piles[c]) for c in continuing))
+        record(counts, list(reachers), eliminated, factors)
 
     return ElectionResult(winners, rounds, coalitions, quota, tie_draws)
 

@@ -217,6 +217,9 @@ def load_voter_file(path) -> VoterFile:
                 if len(row) != 6 or row[2] not in ("R", "D"):
                     raise ValueError(f"expected 6 fields with party R or D, got {row}")
                 voter_id, block_id = int(row[0]), int(row[1])
+                for name, value in (("voter_id", voter_id), ("block_id", block_id)):
+                    if not -2**63 <= value < 2**63:
+                        raise ValueError(f"{name} {value} is outside the int64 range")
                 score, x, y = map(float, row[3:])
                 for name, value in (("partisan_score", score), ("x", x), ("y", y)):
                     if not math.isfinite(value):

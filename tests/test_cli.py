@@ -3,6 +3,7 @@ import csv
 import json
 import multiprocessing
 import multiprocessing.process
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +144,23 @@ def test_sweep_rejects_blocks_that_are_not_a_list(state_file, tmp_path, capsys, 
                 "--internal-samples", "1", "--out", str(tmp_path / "m.csv")]) == 1
     assert f"error: {bad}: blocks {blocks!r} is not a list" in capsys.readouterr().err
     assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("command, k", [("sweep", "1,2"), ("optimize", "2")])
+def test_a_state_whose_summed_votes_overflow_is_rejected(tmp_path, capsys, command, k):
+    # Each count is finite, but their sum is not.  The statewide share and
+    # every share that summed past the largest float read NaN: on this state
+    # sweep crashed, and optimize wrote NaN into its JSON summary.
+    data = json.loads((Path(__file__).parent / "golden" / "state16.json").read_text())
+    for block in data["blocks"][:3]:
+        block["votes_r"] = 1e308
+    bad = tmp_path / "state.json"
+    bad.write_text(json.dumps(data))
+    assert run([command, "--state", str(bad), "--k", k, "--root-samples", "3",
+                "--internal-samples", "2", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and "R and" in err and "are not finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("total_seats", [1e308, 10 ** 30, 16001], ids=["1e308", "1e30", "one_more"])
@@ -391,12 +409,21 @@ def _corrupt(lines, i, row):
     return lines[:i] + [row] + lines[i + 1:]
 
 
+def _set_field(row, i, value):
+    fields = row.split(",")
+    return ",".join(fields[:i] + [str(value)] + fields[i + 1:])
+
+
 @pytest.mark.parametrize("corrupt, line, reason", [
     (lambda lines: [], 1, "voter_id header"),
     (lambda lines: _corrupt(lines, 2, lines[2].rsplit(",", 2)[0]), 3, "6 fields"),
     (lambda lines: _corrupt(lines, 1, lines[1].replace(",D,", ",X,").replace(",R,", ",X,")),
      2, "party R or D"),
-], ids=["empty", "short_row", "unknown_party"])
+    (lambda lines: _corrupt(lines, 1, _set_field(lines[1], 0, 10 ** 30)), 2,
+     f"voter_id {10 ** 30} is outside the int64 range"),
+    (lambda lines: _corrupt(lines, 1, _set_field(lines[1], 1, 10 ** 30)), 2,
+     f"block_id {10 ** 30} is outside the int64 range"),
+], ids=["empty", "short_row", "unknown_party", "voter_id_past_int64", "block_id_past_int64"])
 def test_stv_rejects_malformed_voter_file_naming_path_and_line(
         state_file, plan_file, tmp_path, capsys, corrupt, line, reason):
     voters = tmp_path / "voters.csv"

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+from mmdistrict import stv
 from mmdistrict.rules import PAV, STV, deterministic_seats
 from mmdistrict.stv import (
     UNIT,
@@ -476,6 +477,26 @@ def test_group_checks_name_the_first_voter():
     # Per-voter ballots are regrouped first: the group is named by its first voter.
     with pytest.raises(ValueError, match=r"ballot 5 ranks unknown candidates \[9\]"):
         run_stv([Ballot(5, (0, 9)), Ballot(4, (0, 9))], [R1, R2, D1], seats=1)
+
+
+def test_the_count_does_not_reread_groups_it_does_not_move(monkeypatch):
+    # Candidate c is ranked alone by c + 1 voters: 8 groups, and each of the
+    # 7 eliminations exhausts one.  Recounting every pile each round read the
+    # groups' units 79 times; a kept tally reads them only as it moves them.
+    reads = 0
+    read_units = stv._WorkingBallot.count.fget
+
+    def count(wb):
+        nonlocal reads
+        reads += 1
+        return read_units(wb)
+
+    monkeypatch.setattr(stv._WorkingBallot, "count", property(count))
+    cands = [Candidate(id=c, party="RD"[c % 2]) for c in range(8)]
+    ballots = [Ballot(i, (c,)) for i, c in enumerate(c for c in range(8) for _ in range(c + 1))]
+    result = run_stv(ballots, cands, seats=1)
+    assert result.winners == [7] and [r.eliminated for r in result.rounds[:7]] == list(range(7))
+    assert reads <= 2 * 8 + 2 * 7
 
 
 def test_a_ballot_is_a_group_of_one():

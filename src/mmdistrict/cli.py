@@ -180,7 +180,7 @@ def cmd_stv(opts):
     plan = load_plan(opts["plan"])
     report = validate_plan(state, plan)
     if not report.ok:
-        print("error: plan failed validation:", report.violations, file=sys.stderr)
+        print(f"error: {opts['plan']}: plan failed validation:", report.violations, file=sys.stderr)
         return 1
     vfile = _voter_file(opts, state)
     out = Path(opts["out"])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
@@ -31,9 +32,10 @@ class Block:
     def __post_init__(self):
         if self.population < 0:
             raise StateFormatError(f"block {self.id}: negative population {self.population}")
-        for name in ("votes_r", "votes_d", "x", "y"):
-            if not math.isfinite(getattr(self, name)):
-                raise StateFormatError(f"block {self.id}: {name} {getattr(self, name)} is not finite")
+        finite = math.isfinite
+        if not (finite(self.votes_r) and finite(self.votes_d) and finite(self.x) and finite(self.y)):
+            name = next(n for n in ("votes_r", "votes_d", "x", "y") if not finite(getattr(self, n)))
+            raise StateFormatError(f"block {self.id}: {name} {getattr(self, name)} is not finite")
         if self.votes_r < 0 or self.votes_d < 0:
             raise StateFormatError(f"block {self.id}: negative vote counts")
 
@@ -83,6 +85,8 @@ class StateInstance:
         for bid in ids:
             adj.setdefault(bid, frozenset())
         for bid, nbrs in adj.items():
+            if bid in nbrs:
+                raise StateFormatError(f"block {bid} lists itself as a neighbor")
             for n in nbrs:
                 if n not in seen:
                     raise StateFormatError(f"block {bid} lists unknown neighbor {n}")
@@ -92,17 +96,20 @@ class StateInstance:
         self.adjacency = adj
         self.total_seats = int(total_seats)
         self.block_map = {b.id: b for b in blocks}
-        self.total_population = sum(b.population for b in blocks)
+        population, r, d = 0, 0.0, 0.0
+        for b in sorted(blocks, key=lambda b: b.id):  # votes as region_vote_share sums them
+            population, r, d = population + b.population, r + b.votes_r, d + b.votes_d
+        self.total_population = population
         if self.total_population <= 0:
             raise StateFormatError("total population must be positive")
+        # Every block and region holds at most the total, so float() of any population is finite.
+        if self.total_population > sys.float_info.max:
+            raise StateFormatError("total population is too large for a float")
         if self.total_seats > self.total_population:
             raise StateFormatError(f"total_seats {total_seats} exceeds the total population "
                                    f"{self.total_population}")
         if not is_connected(set(ids), adj):
             raise StateFormatError("block graph is disconnected")
-        r = d = 0.0
-        for b in sorted(blocks, key=lambda b: b.id):  # as region_vote_share sums them
-            r, d = r + b.votes_r, d + b.votes_d
         if not math.isfinite(r + d):
             raise StateFormatError(f"the summed votes, {r} R and {d} D, are not finite")
 
@@ -251,7 +258,7 @@ def read_json(path):
     try:
         with open(path) as f:
             return json.load(f)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an int past Python's digit limit, or text that is not UTF-8
         raise StateFormatError(f"{path}: invalid JSON: {e}") from e
 
 
@@ -265,7 +272,10 @@ def write_json(data, path) -> None:
 def _number(v, where, name, whole=False):
     """A file's number: an int where it must be ``whole`` (an integral float counts), else a float."""
     if type(v) is int:
-        return v if whole else float(v)
+        try:
+            return v if whole else float(v)
+        except OverflowError:
+            raise StateFormatError(f"{where}: {name} is too large for a float") from None
     if type(v) is float and (not whole or v.is_integer()):
         return int(v) if whole else v
     # int() and float() would take a bool or a numeric string, and int() truncates 3.5.
@@ -289,7 +299,8 @@ def load_state(path) -> StateInstance:
             bid = _number(rec["id"], where, "id", whole=True)
             blocks.append(Block(
                 bid, _number(rec["population"], where, "population", whole=True),
-                *(_number(rec[k], where, k) for k in ("votes_r", "votes_d", "x", "y"))))
+                _number(rec["votes_r"], where, "votes_r"), _number(rec["votes_d"], where, "votes_d"),
+                _number(rec["x"], where, "x"), _number(rec["y"], where, "y")))
             adjacency[bid] = {_number(n, where, "neighbor id", whole=True) for n in rec["neighbors"]}
         except (KeyError, TypeError, ValueError) as e:
             raise StateFormatError(f"{path}: malformed block record {rec!r}: {e}") from e
@@ -300,16 +311,17 @@ def load_state(path) -> StateInstance:
 
 
 def save_state(state: StateInstance, path) -> None:
-    data = {
-        "total_seats": state.total_seats,
-        "blocks": [
-            {"id": b.id, "population": b.population, "votes_r": b.votes_r,
-             "votes_d": b.votes_d, "x": b.x, "y": b.y,
-             "neighbors": sorted(state.adjacency[b.id])}
-            for b in sorted(state.blocks, key=lambda b: b.id)
-        ],
-    }
-    write_json(data, path)
+    """Write the blocks in id order in ``write_json``'s bytes, one record at a time."""
+    records = []
+    for b in sorted(state.blocks, key=lambda b: b.id):
+        nbrs = sorted(state.adjacency[b.id])
+        listed = "[\n        " + ",\n        ".join(map(repr, nbrs)) + "\n      ]" if nbrs else "[]"
+        records.append(f'    {{\n      "id": {b.id!r},\n      "neighbors": {listed},\n'
+                       f'      "population": {b.population!r},\n      "votes_d": {b.votes_d!r},\n'
+                       f'      "votes_r": {b.votes_r!r},\n      "x": {b.x!r},\n      "y": {b.y!r}\n    }}')
+    with open(path, "w") as f:
+        f.write('{\n  "blocks": [\n' + ",\n".join(records)
+                + f'\n  ],\n  "total_seats": {state.total_seats!r}\n}}\n')
 
 
 def load_plan(path) -> Plan:
@@ -353,6 +365,24 @@ def _grid_dims(n_blocks: int):
     return rows, n_blocks // rows
 
 
+def _smooth(z, neighbors, passes):
+    """``passes`` times, z becomes half itself plus half its neighbours' mean, summed in set
+    order as ``np.mean`` over them did, bit for bit; a block without neighbours keeps its z."""
+    n = len(z)
+    order = [list(neighbors[i]) for i in range(n)]
+    width = max(map(len, order))
+    # Missing neighbours point past the end, at -0.0, and x + -0.0 == x for every x.
+    table = np.array([nbrs + [n] * (width - len(nbrs)) for nbrs in order], dtype=np.intp)
+    degree = (table < n).sum(axis=1)
+    for _ in range(passes):
+        padded = np.append(z, -0.0)
+        total = np.full(n, -0.0)
+        for column in table.T:
+            total += padded[column]
+        z = np.where(degree > 0, 0.5 * z + 0.5 * (total / np.maximum(degree, 1)), z)
+    return z
+
+
 def generate_synthetic_state(n_blocks: int, seats: int, r_share: float,
                              spatial_correlation: float, seed: int) -> StateInstance:
     """Grid-graph state with a smoothed random R-share field.
@@ -372,26 +402,19 @@ def generate_synthetic_state(n_blocks: int, seats: int, r_share: float,
     rng = np.random.default_rng(seed)
 
     neighbors = {}
-    for r in range(rows):
-        for c in range(cols):
-            bid = r * cols + c
-            nbrs = set()
-            if r > 0:
-                nbrs.add(bid - cols)
-            if r < rows - 1:
-                nbrs.add(bid + cols)
-            if c > 0:
-                nbrs.add(bid - 1)
-            if c < cols - 1:
-                nbrs.add(bid + 1)
-            neighbors[bid] = nbrs
+    for bid in range(n_blocks):
+        r, c = divmod(bid, cols)
+        neighbors[bid] = nbrs = set()
+        if r > 0:
+            nbrs.add(bid - cols)
+        if r < rows - 1:
+            nbrs.add(bid + cols)
+        if c > 0:
+            nbrs.add(bid - 1)
+        if c < cols - 1:
+            nbrs.add(bid + 1)
 
-    z = rng.standard_normal(n_blocks)
-    for _ in range(int(round(spatial_correlation))):
-        smoothed = np.array([
-            0.5 * z[i] + 0.5 * np.mean([z[n] for n in neighbors[i]])
-            for i in range(n_blocks)])
-        z = smoothed
+    z = _smooth(rng.standard_normal(n_blocks), neighbors, int(round(spatial_correlation)))
     std = z.std()
     if std > 0:
         z = (z - z.mean()) / std
@@ -405,12 +428,8 @@ def generate_synthetic_state(n_blocks: int, seats: int, r_share: float,
         share = np.clip(share + delta, 0.02, 0.98)
 
     population = 1000
-    blocks = []
-    for bid in range(n_blocks):
-        total_votes = population * TURNOUT
-        blocks.append(Block(
-            id=bid, population=population,
-            votes_r=float(share[bid] * total_votes),
-            votes_d=float((1 - share[bid]) * total_votes),
-            x=float(bid % cols), y=float(bid // cols)))
+    total_votes = population * TURNOUT
+    blocks = [Block(bid, population, r, d, float(bid % cols), float(bid // cols))
+              for bid, r, d in zip(range(n_blocks), (share * total_votes).tolist(),
+                                   ((1 - share) * total_votes).tolist())]
     return StateInstance(blocks, neighbors, seats)

@@ -1,11 +1,18 @@
 import argparse
+import contextlib
+import copy
 import csv
+import functools
+import io
 import json
 import multiprocessing
 import multiprocessing.process
+import operator
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mmdistrict.tree as tree_mod
 from mmdistrict import analysis, cli
@@ -13,6 +20,9 @@ from mmdistrict.model import (StateFormatError, load_plan, load_state, save_stat
                               validate_plan)
 from mmdistrict.voters import generate_voter_file, save_voter_file
 from conftest import make_path_state, needs_fork
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv):
@@ -43,6 +53,19 @@ def test_synth_is_byte_deterministic(tmp_path):
     for p in paths:
         run(["synth", "--blocks", "16", "--seats", "4", "--r-share", "0.4",
              "--corr", "1", "--seed", "3", "--out", str(p)])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("corr", ["1", "3"])
+def test_synth_smooths_a_one_block_state_as_corr_0_leaves_it(tmp_path, corr):
+    # The lone block has no neighbours to average with, so it keeps its value;
+    # a mean over no neighbours was NaN, with two RuntimeWarnings.
+    paths = [tmp_path / "flat.json", tmp_path / "smoothed.json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for path, c in zip(paths, ["0", corr]):
+            assert run(["synth", "--blocks", "1", "--seats", "1", "--r-share", "0.4",
+                        "--corr", c, "--out", str(path)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -151,7 +174,7 @@ def test_a_state_whose_summed_votes_overflow_is_rejected(tmp_path, capsys, comma
     # Each count is finite, but their sum is not.  The statewide share and
     # every share that summed past the largest float read NaN: on this state
     # sweep crashed, and optimize wrote NaN into its JSON summary.
-    data = json.loads((Path(__file__).parent / "golden" / "state16.json").read_text())
+    data = json.loads((GOLDEN / "state16.json").read_text())
     for block in data["blocks"][:3]:
         block["votes_r"] = 1e308
     bad = tmp_path / "state.json"
@@ -161,6 +184,56 @@ def test_a_state_whose_summed_votes_overflow_is_rejected(tmp_path, capsys, comma
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and "R and" in err and "are not finite" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_a_block_that_lists_itself_as_a_neighbor(tmp_path, capsys):
+    # The tree builder's contiguity check took such a block for its own
+    # neighbour and let a cut block leave its child.
+    data = json.loads((GOLDEN / "state16.json").read_text())
+    data["blocks"][5]["neighbors"].append(5)
+    bad = tmp_path / "state.json"
+    bad.write_text(json.dumps(data))
+    assert run(["sweep", "--state", str(bad), "--k", "1,2", "--root-samples", "3",
+                "--internal-samples", "2", "--out", str(tmp_path / "m.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: block 5 lists itself as a neighbor\n"
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("field, reason", [
+    ("votes_r", "malformed block record"), ("votes_d", "malformed block record"),
+    ("x", "malformed block record"), ("y", "malformed block record"),
+    ("population", "total population is too large for a float"),
+])
+def test_sweep_rejects_a_number_a_float_cannot_hold(tmp_path, capsys, field, reason):
+    # float() of the vote or coordinate overflowed while loading; the population
+    # loaded and overflowed a float when the tree builder drew a center.
+    data = json.loads((GOLDEN / "state16.json").read_text())
+    data["blocks"][3][field] = 10 ** 400
+    bad = tmp_path / "state.json"
+    bad.write_text(json.dumps(data))
+    assert run(["sweep", "--state", str(bad), "--k", "1,2", "--root-samples", "3",
+                "--internal-samples", "2", "--out", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {reason}")
+    if field != "population":
+        assert err.endswith(f": block 3: {field} is too large for a float\n")
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize("text, reason", [
+    (lambda t: t.replace('"population": 1000', '"population": 1' + "0" * 5000, 1),
+     "Exceeds the limit (4300 digits)"),
+    (lambda t: t.replace('"x": 0.0', '"x": "\xe9"', 1).encode("latin-1"), "can't decode byte 0xe9"),
+], ids=["digits", "not_utf8"])
+def test_sweep_names_a_state_file_that_json_cannot_read(tmp_path, capsys, text, reason):
+    # Both are ValueErrors, not JSONDecodeErrors, and were printed without the file.
+    bad = tmp_path / "state.json"
+    data = text(json.dumps(json.loads((GOLDEN / "state16.json").read_text())))
+    bad.write_bytes(data if isinstance(data, bytes) else data.encode())
+    assert run(["sweep", "--state", str(bad), "--k", "1", "--root-samples", "2",
+                "--internal-samples", "1", "--out", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: invalid JSON: ") and reason in err
 
 
 @pytest.mark.parametrize("total_seats", [1e308, 10 ** 30, 16001], ids=["1e308", "1e30", "one_more"])
@@ -332,7 +405,7 @@ def test_stv_reports_an_impossible_seat_count_as_a_violation(state_file, plan_fi
     assert run(["stv", "--state", str(state_file), "--plan", str(bad),
                 "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: plan failed validation:")
+    assert err.startswith(f"error: {bad}: plan failed validation:")
     assert f"district 0: {int(1e308)} seats exceed the state's 4" in err
 
 
@@ -661,3 +734,76 @@ def test_an_exception_between_trees_ends_the_command_and_its_pool(state_file, tm
     assert scored == [1, 2]
     assert len(worker_starts) == 2
     assert multiprocessing.active_children() == []
+
+
+#: What the input fuzz puts in place of a value.
+FUZZ_VALUES = [True, None, "x", [1, 2], 0.5, 10 ** 400, 1e308]
+
+
+def _json_paths(node, at=()):
+    """The key path of every value inside a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    for key, value in items:
+        yield at + (key,)
+        yield from _json_paths(value, at + (key,))
+
+
+def _mutate_json(data, draw):
+    """One value of ``data`` replaced or deleted, or one list record duplicated."""
+    data = copy.deepcopy(data)
+    action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    *head, key = draw(st.sampled_from([
+        p for p in _json_paths(data) if action != "duplicate" or isinstance(p[-1], int)]))
+    parent = functools.reduce(operator.getitem, head, data)
+    if action == "replace":
+        parent[key] = draw(st.sampled_from(FUZZ_VALUES))
+    elif action == "delete":
+        del parent[key]
+    else:
+        parent.insert(key, copy.deepcopy(parent[key]))
+    return json.dumps(data)
+
+
+def _mutate_csv(rows, draw):
+    """One field of the rows replaced (by a value's JSON text) or deleted, or one row duplicated."""
+    rows = [list(row) for row in rows]
+    i = draw(st.integers(0, len(rows) - 1))
+    j = draw(st.integers(0, len(rows[i]) - 1))
+    action = draw(st.sampled_from(["replace", "delete", "duplicate"]))
+    if action == "replace":
+        rows[i][j] = json.dumps(draw(st.sampled_from(FUZZ_VALUES)))
+    elif action == "delete":
+        del rows[i][j]
+    else:
+        rows.insert(i, rows[i])
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_input_files_exit_0_or_1_naming_the_file(tmp_path_factory, data):
+    # The config file is left out: a huge root_samples or corr asks for that
+    # much work, which is a bound to decide, not a malformed input.
+    tmp = tmp_path_factory.mktemp("fuzz")
+    stv = ["stv", "--state", str(GOLDEN / "state72.json"), "--out", str(tmp / "out")]
+    which = data.draw(st.sampled_from(["state16.json", "plan72_fair.json", "voters72.csv"]))
+    bad = tmp / which
+    if which == "voters72.csv":
+        with open(GOLDEN / which, newline="") as f:
+            bad.write_text(_mutate_csv(list(csv.reader(f)), data.draw))
+        argv = [*stv, "--plan", str(GOLDEN / "plan72_fair.json"), "--voter-file", str(bad)]
+    else:
+        bad.write_text(_mutate_json(json.loads((GOLDEN / which).read_text()), data.draw))
+        argv = (["sweep", "--state", str(bad), "--k", "1,2", "--root-samples", "2",
+                 "--internal-samples", "2", "--out", str(tmp / "m.csv")]
+                if which == "state16.json" else
+                [*stv, "--plan", str(bad), "--voter-file", str(GOLDEN / "voters72.csv")])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert f"error: {bad}: " in err.getvalue()

@@ -1,8 +1,11 @@
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 from mmdistrict.model import (
     Block,
@@ -19,6 +22,7 @@ from mmdistrict.model import (
     save_plan,
     save_state,
     validate_plan,
+    _smooth,
 )
 from conftest import make_path_state
 
@@ -55,6 +59,22 @@ def test_state_rejects_unknown_neighbor():
     blocks = [Block(id=0, population=1, votes_r=1, votes_d=1, x=0, y=0)]
     with pytest.raises(StateFormatError):
         StateInstance(blocks, {0: {7}}, 1)
+
+
+def test_state_rejects_a_block_listed_as_its_own_neighbor():
+    # A cut block that is its own neighbour looks removable to the tree builder.
+    blocks = [Block(i, 10, 1.0, 1.0, float(i), 0.0) for i in range(3)]
+    with pytest.raises(StateFormatError, match=r"^block 1 lists itself as a neighbor$"):
+        StateInstance(blocks, {0: {1}, 1: {1, 0, 2}, 2: {1}}, 1)
+
+
+def test_state_rejects_a_total_population_too_large_for_a_float():
+    # Every block and region holds at most the total, so one check covers them all.
+    big = int(sys.float_info.max)
+    assert StateInstance([Block(0, big, 1.0, 1.0, 0.0, 0.0)], {}, 1).total_population == big
+    blocks = [Block(0, big, 1.0, 1.0, 0.0, 0.0), Block(1, big, 1.0, 1.0, 1.0, 0.0)]
+    with pytest.raises(StateFormatError, match="^total population is too large for a float$"):
+        StateInstance(blocks, {0: {1}, 1: {0}}, 1)
 
 
 def test_statewide_vote_share(path_state):
@@ -164,6 +184,59 @@ def test_state_file_round_trip(tmp_path, grid_state):
         lb = loaded.block_map[b.id]
         assert (lb.population, lb.votes_r, lb.votes_d, lb.x, lb.y) == \
             (b.population, b.votes_r, b.votes_d, b.x, b.y)
+
+
+@st.composite
+def path_states(draw):
+    """States whose blocks form a path in drawn order, with int and float values of any size."""
+    ids = draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=5, unique=True))
+    coords = st.one_of(st.integers(-10 ** 9, 10 ** 9), st.just(-0.0),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    votes = st.one_of(st.integers(0, 10 ** 20), st.floats(0, 1e308),
+                      st.sampled_from([0.0, 5e-324, 1e308]))
+    blocks = [Block(i, draw(st.integers(1, 10 ** 6)), draw(votes), draw(votes), draw(coords),
+                    draw(coords)) for i in ids]
+    adjacency = {i: set(ids[max(j - 1, 0):j]) | set(ids[j + 1:j + 2]) for j, i in enumerate(ids)}
+    try:
+        return StateInstance(blocks, adjacency, draw(st.integers(1, len(ids))))
+    except StateFormatError:  # the summed votes overflowed
+        reject()
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_states())
+@example(StateInstance([Block(3, 1, 5e-324, 1e308, -0.0, -2.5)], {}, 1))
+@example(StateInstance([Block(0, 7, 3, 0, -1, 0), Block(1, 2, 0.5, 4, 1.5, -0.0)],
+                       {0: {1}, 1: {0}}, 2))
+def test_save_state_writes_the_indenting_json_encoders_bytes(tmp_path_factory, state):
+    path = tmp_path_factory.mktemp("writer") / "state.json"
+    save_state(state, path)
+    data = {"total_seats": state.total_seats, "blocks": [
+        {"id": b.id, "population": b.population, "votes_r": b.votes_r, "votes_d": b.votes_d,
+         "x": b.x, "y": b.y, "neighbors": sorted(state.adjacency[b.id])}
+        for b in sorted(state.blocks, key=lambda b: b.id)]}
+    assert path.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def smooth_by_block(z, neighbors, passes):
+    """The smoothing as one np.mean per block per pass, which _smooth replaced."""
+    for _ in range(passes):
+        z = np.array([0.5 * z[i] + 0.5 * np.mean([z[n] for n in neighbors[i]])
+                      for i in range(len(z))])
+    return z
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 3), st.integers(0, 2 ** 32), st.integers(-6, 6))
+def test_smoothing_matches_the_per_block_mean_loop_bit_for_bit(n_blocks, passes, seed, scale):
+    neighbors = generate_synthetic_state(n_blocks, 1, 0.5, 0, seed=0).adjacency
+    z = np.random.default_rng(seed).standard_normal(n_blocks) * 10.0 ** scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # np.mean of no neighbours is NaN
+        expected = smooth_by_block(z, neighbors, passes)
+    if n_blocks == 1:  # the lone block keeps its value where the loop gave NaN
+        expected = np.where(np.isnan(expected), z, expected)
+    assert _smooth(z, neighbors, passes).tobytes() == expected.tobytes()
 
 
 def test_load_state_rejects_bad_json(tmp_path):

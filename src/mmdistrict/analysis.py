@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -201,11 +200,16 @@ def sweep_k(state, rule: SeatShareRule, k_set, u: UncertaintyModel,
 # ---------------------------------------------------------------------------
 # Intra-party diversity via full STV simulation
 
+def _average(values, weights):
+    """``np.average(values, weights=weights)`` of 1-d floats: the same float work, unchecked."""
+    return (values * weights).sum() / weights.sum()
+
+
 def _weighted_std(values, weights):
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    mean = np.average(values, weights=weights)
-    return float(np.sqrt(np.average((values - mean) ** 2, weights=weights)))
+    mean = _average(values, weights)
+    return float(np.sqrt(_average((values - mean) ** 2, weights)))
 
 
 def _district_centroid(state, district):
@@ -215,7 +219,7 @@ def _district_centroid(state, district):
     ys = np.array([b.y for b in blocks])
     if pops.sum() == 0:
         pops = np.ones_like(pops)
-    return float(np.average(xs, weights=pops)), float(np.average(ys, weights=pops))
+    return float(_average(xs, pops)), float(_average(ys, pops))
 
 
 def elect(district, voter_file, mode: str, per_party: int, seed: int):
@@ -238,12 +242,13 @@ def _winner_outcomes(state, district, voter_file, mode: str, per_party: int, see
 
     Also returns the count's ``tie_draws``.
     """
-    candidates, _, result = elect(district, voter_file, mode, per_party, seed)
+    candidates, voters, result = elect(district, voter_file, mode, per_party, seed)
     if result is None:
         return [], 0
-    columns = voter_file.columns
     cand_by_id = {c.id: c for c in candidates}
     cx, cy = _district_centroid(state, district)
+    dists = voters_mod.planar_distances(voters.x - cx, voters.y - cy)
+    by_id = np.argsort(voters.id)
     outcomes = []
     for winner_id in result.winners:
         cand = cand_by_id[winner_id]
@@ -251,14 +256,11 @@ def _winner_outcomes(state, district, voter_file, mode: str, per_party: int, see
         coalition = result.coalitions[winner_id]
         ids = np.fromiter(itertools.chain.from_iterable(g for g, _ in coalition),
                           dtype=np.int64)
-        by_id = np.argsort(ids)
-        weights = np.repeat([w for _, w in coalition],
-                            [len(g) for g, _ in coalition])[by_id]
-        rows = voter_file.rows_of(ids[by_id])
-        dists = [math.hypot(x - cx, y - cy)
-                 for x, y in zip(columns.x[rows].tolist(), columns.y[rows].tolist())]
-        outcomes.append((cand.party, cand.score, _weighted_std(columns.score[rows], weights),
-                         float(np.average(dists, weights=weights))))
+        order = np.argsort(ids)
+        weights = np.repeat([w for _, w in coalition], [len(g) for g, _ in coalition])[order]
+        rows = by_id[np.searchsorted(voters.id, ids[order], sorter=by_id)]
+        outcomes.append((cand.party, cand.score, _weighted_std(voters.score[rows], weights),
+                         float(_average(dists[rows], weights))))
     return outcomes, result.tie_draws
 
 

@@ -183,15 +183,14 @@ def cmd_stv(opts):
         print(f"error: {opts['plan']}: plan failed validation:", report.violations, file=sys.stderr)
         return 1
     vfile = _voter_file(opts, state)
-    out = Path(opts["out"])
-    out.mkdir(parents=True, exist_ok=True)
     districts_out = []
     log_lines = []
     for i, district in enumerate(plan.districts):
         candidates, _, result = analysis.elect(district, vfile, opts["mode"],
                                                opts["per_party"] or 0, opts["seed"] + i)
         if result is None:
-            raise ValueError(f"district {i} has no voters")
+            raise ValueError(f"{opts['plan']}: district {i} has no voters in "
+                             f"{opts['voter_file'] or 'the generated voter file'}")
         split = partisan_split(result, candidates)
         districts_out.append({
             "district": i, "seats": district.seats, "quota": result.quota,
@@ -204,6 +203,8 @@ def cmd_stv(opts):
             for entry in result.round_log():
                 entry["district"] = i
                 log_lines.append(json.dumps(entry, sort_keys=True))
+    out = Path(opts["out"])
+    out.mkdir(parents=True, exist_ok=True)
     model.write_json({"districts": districts_out,
                       "seats_r": sum(d["seats_r"] for d in districts_out),
                       "seats_d": sum(d["seats_d"] for d in districts_out)},

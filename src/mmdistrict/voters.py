@@ -55,7 +55,6 @@ class VoterFile:
     columns: Voters
     block_id: np.ndarray  # int64
     block_rows: dict = field(init=False, repr=False)  # ascending rows
-    _by_id: np.ndarray = field(init=False, repr=False)  # rows in id order
 
     @classmethod
     def of(cls, ids, block_ids, parties, scores, xs, ys):
@@ -69,8 +68,7 @@ class VoterFile:
         columns, blocks = self.columns, self.block_id
         if len({len(blocks), *map(len, vars(columns).values())}) > 1:
             raise ValueError("voter columns differ in length")
-        by_id = np.argsort(columns.id)
-        sorted_ids = columns.id[by_id]
+        sorted_ids = np.sort(columns.id)
         repeats = sorted_ids[1:][sorted_ids[1:] == sorted_ids[:-1]]
         if len(repeats):
             raise ValueError(f"voter id {repeats[0]} repeats")
@@ -78,17 +76,12 @@ class VoterFile:
         block_ids, starts = np.unique(blocks[by_block], return_index=True)
         object.__setattr__(self, "block_rows",
                            dict(zip(block_ids.tolist(), np.split(by_block, starts[1:]))))
-        object.__setattr__(self, "_by_id", by_id)
 
     def in_district(self, district):
         """The district's voters: its blocks' rows, sorted back into file order."""
         parts = [self.block_rows[b] for b in district.block_ids if b in self.block_rows]
         rows = np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.intp)
         return self.columns.take(rows)
-
-    def rows_of(self, voter_ids):
-        """The rows of voters known to be in the file, by id."""
-        return self._by_id[np.searchsorted(self.columns.id, voter_ids, sorter=self._by_id)]
 
 
 def generate_voter_file(state, voters_per_block: int, score_spread: float,
@@ -124,6 +117,30 @@ def generate_voter_file(state, voters_per_block: int, score_spread: float,
     return VoterFile.of(range(len(blocks)), blocks, parties, scores, xs, ys)
 
 
+def planar_distances(dx, dy):
+    """``math.hypot`` of each (dx, dy) pair, in dx's shape.
+
+    Not ``np.hypot``: the two can differ in the last bit.
+    """
+    return np.fromiter(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()),
+                       float, dx.size).reshape(dx.shape)
+
+
+def _quantiles(values, qs):
+    """``np.quantile(values, qs)`` (linear method) from one sort, with numpy's arithmetic."""
+    ordered = np.sort(values).tolist()
+    last = len(ordered) - 1
+    out = []
+    for q in qs:
+        at = last * q
+        # At or past the last value numpy reads index -1 on both sides, and takes gamma from -1.
+        below = -1 if at >= last else math.floor(at)
+        gamma = at - below
+        a, b = ordered[below], ordered[below + 1 if below >= 0 else -1]
+        out.append(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+    return out
+
+
 def generate_candidates(voters: Voters, seats: int, per_party: int):
     """Quantile-spread candidate slates for both parties from a district's voters.
 
@@ -139,18 +156,17 @@ def generate_candidates(voters: Voters, seats: int, per_party: int):
     else:
         cx = cy = 0.0
     qs = [(j + 0.5) / per_party for j in range(per_party)]
+    dist = planar_distances(voters.x - cx, voters.y - cy)
+    is_r = voters.party == "R"
     candidates = []
-    for party in ("R", "D"):
-        members = voters.take(voters.party == party)
+    for party, mask in (("R", is_r), ("D", ~is_r)):
+        members = voters.take(mask)
         n = len(members)
         if n:
-            xs, ys = members.x.tolist(), members.y.tolist()
-            # math.hypot, not np.hypot: the two can differ in the last bit.
-            dist = [math.hypot(x - cx, y - cy) for x, y in zip(xs, ys)]
-            by_dist = np.lexsort((members.id, dist)).tolist()
-            picks = [by_dist[min(n - 1, int(q * n))] for q in qs]
-            slate = zip(np.quantile(members.score, qs).tolist(),
-                        [(xs[p], ys[p]) for p in picks])
+            by_dist = np.lexsort((members.id, dist[mask]))
+            picks = by_dist[[min(n - 1, int(q * n)) for q in qs]]
+            slate = zip(_quantiles(members.score, qs),
+                        zip(members.x[picks].tolist(), members.y[picks].tolist()))
         else:
             slate = [(1.0 if party == "R" else -1.0, (cx, cy))] * per_party
         for score, loc in slate:
@@ -183,16 +199,14 @@ def build_ballots(voters: Voters, candidates, mode: str):
     if mode == "partisan_score":
         dist = np.abs(voters.score[:, None] - np.array([c.score for c in candidates]))
     else:
-        locations = [c.location for c in candidates]
-        # math.hypot, not np.hypot: the two can differ in the last bit.
-        dist = np.array([[math.hypot(x - cx, y - cy) for cx, cy in locations]
-                         for x, y in zip(voters.x.tolist(), voters.y.tolist())])
+        cx, cy = np.array([c.location for c in candidates]).T
+        dist = planar_distances(voters.x[:, None] - cx, voters.y[:, None] - cy)
     rankings = ids[np.lexsort((np.broadcast_to(ids, dist.shape), dist, other))]
     # A stable sort of the rows puts equal rankings in runs, each run's voters
     # in file order; a run's first voter orders the groups.
     by_row = np.lexsort(rankings.T)
-    starts = np.flatnonzero(np.r_[True, np.diff(rankings[by_row], axis=0).any(axis=1)])
-    bounds = np.r_[starts, len(by_row)].tolist()
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(rankings[by_row], axis=0).any(axis=1))))
+    bounds = np.concatenate((starts, [len(by_row)])).tolist()
     first = by_row[starts]
     voter_ids = voters.id[by_row].tolist()
     group_rankings = rankings[first].tolist()

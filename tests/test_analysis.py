@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mmdistrict import analysis
 from mmdistrict.analysis import (
     DiversityRecord,
+    _average,
     _district_centroid,
     _weighted_std,
     elect,
@@ -24,7 +27,8 @@ from mmdistrict.model import (Block, District, Plan, SizeAllocation, StateInstan
 from mmdistrict.rules import RULES, STV, UncertaintyModel, deterministic_seats, expected_seats
 from mmdistrict.tree import SampleTree, TreeNode, build_tree, plan_from_leaves, sample_plans
 from mmdistrict.stv import run_stv
-from mmdistrict.voters import VoterFile, build_ballots, generate_candidates, generate_voter_file
+from mmdistrict.voters import (VoterFile, build_ballots, generate_candidates,
+                               generate_voter_file, load_voter_file, save_voter_file)
 
 from conftest import enumerate_plans
 
@@ -181,6 +185,19 @@ def test_weighted_std_matches_numpy_when_uniform():
     assert _weighted_std(vals, [1, 1, 1, 1]) == pytest.approx(float(np.std(vals)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 300).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(-1e308, 1e308), min_size=n, max_size=n),
+    st.lists(st.sampled_from([1.0, 0.5, 1e-5]) | st.floats(1e-5, 1e5), min_size=n, max_size=n))))
+# Past eight values numpy sums in pairwise blocks, not left to right.
+@example(([0.1 * i for i in range(20)], [1.0] * 20))
+def test_average_equals_numpys_weighted_average(case):
+    values, weights = map(np.array, case)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _average(values, weights), np.average(values, weights=weights)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_unanimous_single_winner_coalition_spread(grid_state):
     # One district, one seat: every ballot backs the same winner at weight 1,
     # so the coalition score spread equals the plain population stddev.
@@ -235,6 +252,12 @@ def test_elect_without_voters_has_no_result(grid_state):
     assert {c.party for c in candidates} == {"R", "D"}
 
 
+def rows_of(vf, voter_ids):
+    """The rows of voters known to be in the file, by id."""
+    by_id = np.argsort(vf.columns.id)
+    return by_id[np.searchsorted(vf.columns.id, voter_ids, sorter=by_id)]
+
+
 def elect_every_district(state, plans, vf, mode, per_party, seed):
     """Diversity records with every district occurrence elected on its own seed."""
     rng = random.Random(seed)
@@ -247,7 +270,7 @@ def elect_every_district(state, plans, vf, mode, per_party, seed):
             for w in result.winners:
                 cand = next(c for c in candidates if c.id == w)
                 members = sorted((i, weight) for ids, weight in result.coalitions[w] for i in ids)
-                rows = vf.rows_of(np.array([i for i, _ in members]))
+                rows = rows_of(vf, np.array([i for i, _ in members]))
                 weights = [weight for _, weight in members]
                 dists = [math.hypot(x - cx, y - cy)
                          for x, y in zip(vf.columns.x[rows].tolist(), vf.columns.y[rows].tolist())]
@@ -295,3 +318,21 @@ def test_diversity_reuses_only_counts_without_tie_draws(grid_state, monkeypatch)
     assert calls == expected
     monkeypatch.undo()
     assert records == elect_every_district(grid_state, plans, vf, "partisan_score", None, 9)
+
+
+@pytest.mark.parametrize("mode", ["partisan_score", "geographic"])
+def test_diversity_gathers_coalitions_in_voter_id_order(grid_state, tmp_path, mode):
+    # Generated files number voters by row; this one holds the same voters
+    # under negative, sparse ids in shuffled rows, so id order is not file order.
+    generated = generate_voter_file(grid_state, voters_per_block=12, score_spread=0.5, seed=6)
+    rng = np.random.default_rng(1)
+    rows = rng.permutation(len(generated.columns))
+    ids = -rng.choice(10 ** 9, size=len(rows), replace=False)
+    path = tmp_path / "voters.csv"
+    save_voter_file(VoterFile(dataclasses.replace(generated.columns.take(rows), id=ids),
+                              generated.block_id[rows]), path)
+    vf = load_voter_file(path)
+    tree = build_tree(grid_state, 2, seed=5, root_samples=6, internal_samples=2)
+    plans = sample_plans(tree, 8, seed=2)
+    assert (intra_party_analysis(grid_state, plans, vf, mode, None, seed=3)
+            == elect_every_district(grid_state, plans, vf, mode, None, 3))

@@ -8,6 +8,9 @@ import json
 import multiprocessing
 import multiprocessing.process
 import operator
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -67,6 +70,20 @@ def test_synth_smooths_a_one_block_state_as_corr_0_leaves_it(tmp_path, corr):
             assert run(["synth", "--blocks", "1", "--seats", "1", "--r-share", "0.4",
                         "--corr", c, "--out", str(path)]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_python_m_mmdistrict_writes_what_cli_main_writes(tmp_path):
+    flags = ["synth", "--blocks", "16", "--seats", "4", "--r-share", "0.4", "--corr", "1",
+             "--seed", "3"]
+    assert run([*flags, "--out", str(tmp_path / "main.json")]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "mmdistrict", *flags,
+                           "--out", str(tmp_path / "module.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
 
 
 def test_synth_requires_flags():
@@ -336,6 +353,22 @@ def test_stv_command_reproducible_and_verbose(state_file, tmp_path):
     assert election["seats_r"] + election["seats_d"] == 4
     first = json.loads((outs[0] / "rounds.jsonl").read_text().splitlines()[0])
     assert "counts" in first and "round" in first
+
+
+def test_stv_names_its_files_for_a_district_without_voters(tmp_path, capsys):
+    # The voter file keeps only the voters of the plan's district 0.
+    plan = GOLDEN / "plan72_fair.json"
+    kept = load_plan(plan).districts[0].block_ids
+    header, *lines = (GOLDEN / "voters72.csv").read_text().splitlines()
+    voters = tmp_path / "voters.csv"
+    voters.write_text("".join(f"{line}\n" for line in [header] + [
+        line for line in lines if int(line.split(",")[1]) in kept]))
+    out = tmp_path / "election"
+    assert run(["stv", "--state", str(GOLDEN / "state72.json"), "--plan", str(plan),
+                "--voter-file", str(voters), "--out", str(out)]) == 1
+    assert (f"error: {plan}: district 1 has no voters in {voters}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_stv_rejects_invalid_plan(state_file, tmp_path):

@@ -14,6 +14,7 @@ from mmdistrict.voters import (
     LOCATION_JITTER_KM,
     RANKING_MODES,
     VoterFile,
+    _quantiles,
     build_ballots,
     generate_candidates,
     generate_voter_file,
@@ -142,6 +143,27 @@ def test_candidate_scores_spread_across_quantiles(grid_state):
         scores = [c.score for c in cands if c.party == party]
         assert scores == sorted(scores)
         assert scores[-1] > scores[0]
+
+
+#: Finite floats up to 1e308 in magnitude, often repeated, with both zeros.
+SCORES = (st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0, 2.5, 1e308, -1e308])
+          | st.floats(-1e308, 1e308))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(SCORES, min_size=1, max_size=40),
+       st.integers(1, 12).map(lambda k: [(j + 0.5) / k for j in range(k)])
+       | st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1), min_size=1, max_size=6))
+# Interpolation at gamma exactly 0.5, where numpy steps back from the upper value.
+@example([0.0, 5e-324, 5e-324], [0.25, 0.75])
+@example([-0.0], [0.5])
+def test_quantiles_equal_numpys_linear_quantiles(values, qs):
+    # b - a can overflow to inf, and inf * 0 is nan, on both sides alike.  The
+    # sign of a zero result can differ: np.quantile partitions where the helper
+    # sorts, and the two may order -0.0 and 0.0 differently; == cannot see it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _quantiles(np.array(values), qs), np.quantile(values, qs)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_candidates_require_enough_per_party(grid_state):

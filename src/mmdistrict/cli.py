@@ -96,6 +96,7 @@ def _voter_file(opts, state):
 
 
 def _write_csv(path, header, rows):
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
@@ -113,6 +114,7 @@ METRICS_HEADER = ["k", "rule", "statistic", "seats_r", "seat_share_r", "gap"]
 def cmd_synth(opts):
     state = model.generate_synthetic_state(
         opts["blocks"], opts["seats"], opts["r_share"], opts["corr"], opts["seed"])
+    Path(opts["out"]).parent.mkdir(parents=True, exist_ok=True)
     save_state(state, opts["out"])
     return 0
 

@@ -366,8 +366,9 @@ def _grid_dims(n_blocks: int):
 
 
 def _smooth(z, neighbors, passes):
-    """``passes`` times, z becomes half itself plus half its neighbours' mean, summed in set
-    order as ``np.mean`` over them did, bit for bit; a block without neighbours keeps its z."""
+    """``passes`` times, or until a pass changes no bit, z becomes half itself plus half its
+    neighbours' mean, summed in set order as ``np.mean`` over them did, bit for bit; a block
+    without neighbours keeps its z.  After a pass that changes no bit, no later pass would."""
     n = len(z)
     order = [list(neighbors[i]) for i in range(n)]
     width = max(map(len, order))
@@ -379,7 +380,9 @@ def _smooth(z, neighbors, passes):
         total = np.full(n, -0.0)
         for column in table.T:
             total += padded[column]
-        z = np.where(degree > 0, 0.5 * z + 0.5 * (total / np.maximum(degree, 1)), z)
+        z, last = np.where(degree > 0, 0.5 * z + 0.5 * (total / np.maximum(degree, 1)), z), z
+        if z.tobytes() == last.tobytes():
+            break
     return z
 
 
@@ -388,8 +391,8 @@ def generate_synthetic_state(n_blocks: int, seats: int, r_share: float,
     """Grid-graph state with a smoothed random R-share field.
 
     Block shares are drawn i.i.d. and then neighbor-averaged
-    ``round(spatial_correlation)`` times, so larger values yield stronger
-    spatial clustering.  The field is shifted after generation so the
+    ``round(spatial_correlation)`` times, or until the field stops changing,
+    so larger values yield stronger clustering.  The field is shifted so the
     statewide share lands within 0.01 of ``r_share``.
     """
     if n_blocks < 1 or seats < 1:

@@ -6,15 +6,15 @@ sampled subdivisions of its region; leaves are single districts that are
 contiguous and population balanced against the statewide per-seat target.
 The tree therefore encodes a product-sum number of distinct plans.
 
-The builder works on dense block indices: block ``i`` is the state's
-``i``-th smallest id, its neighbours are a tuple of indices, and
-populations, distances and owners are lists indexed by block.  The index
-map keeps id order, so every sorted scan and tie-break orders as it would on
-ids, and so does a growth heap's int key ``distance * n + block``: with
-``n`` blocks in the state, it orders as ``(distance, block)``.  A region is
-an ascending list of block indices in the builder and a frozenset of state
-ids in the tree; no builder step reads the order of its blocks, and leaf
-scoring sums them in ascending id order (``model.region_vote_share``).
+Block ``i`` is the state's ``i``-th smallest id.  A region is an ascending
+tuple of block indices in the builder, a frozenset of state ids in the tree.
+Each node works on its region's graph (``region_graph``), taken from its
+parent's: position ``i`` is block ``region[i]``, its neighbours are a tuple
+of positions, and populations, distances and owners are lists as long as the
+region, so below the root no node's work grows with the state.  Positions
+keep id order, so every sorted scan and tie-break orders as it would on ids,
+and so does a growth heap's int key ``distance * m + position`` (m blocks),
+as ``(distance, position)``.  Leaf scoring sums a region in ascending id order.
 
 A subdivision attempt runs one breadth-first search per center, inside the
 node's region: ``select_centers`` runs it as it picks the center, and the
@@ -90,33 +90,32 @@ def sample_counts(k: int):
     return (max(1, round((1000 / k) ** 1.2)), max(1, round((300 / k) ** 0.5)))
 
 
-def region_neighbors(region, neighbors):
-    """Each block's neighbours inside ``region``, as tuples of block indices.
+def region_graph(part, neighbors, pops):
+    """The graph of ``part``, distinct blocks of the graph ``neighbors``, ``pops``.
 
-    ``neighbors[b]`` lists block ``b``'s neighbours anywhere in the state;
-    the result, a list as long as ``neighbors``, holds ``()`` for blocks
-    outside ``region``.  ``select_centers``, ``split_region`` and the searches
-    under them walk these lists, so they never test region membership
-    themselves.
+    Returns ``(neighbors, pops)`` for the part alone, lists as long as it:
+    position ``i`` is ``part[i]``, its neighbours are the positions of its
+    neighbours inside ``part``, in the order ``neighbors`` lists them, and its
+    population is ``pops[part[i]]``.  So a grandchild's graph taken from its
+    parent's graph is the one taken from the state's.  ``select_centers``,
+    ``split_region`` and the searches under them walk these lists, so they
+    never test region membership themselves.
     """
-    inside = bytearray(len(neighbors))
-    for b in region:
-        inside[b] = 1
-    restricted = [()] * len(neighbors)
-    for b in region:
-        nbrs = neighbors[b]
-        restricted[b] = tuple(itertools.compress(nbrs, map(inside.__getitem__, nbrs)))
-    return restricted
+    position = [-1] * len(neighbors)
+    for i, b in enumerate(part):
+        position[b] = i
+    return ([tuple([p for v in neighbors[b] if (p := position[v]) >= 0]) for b in part],
+            [pops[b] for b in part])
 
 
-def _bfs_distances(neighbors, source, unreached):
-    """Hop distance from ``source`` to every block, over ``neighbors``.
+def _bfs_distances(neighbors, source):
+    """Hop distance from ``source`` to every block of the graph ``neighbors``.
 
-    A list as long as ``neighbors``; a block the search does not reach holds
-    ``unreached``, which callers set to the region's size, above any hop
+    A block the search does not reach holds the graph's size, above any hop
     distance inside it.
     """
-    dist = [unreached] * len(neighbors)
+    unreached = len(neighbors)
+    dist = [unreached] * unreached
     dist[source] = 0
     frontier = [source]
     d = 0
@@ -140,41 +139,33 @@ def _weighted_choice(items, weights, rng):
     return items[bisect.bisect_left(totals, rng.random() * totals[-1])]
 
 
-def select_centers(region, neighbors, pops, n_children: int, rng):
+def select_centers(neighbors, pops, n_children: int, rng):
     """Spread centers: first population-weighted, then pop * hop-distance^2.
 
-    ``region`` holds block indices; ``neighbors`` lists each block's
-    neighbours inside it (see ``region_neighbors``).  One breadth-first
-    search runs from each center as it is picked.  The distance that weights
-    the next pick, a block's hop distance to the nearest center so far, is
-    the element-wise minimum of those lists; a block no center reaches
-    weighs 0.  Returns ``(centers, dist_maps)``: ``dist_maps[i]`` is
-    ``_bfs_distances`` from ``centers[i]`` with ``len(region)`` as its
-    unreached value, for ``_voronoi_cell_pops`` and ``split_region`` to
-    reuse.
+    ``neighbors`` and ``pops`` are the region's graph (see ``region_graph``).
+    One breadth-first search runs from each center as it is picked.  The
+    distance that weights the next pick, a block's hop distance to the
+    nearest center so far, is the element-wise minimum of those lists; a
+    block no center reaches weighs 0.  Returns ``(centers, dist_maps)``:
+    ``dist_maps[i]`` is ``_bfs_distances`` from ``centers[i]``, for
+    ``_voronoi_cell_pops`` and ``split_region`` to reuse.
     """
-    blocks = sorted(region)
-    m = len(blocks)
+    m = len(neighbors)
     if n_children > m:
         raise ValueError(f"region of {m} blocks cannot host {n_children} centers")
     if n_children == m:
-        return blocks, [_bfs_distances(neighbors, b, m) for b in blocks]
-    centers = [_weighted_choice(blocks, [pops[b] for b in blocks], rng)]
-    dist_maps = [_bfs_distances(neighbors, centers[0], m)]
-    nearest = dist_maps[0][:]
+        return list(range(m)), [_bfs_distances(neighbors, b) for b in range(m)]
+    centers = [_weighted_choice(range(m), pops, rng)]
+    dist_maps = [_bfs_distances(neighbors, centers[0])]
+    nearest = dist_maps[0]
     while len(centers) < n_children:
-        rest = [b for b in blocks if b not in centers]
+        rest = [b for b in range(m) if b not in centers]
         weights = [pops[b] * (d * d) if (d := nearest[b]) < m else 0 for b in rest]
-        if sum(weights) == 0:
-            centers.append(_weighted_choice(rest, [1.0] * len(rest), rng))
-        else:
-            centers.append(_weighted_choice(rest, weights, rng))
-        dist = _bfs_distances(neighbors, centers[-1], m)
+        centers.append(_weighted_choice(rest, weights if any(weights) else [1.0] * len(rest), rng))
+        dist = _bfs_distances(neighbors, centers[-1])
         dist_maps.append(dist)
         if len(centers) < n_children:
-            for b in blocks:
-                if dist[b] < nearest[b]:
-                    nearest[b] = dist[b]
+            nearest = [d if d < e else e for d, e in zip(nearest, dist)]
     return centers, dist_maps
 
 
@@ -235,23 +226,24 @@ def _stays_connected(owner, b, neighbors):
     return False
 
 
-def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
+def split_region(neighbors, pops, centers, dist_maps, child_seats,
                  state_pop, total_seats, epsilon):
     """Grow child regions from centers, then boundary-swap toward balance.
 
     Each child targets state_pop * seats / total_seats people.  Growth is
     capacity-weighted nearest-frontier accretion, ordered by the hop
     distances ``dist_maps`` that ``select_centers`` returned with the
-    centers; ``region`` holds block indices and ``neighbors`` lists each
-    block's neighbours inside it.  A frontier heap key is the int
-    ``dist[v] * n + v``: ``n = len(neighbors)`` exceeds every block index, so
-    the keys order as ``(dist[v], v)`` would, and ``key % n`` is the block.
-    Repair moves a boundary block to the adjacent child that lowers total
-    balance error most, the lowest-numbered on a tie, if the donor stays
-    contiguous.  Growth only adds blocks next to a child and repair keeps
-    every donor contiguous, so ``_stays_connected`` can decide that from the
-    moved block's surroundings.  Returns each child's list of block indices,
-    in ``region``'s order, or None if any child misses its tolerance.
+    centers, over the region's graph ``neighbors``, ``pops`` (see
+    ``region_graph``).  A frontier heap key is the int ``dist[v] * n + v``:
+    ``n``, the region's size, exceeds every position, so the keys order as
+    ``(dist[v], v)`` would, and ``key % n`` is the position; positions keep
+    block order, so the keys order as ``(dist, block)`` too.  Repair moves a
+    boundary block to the adjacent child that lowers total balance error
+    most, the lowest-numbered on a tie, if the donor stays contiguous.
+    Growth only adds blocks next to a child and repair keeps every donor
+    contiguous, so ``_stays_connected`` can decide that from the moved
+    block's surroundings.  Returns each child's list of positions, in
+    ascending order, or None if any child misses its tolerance.
     """
     f, n = len(centers), len(neighbors)
     targets = [state_pop * s / total_seats for s in child_seats]
@@ -283,7 +275,7 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
     growing = [(child_pop[c] / targets[c], c) for c in range(f)]
     heapq.heapify(growing)
     n_assigned = f
-    while n_assigned < len(region):
+    while n_assigned < n:
         if not growing:
             return None
         c = growing[0][1]
@@ -317,9 +309,9 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
     # splits need repair (5,071 of 7,278 in a 144-block sweep of k = 1..6),
     # and most visits find no move that lowers the error (88,089 of 108,000).
     boundary = set() if balanced() else {
-        b for b in region for v in neighbors[b] if owner[v] != owner[b]}
+        b for b in range(n) for v in neighbors[b] if owner[v] != owner[b]}
     child_size = [owner.count(c) for c in range(f)]
-    max_swaps = 10 * len(region)
+    max_swaps = 10 * n
     swaps = 0
     while not balanced() and swaps < max_swaps:
         improved = False
@@ -366,8 +358,8 @@ def split_region(region, neighbors, pops, centers, dist_maps, child_seats,
     if not balanced():
         return None
     children = [[] for _ in range(f)]
-    for b in region:
-        children[owner[b]].append(b)
+    for b, c in enumerate(owner):
+        children[c].append(b)
     return children
 
 
@@ -441,27 +433,27 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
     depth.  It must not call numpy: pool workers are forked from a process
     whose BLAS threads may hold locks.
 
-    The root region is every block, in ascending order, and ``split_region``
-    lists each child's blocks in its parent's order, so every region is
-    ascending.  ``_decode`` maps a region's indices to state ids.
+    The root region is every block, and ``split_region`` lists each child's
+    positions in ascending order, so every region is ascending.  ``_decode``
+    maps a region's indices to state ids.
     """
     rng = random.Random(f"{build.seed}:{i}")
-    pops, j = blocks.pops, build.allocation.small_size
+    j = build.allocation.small_size
     node_ids = itertools.count(1)
     attempts, failures = {}, {}
 
-    def subdivide(region, neighbors, n_small, n_large, depth):
+    def subdivide(region, neighbors, pops, n_small, n_large, depth):
         n_districts = n_small + n_large
         fanout = rng.randint(2, min(MAX_FANOUT, n_districts))
         if fanout > len(region):
             return None
         parts = sizes = None
         for _ in range(SPLIT_RETRIES):
-            centers, dist_maps = select_centers(region, neighbors, pops, fanout, rng)
-            cell_pops = _voronoi_cell_pops(region, pops, dist_maps)
+            centers, dist_maps = select_centers(neighbors, pops, fanout, rng)
+            cell_pops = _voronoi_cell_pops(pops, dist_maps)
             sizes = assign_child_sizes(n_districts, n_small, n_large, cell_pops)
             child_seats = [s * j + l * (j + 1) for s, l in sizes]
-            parts = split_region(region, neighbors, pops, centers, dist_maps, child_seats,
+            parts = split_region(neighbors, pops, centers, dist_maps, child_seats,
                                  blocks.total_population, blocks.total_seats, EPSILON)
             if parts is not None:
                 break
@@ -471,26 +463,27 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
         child_ids = [next(node_ids) for _ in parts]
         children = []
         for node_id, part, (s, l) in zip(child_ids, parts, sizes):
+            child_region = tuple([region[i] for i in part])
             samples = []
             if s + l > 1:
-                child_neighbors = region_neighbors(part, blocks.neighbors)
+                child_graph = region_graph(part, neighbors, pops)
                 for _ in range(build.n_internal):
-                    sample = try_sample(part, child_neighbors, s, l, depth + 1)
+                    sample = try_sample(child_region, *child_graph, s, l, depth + 1)
                     if sample is not None:
                         samples.append(sample)
                 if not samples:
                     return None
-            children.append((node_id, tuple(part), s, l, tuple(samples)))
+            children.append((node_id, child_region, s, l, tuple(samples)))
         return tuple(children)
 
-    def try_sample(region, neighbors, n_small, n_large, depth):
+    def try_sample(region, neighbors, pops, n_small, n_large, depth):
         attempts[depth] = attempts.get(depth, 0) + 1
-        children = subdivide(region, neighbors, n_small, n_large, depth)
+        children = subdivide(region, neighbors, pops, n_small, n_large, depth)
         if children is None:
             failures[depth] = failures.get(depth, 0) + 1
         return children
 
-    children = try_sample(range(len(blocks.ids)), blocks.neighbors,
+    children = try_sample(range(len(blocks.ids)), blocks.neighbors, blocks.pops,
                           build.allocation.small_count, build.allocation.large_count, 0)
     return children, next(node_ids) - 1, attempts, failures
 
@@ -727,24 +720,23 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
     })
 
 
-def _voronoi_cell_pops(region, pops, dist_maps):
+def _voronoi_cell_pops(pops, dist_maps):
     """Population of each center's Voronoi cell, from the centers' distance lists.
 
     A block joins its nearest center by hop distance, the earliest center on
-    a tie, and a block no center reaches joins the first.  The populations
-    are summed in ``region``'s order.
+    a tie, and a block no center reaches joins the first.  ``pops`` is the
+    region's population list, summed in position order.
     """
     nearest = dist_maps[0][:]
     cell = [0] * len(nearest)
     for i in range(1, len(dist_maps)):
-        dist = dist_maps[i]
-        for b in region:
-            if dist[b] < nearest[b]:
-                nearest[b] = dist[b]
+        for b, d in enumerate(dist_maps[i]):
+            if d < nearest[b]:
+                nearest[b] = d
                 cell[b] = i
     cell_pops = [0.0] * len(dist_maps)
-    for b in region:
-        cell_pops[cell[b]] += pops[b]
+    for c, p in zip(cell, pops):
+        cell_pops[c] += p
     return cell_pops
 
 

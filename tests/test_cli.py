@@ -462,6 +462,19 @@ def test_diversity_csv(state_file, tmp_path):
     assert {r[0] for r in rows[1:]} == {"1", "4"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--blocks", "4", "--seats", "2", "--r-share", "0.4"],
+    ["sweep", "--k", "1,2", "--root-samples", "4", "--internal-samples", "2"],
+    ["ensemble", "--k", "2", "--root-samples", "4", "--internal-samples", "2"],
+    ["diversity", "--k", "1", "--voters-per-block", "4", "--ensemble-size", "1"],
+], ids=lambda argv: argv[0])
+def test_out_file_in_a_missing_directory_is_written(state_file, tmp_path, argv):
+    out = tmp_path / "new" / "dir" / "out"
+    state = [] if argv[0] == "synth" else ["--state", str(state_file)]
+    assert run([*argv, *state, "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+
+
 def test_config_file_supplies_defaults_but_flags_win(state_file, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k": "1", "seed": 11, "root_samples": 5,

@@ -324,6 +324,22 @@ def test_synthetic_state_smoothing_raises_neighbor_correlation():
     assert moran(clustered) > moran(flat)
 
 
+@pytest.mark.parametrize("n_blocks", [4, 16, 144])
+def test_correlation_past_the_smoothing_fixpoint_writes_the_same_state(tmp_path, n_blocks):
+    # The field stops changing after 55 to 3,668 passes on 4 to 144 blocks
+    # (seeds 0 to 2), so 10^4 passes already reach the fixpoint, and 10^15 ends.
+    written = []
+    for corr in (10 ** 4, 1e15):
+        path = tmp_path / f"corr_{corr}.json"
+        save_state(generate_synthetic_state(n_blocks, 2, 0.4, corr, seed=0), path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    # smoothing stops only at a true fixpoint: one more pass changes no bit
+    neighbors = generate_synthetic_state(n_blocks, 1, 0.5, 0, seed=0).adjacency
+    z = _smooth(np.random.default_rng(0).standard_normal(n_blocks), neighbors, 10 ** 15)
+    assert _smooth(z, neighbors, 1).tobytes() == z.tobytes()
+
+
 def test_synthetic_state_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_state(generate_synthetic_state(64, 4, 0.45, 2, seed=9), a)

@@ -18,6 +18,7 @@ from mmdistrict.tree import (
     build_tree,
     count_plans,
     plan_from_leaves,
+    region_graph,
     sample_counts,
     sample_plans,
     select_centers,
@@ -49,26 +50,26 @@ def test_size_allocation():
 def test_select_centers_exhaustion_and_determinism():
     state = make_path_state([10] * 6, [0.5] * 6, seats=2)
     pops = {b.id: b.population for b in state.blocks}
-    region = frozenset(range(6))
-    centers, maps = select_centers(region, state.adjacency, pops, 6, random.Random(0))
+    # the region is the whole state, so each position is the block's id
+    graph = region_graph(range(6), state.adjacency, pops)
+    centers, maps = select_centers(*graph, 6, random.Random(0))
     assert sorted(centers) == list(range(6))
-    a, maps_a = select_centers(region, state.adjacency, pops, 3, random.Random(5))
-    b, maps_b = select_centers(region, state.adjacency, pops, 3, random.Random(5))
+    a, maps_a = select_centers(*graph, 3, random.Random(5))
+    b, maps_b = select_centers(*graph, 3, random.Random(5))
     assert a == b
     assert maps_a == maps_b
     with pytest.raises(ValueError):
-        select_centers(region, state.adjacency, pops, 7, random.Random(0))
+        select_centers(*graph, 7, random.Random(0))
 
 
 def test_select_centers_prefers_far_heavy_blocks():
     # Two heavy endpoints on a light path: both should almost always seed
     pops = [500] + [1] * 10 + [500]
     state = make_path_state(pops, [0.5] * 12, seats=2)
-    pop_map = {b.id: b.population for b in state.blocks}
-    region = frozenset(range(12))
+    graph = region_graph(range(12), state.adjacency, pops)
     hits = 0
     for seed in range(400):
-        centers, maps = select_centers(region, state.adjacency, pop_map, 2, random.Random(seed))
+        centers, maps = select_centers(*graph, 2, random.Random(seed))
         if set(centers) == {0, 11}:
             hits += 1
     assert hits / 400 > 0.9

@@ -1,9 +1,9 @@
-"""Property tests for contiguity, the tree builder's search, centering and
-splitting steps, and whole builds on path states.
+"""Property tests for contiguity, the tree builder's region graphs, search,
+centering and splitting steps, and whole builds on path states.
 
-networkx serves only as an independent oracle for distances and contiguity;
-``split_region_reference`` keeps an earlier ``split_region`` as the oracle
-for the current one.
+networkx serves only as an independent oracle for region graphs, distances
+and contiguity; ``split_region_reference`` keeps an earlier ``split_region``
+as the oracle for the current one.
 """
 import random
 
@@ -18,7 +18,7 @@ from mmdistrict.tree import (
     _stays_connected,
     assign_child_sizes,
     build_tree,
-    region_neighbors,
+    region_graph,
     sample_plans,
     select_centers,
     split_region,
@@ -65,6 +65,11 @@ def induced(adjacency, blocks):
     graph.add_nodes_from(blocks)
     graph.add_edges_from((u, v) for u in blocks for v in adjacency[u] if v in blocks)
     return graph
+
+
+def relabelled(adjacency, order):
+    """The subgraph induced by ``order``, its blocks renumbered 0.. in that order."""
+    return nx.relabel_nodes(induced(adjacency, order), {b: i for i, b in enumerate(order)})
 
 
 @SETTINGS
@@ -114,22 +119,41 @@ def test_local_contiguity_check_rejects_a_cut_block():
 
 
 @SETTINGS
+@given(connected_subsets(), st.lists(st.integers(1, 9), min_size=36, max_size=36), st.data())
+def test_region_graph_is_the_induced_subgraph_in_ascending_order(case, pop_list, data):
+    # Each node builds its children's graphs from its own, so a grandchild's
+    # graph must not depend on the way down: the trees are byte-identical to
+    # those built on state indices only because of this.
+    adjacency, region = case
+    order = sorted(region)
+    neighbors, pops = region_graph(order, adjacency, pop_list)
+    assert pops == [pop_list[b] for b in order]
+    edges = {(u, v) for u, nbrs in enumerate(neighbors) for v in nbrs}
+    assert edges == {e for u, v in relabelled(adjacency, order).edges for e in ((u, v), (v, u))}
+    position = {b: i for i, b in enumerate(order)}
+    assert neighbors == [tuple(position[v] for v in adjacency[b] if v in region) for b in order]
+    part = sorted(data.draw(st.sets(st.integers(0, len(order) - 1))))
+    assert (region_graph(part, neighbors, pops)
+            == region_graph([order[i] for i in part], adjacency, pop_list))
+
+
+@SETTINGS
 @given(connected_subsets(min_size=2), st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
        st.lists(st.integers(1, 9), min_size=36, max_size=36))
 def test_select_centers_maps_are_single_source_distances(case, n_children, seed, pop_list):
     adjacency, region = case
     n_children = min(n_children, len(region))
-    pops = dict(enumerate(pop_list))
-    neighbors = region_neighbors(region, adjacency)
-    centers, maps = select_centers(region, neighbors, pops, n_children, random.Random(seed))
+    order = sorted(region)
+    neighbors, pops = region_graph(order, adjacency, pop_list)
+    centers, maps = select_centers(neighbors, pops, n_children, random.Random(seed))
     assert len(set(centers)) == len(centers) == len(maps) == n_children
-    graph = induced(adjacency, region)
+    graph = relabelled(adjacency, order)
     for i, (center, dist) in enumerate(zip(centers, maps)):
-        assert dist == _bfs_distances(neighbors, center, len(region))
-        assert {b: dist[b] for b in region} == nx.single_source_shortest_path_length(graph, center)
-        assert all(dist[b] == len(region) for b in range(len(adjacency)) if b not in region)
+        assert dist == _bfs_distances(neighbors, center)
+        assert len(dist) == len(region)
+        assert dict(enumerate(dist)) == nx.single_source_shortest_path_length(graph, center)
         # their element-wise minimum is the multi-source distance to the centers so far
-        nearest = {b: min(m[b] for m in maps[:i + 1]) for b in region}
+        nearest = {b: min(m[b] for m in maps[:i + 1]) for b in range(len(region))}
         assert nearest == nx.multi_source_dijkstra_path_length(graph, set(centers[:i + 1]))
 
 
@@ -143,9 +167,10 @@ def test_split_region_is_none_or_a_balanced_contiguous_partition(
     fanout = min(fanout, len(region))
     pops = dict(enumerate(pop_list))
     region_pop = sum(pops[b] for b in region)
-    neighbors = region_neighbors(region, adjacency)
+    order = sorted(region)
+    graph = region_graph(order, adjacency, pops)
     rng = random.Random(seed)
-    centers, maps = select_centers(region, neighbors, pops, fanout, rng)
+    centers, maps = select_centers(*graph, fanout, rng)
     n_districts = fanout + rng.randint(0, 2)
     n_large = rng.randint(0, n_districts)
     sizes = assign_child_sizes(n_districts, n_districts - n_large, n_large,
@@ -154,11 +179,11 @@ def test_split_region_is_none_or_a_balanced_contiguous_partition(
     # the region holds exactly its seats' share of a larger state
     total_seats = 2 * sum(child_seats)
     state_pop = 2 * region_pop
-    parts = split_region(region, neighbors, pops, centers, maps, child_seats,
-                         state_pop, total_seats, epsilon)
+    parts = split_region(*graph, centers, maps, child_seats, state_pop, total_seats, epsilon)
     event(f"split found: {parts is not None}")
     if parts is None:
         return
+    parts = [[order[i] for i in part] for part in parts]
     assert len(parts) == fanout
     assert set().union(*parts) == region
     assert sum(len(p) for p in parts) == len(region)
@@ -194,21 +219,23 @@ def test_split_region_matches_the_reference_part_for_part(
     # repair runs to the end of its passes.
     adjacency, region = case
     fanout = min(fanout, len(region))
-    order = list(region)
+    order = sorted(region)
     pops = dict(enumerate(pop_list))
-    neighbors = region_neighbors(order, adjacency)
+    neighbors, region_pops = region_graph(order, adjacency, pops)
     rng = random.Random(seed)
-    centers, maps = select_centers(order, neighbors, pops, fanout, rng)
+    centers, maps = select_centers(neighbors, region_pops, fanout, rng)
     if duplicate:
         centers[-1], maps[-1] = centers[0], maps[0]
     child_seats = ([rng.randint(1, 3)] * fanout if equal_seats
                    else [rng.randint(1, 3) for _ in centers])
     total_seats = seat_scale * sum(child_seats)
     state_pop = pop_scale * seat_scale * sum(pops[b] for b in region)
-    ids = [3 * b + 100 for b in range(len(adjacency))]
-    args = (order, neighbors, pops, centers, maps, child_seats, state_pop, total_seats,
+    # Both get the region's graph; the reference's block b is state id ids[b].
+    ids = [3 * b + 100 for b in order]
+    args = (neighbors, region_pops, centers, maps, child_seats, state_pop, total_seats,
             epsilon)
-    parts, expected = split_region(*args), reference_split_region(*args, ids)
+    parts = split_region(*args)
+    expected = reference_split_region(range(len(order)), *args, ids)
     event(f"split found: {expected is not None}")
     if expected is None:
         assert parts is None
@@ -224,9 +251,9 @@ def test_repair_moves_a_block_to_the_lower_child_on_a_tied_gain():
     neighbors = [(1,), (0, 2, 3), (1,), (1,)]
     pops = [1, 3, 1, 0.5]
     centers = [0, 2, 3]
-    maps = [_bfs_distances(neighbors, c, 4) for c in centers]
+    maps = [_bfs_distances(neighbors, c) for c in centers]
     # targets 2.5, 2.5 and 1.5: growth leaves errors -1.5, -1.5 and 2
-    parts = split_region(range(4), neighbors, pops, centers, maps, [5, 5, 3], 6.5, 13, 0.7)
+    parts = split_region(neighbors, pops, centers, maps, [5, 5, 3], 6.5, 13, 0.7)
     assert parts == [[0, 1], [2], [3]]
 
 
@@ -239,9 +266,9 @@ def test_builder_and_validator_share_the_balance_window(pops, balanced):
     # no choice and repair cannot move a child's only block.
     state = make_path_state(pops, [0.5, 0.5], seats=2)
     neighbors = [(1,), (0,)]
-    maps = [_bfs_distances(neighbors, c, 2) for c in (0, 1)]
-    parts = split_region(range(2), neighbors, pops, [0, 1], maps, [1, 1],
-                         state.total_population, 2, EPSILON)
+    maps = [_bfs_distances(neighbors, c) for c in (0, 1)]
+    parts = split_region(neighbors, pops, [0, 1], maps, [1, 1], state.total_population, 2,
+                         EPSILON)
     assert parts == ([[0], [1]] if balanced else None)
     plan = Plan((District(frozenset({0}), 1), District(frozenset({1}), 1)))
     assert validate_plan(state, plan).ok is balanced
@@ -251,13 +278,13 @@ def test_split_region_succeeds_on_an_easy_grid():
     # Four 1-seat children of a 12x12 uniform grid with 1% tolerance
     state = generate_synthetic_state(144, 4, 0.5, 0, seed=0)
     pops = {b.id: b.population for b in state.blocks}
-    region = state.block_ids
-    neighbors = region_neighbors(region, state.adjacency)
+    # the region is the whole state, so each position is the block's id
+    graph = region_graph(sorted(state.block_ids), state.adjacency, pops)
     successes = 0
     for seed in range(10):
-        centers, maps = select_centers(region, neighbors, pops, 4, random.Random(seed))
-        parts = split_region(region, neighbors, pops, centers, maps, [1, 1, 1, 1],
-                             state.total_population, 4, EPSILON)
+        centers, maps = select_centers(*graph, 4, random.Random(seed))
+        parts = split_region(*graph, centers, maps, [1, 1, 1, 1], state.total_population, 4,
+                             EPSILON)
         if parts is not None:
             successes += 1
             assert all(is_connected(p, state.adjacency) for p in parts)

@@ -29,9 +29,7 @@ from .tree import build_tree, sample_plans  # noqa: F401
 
 @dataclass(frozen=True)
 class LeafScore:
-    leaf_id: int
     vote_share: float
-    seats: int
     expected_r_seats: float
     deterministic_r_seats: int
 
@@ -63,8 +61,7 @@ def score_leaves(tree: SampleTree, state, rule: SeatShareRule,
             continue
         y = region_vote_share(state, node.region)
         scores[node.node_id] = LeafScore(
-            leaf_id=node.node_id, vote_share=y, seats=node.seats,
-            expected_r_seats=expected_seats(y, node.seats, rule, u),
+            vote_share=y, expected_r_seats=expected_seats(y, node.seats, rule, u),
             deterministic_r_seats=deterministic_seats(y, node.seats, rule).seats_r)
     return scores
 

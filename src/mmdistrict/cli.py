@@ -50,6 +50,8 @@ def _options(args):
     missing = ["--" + key.replace("_", "-") for key in required if opts[key] is None]
     if missing:
         raise SystemExit(f"error: {args.command} requires {', '.join(missing)}")
+    if opts["seed"] < 0:
+        raise ValueError(f"--seed must be >= 0, got {opts['seed']}")
     if opts.get("per_party") is not None and opts["per_party"] < 1:
         raise ValueError(f"--per-party must be >= 1, got {opts['per_party']}")
     return opts

@@ -29,14 +29,14 @@ reads another's RNG state.  ``build_trees`` plans a command's builds on one
 state, one per district count, up front in one root-sample pool.  When the
 builds' summed estimated work reaches ``POOL_MIN_WORK``, the pool forks one
 worker per usable CPU, once, with the state's blocks and the planned builds.
-The workers take ``(build, sample index)`` tasks from one pipe, in build
-order, so they start the next build while the caller scores the last, and
-put their results on another; the parent reads them in the calling thread,
-runs no helper thread, and raises when a worker dies.  ``build_tree`` merges
-the results in sample order.  Smaller commands, and platforms without
-``fork``, run the same per-sample function serially.  ``build_tree`` on its
-own opens a pool for its build alone.  The tree, its node ids and its
-diagnostics do not depend on the number of cores.
+It sends ``IN_FLIGHT`` ``(build, sample index)`` tasks per worker, in build
+order, then one more for each result it reads, in the calling thread with no
+helper thread; so the workers start the next build while the caller scores
+the last, and a worker that dies raises.  ``build_tree`` merges the results
+in sample order.  Smaller commands, and platforms without ``fork``, run the
+same per-sample function serially.  ``build_tree`` on its own opens a pool
+for its build alone.  The tree, its node ids and its diagnostics do not
+depend on the number of cores.
 """
 from __future__ import annotations
 
@@ -551,39 +551,36 @@ class _RootSamplePool:
     blocks * (1 + n_internal * (k - 2)).
 
     At ``POOL_MIN_WORK`` or more the pool forks its workers here, once, with
-    the state's blocks and the planned builds, and queues every build's
-    tasks in order, at most ``IN_FLIGHT`` per worker at a time: the workers
-    start on the next build while the caller still works on the last tree.
-    The parent has no helper thread.  It reads results in the calling thread,
-    waiting on the result pipe and the workers' sentinels, so a worker that
-    exits raises an error naming its exit code.  Below ``POOL_MIN_WORK``,
-    and without ``fork``, each build's samples run serially as the caller
-    takes them.  Fork, not spawn, because a spawned worker would import the
-    package and receive the state again; the workers run pure Python, so
-    forking after numpy has started threads is safe here.  Close it, or use
-    it as a context manager.
+    the state's blocks and the planned builds.  It queues every build's
+    tasks in order and sends ``IN_FLIGHT`` per worker; each result it takes
+    in sends the next, so the workers start on the next build while the
+    caller still works on the last tree.  The parent has no helper thread.
+    It reads results in the calling thread, waiting on the result pipe and
+    the workers' sentinels, so a worker that exits raises an error naming its
+    exit code.  Below ``POOL_MIN_WORK``, and without ``fork``, each build's
+    samples run serially as the caller takes them.  Fork, not spawn, because
+    a spawned worker would import the package and receive the state again;
+    the workers run pure Python, so forking after numpy has started threads
+    is safe here.  Close it; callers wrap it in ``contextlib.closing``.
     """
 
     def __init__(self, blocks: _Blocks, plan):
         self.blocks = blocks
-        self._plan = plan
         self._next_build = enumerate(plan)
         work = sum(b.n_root * len(blocks.ids)
                    * (1 + b.n_internal * (b.allocation.small_count + b.allocation.large_count - 2))
                    for b in plan)
         workers = _pool_size(work, max((b.n_root for b in plan), default=1))
         self._workers = []
-        if workers > 1:
-            self._fork(workers)
-
-    def _fork(self, workers):
+        if workers < 2:
+            return
         import multiprocessing.connection
 
         ctx = multiprocessing.get_context("fork")
         self._wait = multiprocessing.connection.wait
         task_reader, self._tasks = ctx.Pipe(duplex=False)
         self._results, result_writer = ctx.Pipe(duplex=False)
-        args = (self.blocks, self._plan, task_reader, ctx.Lock(), result_writer, ctx.Lock(),
+        args = (blocks, plan, task_reader, ctx.Lock(), result_writer, ctx.Lock(),
                 (self._tasks, self._results))
         self._workers = [ctx.Process(target=_work, args=args, daemon=True)
                          for _ in range(workers)]
@@ -591,11 +588,10 @@ class _RootSamplePool:
             p.start()
         task_reader.close()
         result_writer.close()
-        self._queue = ((b, i) for b, build in enumerate(self._plan)
-                       for i in range(build.n_root))
-        self._in_flight = 0
+        self._queue = ((b, i) for b, build in enumerate(plan) for i in range(build.n_root))
         self._done = {}  # (build, i) -> (ok, value) of a result received ahead of use
-        self._submit()
+        for task in itertools.islice(self._queue, IN_FLIGHT * workers):
+            self._tasks.send(task)
 
     def samples(self):
         """``_root_sample`` results of the next planned build, in sample order."""
@@ -614,14 +610,6 @@ class _RootSamplePool:
                 raise error from RuntimeError(f"in a root-sample worker:\n{worker_traceback}")
             yield value
 
-    def _submit(self):
-        while self._in_flight < IN_FLIGHT * len(self._workers):
-            task = next(self._queue, None)
-            if task is None:
-                return
-            self._tasks.send(task)
-            self._in_flight += 1
-
     def _receive(self):
         ready = self._wait([self._results, *(p.sentinel for p in self._workers)])
         for p in self._workers:
@@ -629,9 +617,9 @@ class _RootSamplePool:
                 p.join()
                 raise RuntimeError(f"root-sample worker {p.pid} exited with code {p.exitcode}")
         b, i, ok, value = self._results.recv()
-        self._in_flight -= 1
         self._done[b, i] = ok, value
-        self._submit()
+        if (task := next(self._queue, None)) is not None:  # one in, one out
+            self._tasks.send(task)
 
     def close(self):
         if self._workers:
@@ -642,13 +630,6 @@ class _RootSamplePool:
             self._tasks.close()
             self._results.close()
             self._workers = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
 
 def build_trees(state, ks, seed: int, root_samples: int = None, internal_samples: int = None):
@@ -662,7 +643,7 @@ def build_trees(state, ks, seed: int, root_samples: int = None, internal_samples
     builds = [(k, seed * 100003 + k) for k in ks]
     plan = [_Build.of(state.total_seats, k, k_seed, root_samples, internal_samples)
             for k, k_seed in builds if k > 1]
-    with _RootSamplePool(_Blocks.of(state), plan) as pool:
+    with contextlib.closing(_RootSamplePool(_Blocks.of(state), plan)) as pool:
         for k, k_seed in builds:
             try:  # build_tree through its module name, which perfbench/tracer.py times
                 yield k, build_tree(state, k, k_seed, root_samples, internal_samples, pool)
@@ -695,7 +676,8 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
     if k > 1:
         with contextlib.ExitStack() as own:
             if pool is None:
-                pool = own.enter_context(_RootSamplePool(_Blocks.of(state), [build]))
+                pool = own.enter_context(
+                    contextlib.closing(_RootSamplePool(_Blocks.of(state), [build])))
             # Node ids run in creation order, as if the samples ran one after another.
             id_offset = root.node_id
             for children, created, sample_attempts, sample_failures in pool.samples():
@@ -707,7 +689,10 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
                     for depth, n in counts.items():
                         total[depth] = total.get(depth, 0) + n
         if not root.samples:
-            raise TreeBuildError(f"no feasible {k}-district map found for seed {seed}")
+            tried = ", ".join(f"{d}: {failures.get(d, 0)}/{n}" for d, n in sorted(attempts.items()))
+            raise TreeBuildError(
+                f"no feasible {k}-district map found for seed {seed}: all {build.n_root} root "
+                f"samples rejected (failed/tried per depth: {tried})")
 
     nodes = list(_subtree(root))
     return SampleTree(root, alloc, {

@@ -688,6 +688,22 @@ def test_per_party_below_one_is_an_error(state_file, tmp_path, capsys, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_a_negative_seed_is_an_error_naming_the_flag(state_file, tmp_path, capsys, command):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"districts": [{"seats": 4, "blocks": list(range(16))}]}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -1}))
+    out = tmp_path / "out"
+    argv = {"synth": ["--blocks", "16", "--seats", "4", "--r-share", "0.4"],
+            "stv": ["--state", str(state_file), "--plan", str(plan)]}.get(
+                command, ["--state", str(state_file), "--k", "2"])
+    for source in (["--seed", "-1"], ["--config", str(config)]):
+        assert run([command, *argv, *source, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["all", "2.5"])
 @pytest.mark.parametrize("command", ["optimize", "ensemble"])
 def test_k_that_is_not_one_whole_count_is_an_error(state_file, tmp_path, capsys, command,

@@ -1,11 +1,18 @@
 import contextlib
 import dataclasses
+import itertools
 import multiprocessing
+import multiprocessing.connection
 import multiprocessing.process
 import os
 import random
+import re
 import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +167,17 @@ def test_build_tree_raises_when_infeasible():
         build_tree(state, 3, seed=0, root_samples=3, internal_samples=2)
 
 
+def test_an_infeasible_build_says_what_it_tried():
+    # The state of ``synth --blocks 64 --seats 6 --r-share 0.4 --corr 2 --seed 3``,
+    # whose k = 4 build under ``diversity --seed 0`` (build seed 4) finds no map.
+    state = generate_synthetic_state(64, 6, 0.4, 2, seed=3)
+    with pytest.raises(TreeBuildError) as failed:
+        build_tree(state, 4, seed=4, root_samples=30, internal_samples=4)
+    assert str(failed.value) == (
+        "no feasible 4-district map found for seed 4: all 30 root samples rejected "
+        "(failed/tried per depth: 0: 30/30, 1: 12/12)")
+
+
 def test_enumerate_matches_count(grid_state):
     tree = build_tree(grid_state, 2, seed=3, root_samples=6, internal_samples=2)
     plans = enumerate_plans(tree)
@@ -220,14 +238,16 @@ def _tree_dump(tree):
 def test_trees_do_not_depend_on_the_pool_size(monkeypatch):
     # At k = 6, seed 13 rejects internal samples after creating their
     # children, so the node id offsets and the failure counts are compared too.
+    # The last build has fewer root samples than three workers, so one of
+    # them never gets a task.
     state = generate_synthetic_state(36, 6, 0.4, 0, seed=1)
     dumps = {}
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
-        dumps[workers] = [_tree_dump(build_tree(state, k, seed=seed, root_samples=6,
+        dumps[workers] = [_tree_dump(build_tree(state, k, seed=seed, root_samples=n_root,
                                                 internal_samples=2))
-                          for k, seed in ((2, 2), (4, 2), (6, 13))]
-    assert dumps[1] == dumps[2]
+                          for k, seed, n_root in ((2, 2, 6), (4, 2, 6), (6, 13, 6), (4, 5, 2))]
+    assert dumps[1] == dumps[2] == dumps[3]
     assert any(diag["sample_failures_per_depth"] for _, diag in dumps[2])
 
 
@@ -267,7 +287,8 @@ def test_trees_do_not_depend_on_block_ids_or_their_listing_order(monkeypatch, wo
         assert dump(shuffled) == want
 
 
-@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork),
+                                     pytest.param(3, marks=needs_fork)])
 def test_build_trees_match_single_builds(monkeypatch, workers):
     # On this path no two-district split balances, but three districts do.
     monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
@@ -277,7 +298,7 @@ def test_build_trees_match_single_builds(monkeypatch, workers):
     assert [k for k, _ in got] == [1, 2, 3]
     failed = got[1][1]
     assert isinstance(failed, TreeBuildError)
-    with pytest.raises(TreeBuildError, match=f"^{failed}$"):
+    with pytest.raises(TreeBuildError, match=f"^{re.escape(str(failed))}$"):
         build_tree(state, 2, seed=seed * 100003 + 2, **counts)
     for k, tree in (got[0], got[2]):
         assert _tree_dump(tree) == _tree_dump(build_tree(state, k, seed=seed * 100003 + k,
@@ -368,3 +389,110 @@ def test_worker_exception_reaches_the_caller(grid_state, monkeypatch):
     with pytest.raises(RuntimeError, match="split failed in a worker"):
         build_tree(grid_state, 4, seed=1, root_samples=4, internal_samples=2)
     assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_pool_sends_every_task_once_and_one_more_per_result(grid_state, monkeypatch, workers):
+    # The parent's only pipe writes are tasks and its only reads are results,
+    # so record both there: it fills a window of IN_FLIGHT tasks per worker,
+    # then sends the next queued task after each result until none is left.
+    parent, events = os.getpid(), []
+    send, recv = multiprocessing.connection.Connection.send, multiprocessing.connection.Connection.recv
+
+    def recorded_send(self, obj):
+        if os.getpid() == parent:
+            events.append(("sent", obj))
+        send(self, obj)
+
+    def recorded_recv(self):
+        obj = recv(self)
+        if os.getpid() == parent:
+            events.append(("received", obj[:2]))
+        return obj
+
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send", recorded_send)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv", recorded_recv)
+    ks, n_root = (1, 2, 3, 4), 5
+    built = list(tree_mod.build_trees(grid_state, ks, 1, root_samples=n_root, internal_samples=2))
+    assert [k for k, _ in built] == list(ks)
+    tasks = [(b, i) for b in range(len(ks) - 1) for i in range(n_root)]  # k = 1 has none
+    window = tree_mod.IN_FLIGHT * workers
+    assert [task for kind, task in events if kind == "sent"] == tasks
+    assert sorted(task for kind, task in events if kind == "received") == tasks
+    outstanding = list(itertools.accumulate(1 if kind == "sent" else -1 for kind, _ in events))
+    assert max(outstanding) <= window
+    assert [kind for kind, _ in events] == (["sent"] * window
+                                            + ["received", "sent"] * (len(tasks) - window)
+                                            + ["received"] * window)
+    assert multiprocessing.active_children() == []
+
+
+#: Runs a two-worker build whose workers sleep in every split, printing each
+#: worker's pid as it starts.
+SLOW_POOLED_BUILD = """
+import multiprocessing.process, os, time
+import mmdistrict.tree as tree_mod
+from mmdistrict.model import generate_synthetic_state
+
+parent, split_region = os.getpid(), tree_mod.split_region
+start = multiprocessing.process.BaseProcess.start
+
+def slow_split(*args, **kwargs):
+    if os.getpid() != parent:
+        time.sleep(0.01)
+    return split_region(*args, **kwargs)
+
+def announced_start(self):
+    start(self)
+    print(self.pid, flush=True)
+
+tree_mod._pool_size = lambda work, n_samples: 2
+tree_mod.split_region = slow_split
+multiprocessing.process.BaseProcess.start = announced_start
+tree_mod.build_tree(generate_synthetic_state(16, 4, 0.4, 1, seed=3), 4, seed=1,
+                    root_samples=100_000, internal_samples=2)
+"""
+
+
+def _gone_or_zombie(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states via /proc")
+def test_workers_do_not_outlive_a_killed_parent(tmp_path):
+    # A SIGKILLed parent runs no cleanup: its workers end only because the
+    # task pipe reaches EOF, since each worker closed its copy of the parent's ends.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    pids = tmp_path / "pids"
+    with open(pids, "w") as out:
+        proc = subprocess.Popen([sys.executable, "-c", SLOW_POOLED_BUILD], env=env,
+                                stdout=out, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = [int(line) for line in pids.read_text().split()]
+        assert len(workers) == 2, "the build did not start two workers"
+        time.sleep(0.5)  # the workers are mid-build
+        proc.kill()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 30
+        while not all(map(_gone_or_zombie, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(_gone_or_zombie, workers))
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in workers:
+            if not _gone_or_zombie(pid):
+                os.kill(pid, signal.SIGKILL)

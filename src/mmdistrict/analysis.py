@@ -189,7 +189,7 @@ def sweep_k(state, rule: SeatShareRule, k_set, u: UncertaintyModel,
         records.append(next(r for r in ensemble_metrics(tree, state, rule, tables)
                             if r.statistic == "median"))
         # Freed before the next k's build, which would otherwise run with
-        # this k's tree and tables still held (about 5 MB at 144 blocks).
+        # this k's tree, scores and tables held (about 6 MB at 144 blocks, k = 6).
         del tree, scores, tables
     return records, failures
 

@@ -7,7 +7,8 @@ contiguous and population balanced against the statewide per-seat target.
 The tree therefore encodes a product-sum number of distinct plans.
 
 Block ``i`` is the state's ``i``-th smallest id.  A region is an ascending
-tuple of block indices in the builder, a frozenset of state ids in the tree.
+tuple of block indices in the builder, and an ascending tuple of the state's
+own id objects in the tree.
 Each node works on its region's graph (``region_graph``), taken from its
 parent's: position ``i`` is block ``region[i]``, its neighbours are a tuple
 of positions, and populations, distances and owners are lists as long as the
@@ -64,7 +65,7 @@ class TreeBuildError(RuntimeError):
 @dataclass
 class TreeNode:
     node_id: int
-    region: frozenset
+    region: tuple
     seats: int
     n_districts: int
     n_small: int
@@ -489,12 +490,10 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
 
 
 def _decode(encoded, id_offset, small_size, ids):
-    """A ``_root_sample`` child as a ``TreeNode``; block ``b`` is state id ``ids[b]``."""
+    """A ``_root_sample`` child as a ``TreeNode``; block ``b`` is state id ``ids[b]``, the
+    parent's own object, which every node shares (an unpickled id would be a new one)."""
     node_id, indices, n_small, n_large, samples = encoded
-    # A frozenset copied from a set has a table sized to it; one built from a
-    # list grows it by inserts, to 2,264 bytes against 1,240 at 24 blocks.
-    region = frozenset({ids[b] for b in indices})
-    return TreeNode(node_id=id_offset + node_id, region=region,
+    return TreeNode(node_id=id_offset + node_id, region=tuple([ids[b] for b in indices]),
                     seats=n_small * small_size + n_large * (small_size + 1),
                     n_districts=n_small + n_large, n_small=n_small, n_large=n_large,
                     samples=[[_decode(c, id_offset, small_size, ids) for c in sample]
@@ -539,7 +538,10 @@ def _work(blocks, plan, tasks, task_lock, results, result_lock, parent_ends):
         except Exception as e:  # raised in the parent when it reaches sample i
             message = (b, i, False, (e, traceback.format_exc()))
         with result_lock:
-            results.send(message)
+            try:
+                results.send(message)
+            except BrokenPipeError:  # the parent is gone, so no one reads the result
+                return
 
 
 class _RootSamplePool:
@@ -670,7 +672,7 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
     """
     build = _Build.of(state.total_seats, k, seed, root_samples, internal_samples)
     alloc = build.allocation
-    root = TreeNode(node_id=1, region=frozenset(set(state.block_map)), seats=state.total_seats,
+    root = TreeNode(node_id=1, region=tuple(sorted(state.block_map)), seats=state.total_seats,
                     n_districts=k, n_small=alloc.small_count, n_large=alloc.large_count)
     attempts, failures = {}, {}
     if k > 1:
@@ -766,7 +768,7 @@ def count_plans(node: TreeNode) -> int:
 
 
 def plan_from_leaves(leaves) -> Plan:
-    return Plan(tuple(District(block_ids=n.region, seats=n.seats) for n in leaves))
+    return Plan(tuple(District(block_ids=frozenset(n.region), seats=n.seats) for n in leaves))
 
 
 def sample_plans(tree: SampleTree, count: int, seed: int = 0):

@@ -246,12 +246,3 @@ def load_voter_file(path) -> VoterFile:
             for column, value in zip(columns, (voter_id, block_id, row[2], score, x, y)):
                 column.append(value)
     return VoterFile.of(*columns)
-
-
-def save_voter_file(voter_file: VoterFile, path) -> None:
-    c = voter_file.columns
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["voter_id", "block_id", "party", "partisan_score", "x", "y"])
-        writer.writerows(zip(c.id.tolist(), voter_file.block_id.tolist(), c.party.tolist(),
-                             *(map(repr, a.tolist()) for a in (c.score, c.x, c.y))))

@@ -1,3 +1,4 @@
+import csv
 import multiprocessing
 
 import pytest
@@ -27,6 +28,16 @@ def enumerate_plans(tree, limit: int = 100000):
         return result
 
     return expand(tree.root)
+
+
+def save_voter_file(voter_file, path) -> None:
+    """Write ``voter_file`` as the CSV that ``voters.load_voter_file`` reads."""
+    c = voter_file.columns
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["voter_id", "block_id", "party", "partisan_score", "x", "y"])
+        writer.writerows(zip(c.id.tolist(), voter_file.block_id.tolist(), c.party.tolist(),
+                             *(map(repr, a.tolist()) for a in (c.score, c.x, c.y))))
 
 
 def make_path_state(pops, shares, seats, turnout=0.8):

@@ -28,9 +28,9 @@ from mmdistrict.rules import RULES, STV, UncertaintyModel, deterministic_seats, 
 from mmdistrict.tree import SampleTree, TreeNode, build_tree, plan_from_leaves, sample_plans
 from mmdistrict.stv import run_stv
 from mmdistrict.voters import (VoterFile, build_ballots, generate_candidates,
-                               generate_voter_file, load_voter_file, save_voter_file)
+                               generate_voter_file, load_voter_file)
 
-from conftest import enumerate_plans
+from conftest import enumerate_plans, save_voter_file
 
 NO_NOISE = UncertaintyModel(0.0)
 

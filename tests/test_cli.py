@@ -21,8 +21,8 @@ import mmdistrict.tree as tree_mod
 from mmdistrict import analysis, cli
 from mmdistrict.model import (StateFormatError, load_plan, load_state, save_state,
                               validate_plan)
-from mmdistrict.voters import generate_voter_file, save_voter_file
-from conftest import make_path_state, needs_fork
+from mmdistrict.voters import generate_voter_file
+from conftest import make_path_state, needs_fork, save_voter_file
 
 
 GOLDEN = Path(__file__).parent / "golden"

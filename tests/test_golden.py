@@ -17,8 +17,8 @@ import pytest
 
 from mmdistrict import cli, tree
 from mmdistrict.model import load_state
-from mmdistrict.voters import generate_voter_file, load_voter_file, save_voter_file
-from conftest import needs_fork
+from mmdistrict.voters import generate_voter_file, load_voter_file
+from conftest import needs_fork, save_voter_file
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 

@@ -121,7 +121,7 @@ def test_single_district_tree_is_one_leaf(grid_state):
     tree = build_tree(grid_state, 1, seed=0)
     assert tree.root.is_leaf
     assert tree.root.seats == grid_state.total_seats
-    assert tree.root.region == grid_state.block_ids
+    assert tree.root.region == tuple(sorted(grid_state.block_ids))
     plans = sample_plans(tree, 3, seed=0)
     assert all(p == plans[0] for p in plans)
 
@@ -260,8 +260,8 @@ def _relabelled(state, label):
 
 
 def _dump_by_id(tree, original_id):
-    """``_tree_dump`` with each region mapped through ``original_id``, as a set."""
-    nodes = [(n.node_id, frozenset(map(original_id, n.region)), n.seats, n.n_small, n.n_large,
+    """``_tree_dump`` with each region mapped through ``original_id``, in region order."""
+    nodes = [(n.node_id, tuple(map(original_id, n.region)), n.seats, n.n_small, n.n_large,
               [[c.node_id for c in sample] for sample in n.samples])
              for n in walk_nodes(tree)]
     return nodes, tree.diagnostics
@@ -271,7 +271,8 @@ def _dump_by_id(tree, original_id):
 def test_trees_do_not_depend_on_block_ids_or_their_listing_order(monkeypatch, workers):
     # Ids that are not 0..n-1 must keep their sorted order through the
     # builder's dense indices, and the order the blocks are listed in must
-    # not matter at all.
+    # not matter at all.  The relabelling keeps id order, so every region,
+    # an ascending tuple, maps back to the plain state's exactly.
     monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
     state = generate_synthetic_state(36, 6, 0.4, 0, seed=1)
     relabelled = _relabelled(state, lambda b: 1000 + 7 * b)
@@ -285,6 +286,28 @@ def test_trees_do_not_depend_on_block_ids_or_their_listing_order(monkeypatch, wo
         want = dump(state)
         assert dump(relabelled, lambda b: (b - 1000) // 7) == want
         assert dump(shuffled) == want
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+def test_regions_are_ascending_tuples_of_the_states_own_ids(monkeypatch, workers):
+    # Ids of 1,000 and more are int objects of their own, and one a worker
+    # sent back would be a new object once unpickled: every region must hold
+    # the state's block_map keys themselves, which the whole tree then shares.
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
+    state = _relabelled(generate_synthetic_state(36, 6, 0.4, 0, seed=1), lambda b: 1000 + 7 * b)
+    own = {b: b for b in state.block_map}
+    tree = build_tree(state, 4, seed=2, root_samples=6, internal_samples=2)
+    nodes = list(walk_nodes(tree))
+    assert len(nodes) > 1
+    for node in nodes:
+        assert type(node.region) is tuple
+        assert all(a < b for a, b in zip(node.region, node.region[1:]))
+        assert all(b is own[b] for b in node.region)
+    leaves = tree_mod.descend(tree.root, lambda n: n.samples[0])
+    for plan in [plan_from_leaves(leaves), *sample_plans(tree, 3, seed=0)]:
+        assert all(type(d.block_ids) is frozenset for d in plan.districts)
+    assert [d.block_ids for d in plan_from_leaves(leaves).districts] == [
+        frozenset(leaf.region) for leaf in leaves]
 
 
 @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork),
@@ -468,14 +491,15 @@ def _gone_or_zombie(pid):
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states via /proc")
 def test_workers_do_not_outlive_a_killed_parent(tmp_path):
     # A SIGKILLed parent runs no cleanup: its workers end only because the
-    # task pipe reaches EOF, since each worker closed its copy of the parent's ends.
+    # task pipe reaches EOF, since each worker closed its copy of the parent's
+    # ends.  A worker whose result finds no reader exits quietly, too.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    pids = tmp_path / "pids"
-    with open(pids, "w") as out:
+    pids, stderr = tmp_path / "pids", tmp_path / "stderr"
+    with open(pids, "w") as out, open(stderr, "w") as err:
         proc = subprocess.Popen([sys.executable, "-c", SLOW_POOLED_BUILD], env=env,
-                                stdout=out, stderr=subprocess.DEVNULL)
+                                stdout=out, stderr=err)
     workers = []
     try:
         deadline = time.monotonic() + 30
@@ -490,6 +514,7 @@ def test_workers_do_not_outlive_a_killed_parent(tmp_path):
         while not all(map(_gone_or_zombie, workers)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert all(map(_gone_or_zombie, workers))
+        assert "Traceback" not in stderr.read_text()
     finally:
         proc.kill()
         proc.wait()

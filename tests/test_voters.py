@@ -19,9 +19,8 @@ from mmdistrict.voters import (
     generate_candidates,
     generate_voter_file,
     load_voter_file,
-    save_voter_file,
 )
-from conftest import make_path_state
+from conftest import make_path_state, save_voter_file
 
 
 def whole_state_district(state):

@@ -210,7 +210,7 @@ def _weighted_std(values, weights):
 
 
 def _district_centroid(state, district):
-    blocks = [state.block_map[b] for b in sorted(district.block_ids)]
+    blocks = [state.block_map[b] for b in district.block_ids]
     pops = np.array([b.population for b in blocks], dtype=float)
     xs = np.array([b.x for b in blocks])
     ys = np.array([b.y for b in blocks])
@@ -279,40 +279,24 @@ def intra_party_analysis(state, plans, voter_file, mode: str,
     """
     rng = random.Random(seed)
     per_plan = {"R": [], "D": []}
-    reusable = {}  # (block ids, seats) -> outcomes of a count with no random draw
+    reusable = {}  # district -> outcomes of a count with no random draw
 
     for plan in plans:
-        winner_scores = {"R": [], "D": []}
-        coalition_score = {"R": [], "D": []}
-        coalition_geo = {"R": [], "D": []}
+        winners = {"R": [], "D": []}  # party -> (score, spread, dispersion) per winner
         for district in plan.districts:
             district_seed = rng.randrange(2 ** 32)  # drawn on reuse too, so later seeds stay
-            key = (district.block_ids, district.seats)
-            outcomes = reusable.get(key)
+            outcomes = reusable.get(district)
             if outcomes is None:
                 outcomes, tie_draws = _winner_outcomes(state, district, voter_file, mode,
                                                        per_party, district_seed)
                 if tie_draws == 0:
-                    reusable[key] = outcomes
-            for party, score, spread, dispersion in outcomes:
-                winner_scores[party].append(score)
-                coalition_score[party].append(spread)
-                coalition_geo[party].append(dispersion)
-        for party in ("R", "D"):
-            if winner_scores[party]:
-                per_plan[party].append((
-                    float(np.std(winner_scores[party])),
-                    float(np.mean(coalition_score[party])),
-                    float(np.mean(coalition_geo[party]))))
-
-    records = []
-    for party in ("R", "D"):
-        if not per_plan[party]:
-            continue
-        arr = np.array(per_plan[party])
-        records.append(DiversityRecord(
-            party=party,
-            winner_score_stddev=float(arr[:, 0].mean()),
-            coalition_score_stddev=float(arr[:, 1].mean()),
-            coalition_geo_dispersion=float(arr[:, 2].mean())))
-    return records
+                    reusable[district] = outcomes
+            for party, *figures in outcomes:
+                winners[party].append(figures)
+        for party, rows in winners.items():
+            if rows:
+                scores, spreads, dispersions = zip(*rows)
+                per_plan[party].append((float(np.std(scores)), float(np.mean(spreads)),
+                                        float(np.mean(dispersions))))
+    return [DiversityRecord(party, *(float(c.mean()) for c in np.array(rows).T))
+            for party, rows in per_plan.items() if rows]

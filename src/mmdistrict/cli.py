@@ -191,7 +191,7 @@ def cmd_stv(opts):
     log_lines = []
     for i, district in enumerate(plan.districts):
         candidates, _, result = analysis.elect(district, vfile, opts["mode"],
-                                               opts["per_party"] or 0, opts["seed"] + i)
+                                               opts["per_party"], opts["seed"] + i)
         if result is None:
             raise ValueError(f"{opts['plan']}: district {i} has no voters in "
                              f"{opts['voter_file'] or 'the generated voter file'}")
@@ -235,7 +235,7 @@ def cmd_diversity(opts):
             continue
         plans = tree_mod.sample_plans(built, opts["ensemble_size"], seed=seed + k)
         records = analysis.intra_party_analysis(
-            state, plans, vfile, opts["mode"], opts["per_party"] or 0, seed=seed + k)
+            state, plans, vfile, opts["mode"], opts["per_party"], seed=seed + k)
         for r in records:
             rows.append([k, r.party, repr(r.winner_score_stddev),
                          repr(r.coalition_score_stddev), repr(r.coalition_geo_dispersion)])

@@ -65,10 +65,11 @@ def balance_slack(target, epsilon):
 
 
 class StateInstance:
-    """Validated block graph with a statewide seat count."""
+    """Validated block graph with a statewide seat count; ``blocks`` and ``block_map``
+    hold the blocks in ascending id order, whatever order they were given in."""
 
     def __init__(self, blocks, adjacency, total_seats):
-        blocks = tuple(blocks)
+        blocks = tuple(sorted(blocks, key=lambda b: b.id))
         ids = [b.id for b in blocks]
         seen = set()
         for i in ids:
@@ -97,7 +98,7 @@ class StateInstance:
         self.total_seats = int(total_seats)
         self.block_map = {b.id: b for b in blocks}
         population, r, d = 0, 0.0, 0.0
-        for b in sorted(blocks, key=lambda b: b.id):  # votes as region_vote_share sums them
+        for b in blocks:
             population, r, d = population + b.population, r + b.votes_r, d + b.votes_d
         self.total_population = population
         if self.total_population <= 0:
@@ -118,16 +119,18 @@ class StateInstance:
         return frozenset(self.block_map)
 
     def statewide_vote_share(self) -> float:
-        """Statewide R share of the two-party vote, summed in ascending id order as every region is."""
-        return region_vote_share(self, self.block_map)
+        """Statewide R share of the two-party vote, summed in ascending id order, as every region is."""
+        return vote_share(self.blocks)
 
 
 @dataclass(frozen=True)
 class District:
-    block_ids: frozenset
+    """A district's seats and its block ids, held as an ascending tuple without repeats."""
+    block_ids: tuple
     seats: int
 
     def __post_init__(self):
+        object.__setattr__(self, "block_ids", tuple(sorted(set(self.block_ids))))
         if not self.block_ids:
             raise ValueError("district must contain at least one block")
         if self.seats < 1:
@@ -184,7 +187,8 @@ def vote_share(blocks) -> float:
 
 
 def region_vote_share(state: StateInstance, block_ids) -> float:
-    """Two-party R vote share over ``block_ids``, summed in ascending id order."""
+    """Two-party R vote share over ``block_ids``, summed in ascending id order: a district's ids
+    and a tree region are in that order already, and ids in any other order sum alike."""
     return vote_share(map(state.block_map.__getitem__, sorted(block_ids)))
 
 
@@ -218,9 +222,9 @@ def validate_plan(state: StateInstance, plan: Plan) -> ValidationReport:
         report.violations.append(f"partition: unknown block ids: {sorted(unknown)}")
 
     for i, d in enumerate(plan.districts):
-        if not d.block_ids - unknown:
+        if unknown.issuperset(d.block_ids):
             continue
-        if not is_connected(d.block_ids & state.block_ids, state.adjacency):
+        if not is_connected([b for b in d.block_ids if b not in unknown], state.adjacency):
             report.violations.append(f"district {i}: not contiguous")
 
     seat_sum = plan.total_seats
@@ -313,7 +317,7 @@ def load_state(path) -> StateInstance:
 def save_state(state: StateInstance, path) -> None:
     """Write the blocks in id order in ``write_json``'s bytes, one record at a time."""
     records = []
-    for b in sorted(state.blocks, key=lambda b: b.id):
+    for b in state.blocks:
         nbrs = sorted(state.adjacency[b.id])
         listed = "[\n        " + ",\n        ".join(map(repr, nbrs)) + "\n      ]" if nbrs else "[]"
         records.append(f'    {{\n      "id": {b.id!r},\n      "neighbors": {listed},\n'
@@ -331,7 +335,7 @@ def load_plan(path) -> Plan:
         districts = []
         for i, d in enumerate(data["districts"]):
             where = f"district {i}"
-            block_ids = frozenset(_number(b, where, "block id", whole=True) for b in d["blocks"])
+            block_ids = [_number(b, where, "block id", whole=True) for b in d["blocks"]]
             seats = _number(d["seats"], where, "seats", whole=True)
             try:
                 districts.append(District(block_ids, seats))
@@ -344,7 +348,7 @@ def load_plan(path) -> Plan:
 
 def save_plan(plan: Plan, path) -> None:
     data = {"districts": [
-        {"seats": d.seats, "blocks": sorted(d.block_ids)} for d in plan.districts]}
+        {"seats": d.seats, "blocks": list(d.block_ids)} for d in plan.districts]}
     write_json(data, path)
 
 

@@ -6,16 +6,16 @@ sampled subdivisions of its region; leaves are single districts that are
 contiguous and population balanced against the statewide per-seat target.
 The tree therefore encodes a product-sum number of distinct plans.
 
-Block ``i`` is the state's ``i``-th smallest id.  A region is an ascending
-tuple of block indices in the builder, and an ascending tuple of the state's
-own id objects in the tree.
+Block ``i`` is the state's ``i``-th block, which ``StateInstance`` lists in
+ascending id order.  A region is an ascending tuple of block indices in the
+builder, and an ascending tuple of the state's own id objects in the tree.
 Each node works on its region's graph (``region_graph``), taken from its
 parent's: position ``i`` is block ``region[i]``, its neighbours are a tuple
 of positions, and populations, distances and owners are lists as long as the
 region, so below the root no node's work grows with the state.  Positions
 keep id order, so every sorted scan and tie-break orders as it would on ids,
 and so does a growth heap's int key ``distance * m + position`` (m blocks),
-as ``(distance, position)``.  Leaf scoring sums a region in ascending id order.
+as ``(distance, position)``.  A leaf's region becomes its district's ids as is.
 
 A subdivision attempt runs one breadth-first search per center, inside the
 node's region: ``select_centers`` runs it as it picks the center, and the
@@ -394,10 +394,10 @@ class _Blocks:
 
     @classmethod
     def of(cls, state):
-        ids = tuple(sorted(state.block_map))
+        ids = tuple(state.block_map)
         index = {b: i for i, b in enumerate(ids)}
         return cls(ids, tuple(tuple(index[v] for v in state.adjacency[b]) for b in ids),
-                   tuple(state.block_map[b].population for b in ids),
+                   tuple(b.population for b in state.blocks),
                    state.total_population, state.total_seats)
 
 
@@ -672,7 +672,7 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
     """
     build = _Build.of(state.total_seats, k, seed, root_samples, internal_samples)
     alloc = build.allocation
-    root = TreeNode(node_id=1, region=tuple(sorted(state.block_map)), seats=state.total_seats,
+    root = TreeNode(node_id=1, region=tuple(state.block_map), seats=state.total_seats,
                     n_districts=k, n_small=alloc.small_count, n_large=alloc.large_count)
     attempts, failures = {}, {}
     if k > 1:
@@ -768,7 +768,7 @@ def count_plans(node: TreeNode) -> int:
 
 
 def plan_from_leaves(leaves) -> Plan:
-    return Plan(tuple(District(block_ids=frozenset(n.region), seats=n.seats) for n in leaves))
+    return Plan(tuple(District(block_ids=n.region, seats=n.seats) for n in leaves))
 
 
 def sample_plans(tree: SampleTree, count: int, seed: int = 0):

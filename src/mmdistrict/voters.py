@@ -86,7 +86,7 @@ class VoterFile:
 
 def generate_voter_file(state, voters_per_block: int, score_spread: float,
                         seed: int) -> VoterFile:
-    """Sample voters calibrated to each block's vote share.
+    """Sample voters calibrated to each block's vote share, block by block in the state's id order.
 
     Block b receives round(voters_per_block * pop_b / mean_pop) voters, with
     the R count matching the block share to within one voter.  Scores are
@@ -100,7 +100,7 @@ def generate_voter_file(state, voters_per_block: int, score_spread: float,
     rng = np.random.default_rng(seed)
     mean_pop = state.total_population / len(state.blocks)
     blocks, parties, scores, xs, ys = [], [], [], [], []
-    for block in sorted(state.blocks, key=lambda b: b.id):
+    for block in state.blocks:
         n = int(round(voters_per_block * block.population / mean_pop))
         share = vote_share((block,))
         n_r = int(round(share * n))

@@ -119,6 +119,30 @@ def test_district_population(path_state):
     assert district_population(path_state, d) == 300
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=20))
+@example([5, 3, 5, 1, 3])
+@example(range(9, -1, -1))
+@example({16, 8, 0})
+def test_districts_hold_ascending_ids_without_repeats(ids):
+    assert District(ids, 1).block_ids == tuple(sorted(set(ids)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2 ** 32), st.randoms(use_true_random=False))
+def test_states_list_shuffled_relabelled_blocks_in_id_order(n_blocks, seed, rng):
+    base = generate_synthetic_state(n_blocks, 1, 0.4, 2, seed=seed)
+    blocks = [Block(1000 + 7 * b.id, b.population, b.votes_r, b.votes_d, b.x, b.y)
+              for b in base.blocks]
+    adjacency = {1000 + 7 * b: {1000 + 7 * v for v in nbrs} for b, nbrs in base.adjacency.items()}
+    ordered = StateInstance(blocks, adjacency, 1)
+    rng.shuffle(blocks)
+    state = StateInstance(blocks, adjacency, 1)
+    ids = [b.id for b in state.blocks]
+    assert ids == list(state.block_map) == sorted(ids)
+    assert state.statewide_vote_share().hex() == ordered.statewide_vote_share().hex()
+
+
 def test_district_requires_blocks_and_seats():
     with pytest.raises(ValueError):
         District(block_ids=frozenset(), seats=1)
@@ -287,6 +311,16 @@ def test_plan_file_round_trip(tmp_path):
     loaded = load_plan(path)
     assert {(d.block_ids, d.seats) for d in loaded.districts} == \
         {(d.block_ids, d.seats) for d in plan.districts}
+
+
+def test_load_plan_holds_each_districts_ids_ascending_and_save_plan_writes_them_so(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"districts": [{"seats": 1, "blocks": [3, 1, 2, 1]},
+                                              {"seats": 1, "blocks": [0]}]}))
+    plan = load_plan(path)
+    assert [d.block_ids for d in plan.districts] == [(1, 2, 3), (0,)]
+    save_plan(plan, path)
+    assert [d["blocks"] for d in json.loads(path.read_text())["districts"]] == [[1, 2, 3], [0]]
 
 
 def test_load_plan_rejects_bad_json_naming_the_file(tmp_path):

@@ -304,10 +304,10 @@ def test_regions_are_ascending_tuples_of_the_states_own_ids(monkeypatch, workers
         assert all(a < b for a, b in zip(node.region, node.region[1:]))
         assert all(b is own[b] for b in node.region)
     leaves = tree_mod.descend(tree.root, lambda n: n.samples[0])
-    for plan in [plan_from_leaves(leaves), *sample_plans(tree, 3, seed=0)]:
-        assert all(type(d.block_ids) is frozenset for d in plan.districts)
     assert [d.block_ids for d in plan_from_leaves(leaves).districts] == [
-        frozenset(leaf.region) for leaf in leaves]
+        leaf.region for leaf in leaves]
+    for plan in sample_plans(tree, 3, seed=0):
+        assert all(all(a < b for a, b in zip(d.block_ids, d.block_ids[1:])) for d in plan.districts)
 
 
 @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork),

@@ -3,9 +3,8 @@
 Each fingerprint hashes, for every node in ``walk_nodes`` order, its id,
 ``tuple(sorted(node.region))``, seats, small and large district counts and
 the child ids of each sample, followed by the build's diagnostics.  A region
-goes in as its sorted blocks: the order a frozenset iterates its blocks in
-is no part of the tree, since vote shares are summed in ascending id order
-whatever that order is.
+goes in as its sorted blocks, so a pin does not depend on the order a region
+stores them in; vote shares are summed in ascending id order whatever it is.
 """
 import hashlib
 from pathlib import Path

@@ -265,7 +265,8 @@ FLAGS = {
     "score_spread": {"type": float},
     "voter_file": {},
     "mode": {"choices": list(voters_mod.RANKING_MODES)},
-    "per_party": {"type": int},
+    "per_party": {"type": int, "help": "candidates per party in each district (default seats + 2); "
+                                       "a value below a district's seats is raised to its seats"},
     "verbose": {"action": "store_const", "const": True},
     "root_samples": {"type": int},
     "internal_samples": {"type": int},

@@ -64,13 +64,17 @@ class TreeBuildError(RuntimeError):
 
 @dataclass
 class TreeNode:
+    """A region, its seats, its j- and (j+1)-seat district counts and its subdivisions."""
     node_id: int
     region: tuple
     seats: int
-    n_districts: int
     n_small: int
     n_large: int
     samples: list = field(default_factory=list)
+
+    @property
+    def n_districts(self):
+        return self.n_small + self.n_large
 
     @property
     def is_leaf(self):
@@ -79,8 +83,8 @@ class TreeNode:
 
 @dataclass
 class SampleTree:
+    """A built tree; its root's seats and district counts are the allocation."""
     root: TreeNode
-    allocation: SizeAllocation
     diagnostics: dict
 
 
@@ -132,52 +136,50 @@ def _bfs_distances(neighbors, source):
     return dist
 
 
-def _weighted_choice(items, weights, rng):
-    """The first item whose running weight total reaches a uniform draw."""
-    # The weights are ints or all 1.0, so the last total is their exact sum (on
-    # Python 3.12+ sum() compensates other floats); a draw below it hits an item.
-    totals = list(itertools.accumulate(weights))
-    return items[bisect.bisect_left(totals, rng.random() * totals[-1])]
+def _weighted_choice(totals, rng):
+    """The first position whose running weight total reaches a uniform draw below the
+    last total; a draw of 0.0, or totals that are all 0, take position 0."""
+    return bisect.bisect_left(totals, rng.random() * totals[-1])
 
 
 def select_centers(neighbors, pops, n_children: int, rng):
     """Spread centers: first population-weighted, then pop * hop-distance^2.
 
-    ``neighbors`` and ``pops`` are the region's graph (see ``region_graph``).
-    One breadth-first search runs from each center as it is picked.  The
-    distance that weights the next pick, a block's hop distance to the
-    nearest center so far, is the element-wise minimum of those lists; a
-    block no center reaches weighs 0.  Returns ``(centers, dist_maps)``:
-    ``dist_maps[i]`` is ``_bfs_distances`` from ``centers[i]``, for
-    ``_voronoi_cell_pops`` and ``split_region`` to reuse.
+    ``neighbors`` and ``pops`` are the region's graph (see ``region_graph``),
+    which is connected.  Each center is drawn over all m positions: the first
+    weighted by population, each later one by ``pops[b] * d * d``, ``d`` being
+    ``nearest[b]``, the element-wise minimum of the breadth-first distances
+    from the centers so far, so a center weighs 0; if every weight is 0, each
+    non-center weighs 1.  Returns ``(centers, dist_maps)``: ``dist_maps[i]``
+    is ``_bfs_distances`` from ``centers[i]``, for ``_voronoi_cell_pops`` and
+    ``split_region`` to reuse.
     """
     m = len(neighbors)
-    if n_children > m:
+    if not 1 <= n_children <= m:
         raise ValueError(f"region of {m} blocks cannot host {n_children} centers")
     if n_children == m:
         return list(range(m)), [_bfs_distances(neighbors, b) for b in range(m)]
-    centers = [_weighted_choice(range(m), pops, rng)]
-    dist_maps = [_bfs_distances(neighbors, centers[0])]
-    nearest = dist_maps[0]
-    while len(centers) < n_children:
-        rest = [b for b in range(m) if b not in centers]
-        weights = [pops[b] * (d * d) if (d := nearest[b]) < m else 0 for b in rest]
-        centers.append(_weighted_choice(rest, weights if any(weights) else [1.0] * len(rest), rng))
-        dist = _bfs_distances(neighbors, centers[-1])
-        dist_maps.append(dist)
-        if len(centers) < n_children:
-            nearest = [d if d < e else e for d, e in zip(nearest, dist)]
-    return centers, dist_maps
+    centers, dist_maps = [], []
+    totals = list(itertools.accumulate(pops))
+    while True:
+        centers.append(_weighted_choice(totals, rng))
+        dist_maps.append(dist := _bfs_distances(neighbors, centers[-1]))
+        if len(centers) == n_children:
+            return centers, dist_maps
+        nearest = dist if len(centers) == 1 else [d if d < e else e for d, e in zip(nearest, dist)]
+        totals = list(itertools.accumulate([p * (d * d) for p, d in zip(pops, nearest)]))
+        if not totals[-1]:
+            totals = list(itertools.accumulate([1 if d else 0 for d in nearest]))
 
 
-def assign_child_sizes(n_districts, n_small, n_large, cell_pops):
+def assign_child_sizes(n_small, n_large, cell_pops):
     """Per-child (n_small, n_large) proportional to Voronoi cell population.
 
     District counts use largest-remainder rounding with at least one district
     per child; the parent's large districts are spread across children in
     proportion to their district counts.
     """
-    f = len(cell_pops)
+    f, n_districts = len(cell_pops), n_small + n_large
     if f > n_districts:
         raise ValueError(f"{f} children need at least {f} districts, have {n_districts}")
     total_pop = sum(cell_pops) or 1.0
@@ -427,7 +429,7 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
 
     Every draw, the internal samples' included, comes from
     ``random.Random(f"{seed}:{i}")``.  Returns ``(children, created,
-    attempts, failures)``: the children as ``(node_id, block indices,
+    attempts, failures)``: the children as ``(node_id, block indices, seats,
     n_small, n_large, samples)`` with nested tuples, or None when the sample
     is rejected; how many nodes the sample created, rejected ones included,
     numbered 1..created in creation order; and its attempts and failures per
@@ -444,15 +446,14 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
     attempts, failures = {}, {}
 
     def subdivide(region, neighbors, pops, n_small, n_large, depth):
-        n_districts = n_small + n_large
-        fanout = rng.randint(2, min(MAX_FANOUT, n_districts))
+        fanout = rng.randint(2, min(MAX_FANOUT, n_small + n_large))
         if fanout > len(region):
             return None
         parts = sizes = None
         for _ in range(SPLIT_RETRIES):
             centers, dist_maps = select_centers(neighbors, pops, fanout, rng)
             cell_pops = _voronoi_cell_pops(pops, dist_maps)
-            sizes = assign_child_sizes(n_districts, n_small, n_large, cell_pops)
+            sizes = assign_child_sizes(n_small, n_large, cell_pops)
             child_seats = [s * j + l * (j + 1) for s, l in sizes]
             parts = split_region(neighbors, pops, centers, dist_maps, child_seats,
                                  blocks.total_population, blocks.total_seats, EPSILON)
@@ -463,7 +464,7 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
         # Every child is numbered before any child's own samples are drawn.
         child_ids = [next(node_ids) for _ in parts]
         children = []
-        for node_id, part, (s, l) in zip(child_ids, parts, sizes):
+        for node_id, part, seats, (s, l) in zip(child_ids, parts, child_seats, sizes):
             child_region = tuple([region[i] for i in part])
             samples = []
             if s + l > 1:
@@ -474,7 +475,7 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
                         samples.append(sample)
                 if not samples:
                     return None
-            children.append((node_id, child_region, s, l, tuple(samples)))
+            children.append((node_id, child_region, seats, s, l, tuple(samples)))
         return tuple(children)
 
     def try_sample(region, neighbors, pops, n_small, n_large, depth):
@@ -489,15 +490,14 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
     return children, next(node_ids) - 1, attempts, failures
 
 
-def _decode(encoded, id_offset, small_size, ids):
-    """A ``_root_sample`` child as a ``TreeNode``; block ``b`` is state id ``ids[b]``, the
-    parent's own object, which every node shares (an unpickled id would be a new one)."""
-    node_id, indices, n_small, n_large, samples = encoded
+def _decode(encoded, id_offset, ids):
+    """A ``_root_sample`` child as a ``TreeNode``, with the seats ``subdivide`` gave
+    ``split_region``; block ``b`` is state id ``ids[b]``, the parent's own object,
+    which every node shares (an unpickled id would be a new one)."""
+    node_id, indices, seats, n_small, n_large, samples = encoded
     return TreeNode(node_id=id_offset + node_id, region=tuple([ids[b] for b in indices]),
-                    seats=n_small * small_size + n_large * (small_size + 1),
-                    n_districts=n_small + n_large, n_small=n_small, n_large=n_large,
-                    samples=[[_decode(c, id_offset, small_size, ids) for c in sample]
-                             for sample in samples])
+                    seats=seats, n_small=n_small, n_large=n_large,
+                    samples=[[_decode(c, id_offset, ids) for c in sample] for sample in samples])
 
 
 def _pool_size(work, n_samples):
@@ -673,7 +673,7 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
     build = _Build.of(state.total_seats, k, seed, root_samples, internal_samples)
     alloc = build.allocation
     root = TreeNode(node_id=1, region=tuple(state.block_map), seats=state.total_seats,
-                    n_districts=k, n_small=alloc.small_count, n_large=alloc.large_count)
+                    n_small=alloc.small_count, n_large=alloc.large_count)
     attempts, failures = {}, {}
     if k > 1:
         with contextlib.ExitStack() as own:
@@ -684,8 +684,7 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
             id_offset = root.node_id
             for children, created, sample_attempts, sample_failures in pool.samples():
                 if children is not None:
-                    root.samples.append([_decode(c, id_offset, alloc.small_size, pool.blocks.ids)
-                                         for c in children])
+                    root.samples.append([_decode(c, id_offset, pool.blocks.ids) for c in children])
                 id_offset += created
                 for total, counts in ((attempts, sample_attempts), (failures, sample_failures)):
                     for depth, n in counts.items():
@@ -697,7 +696,7 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
                 f"samples rejected (failed/tried per depth: {tried})")
 
     nodes = list(_subtree(root))
-    return SampleTree(root, alloc, {
+    return SampleTree(root, {
         "k": k,
         "node_count": len(nodes),
         "leaf_count": sum(node.is_leaf for node in nodes),

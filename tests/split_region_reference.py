@@ -1,11 +1,56 @@
-"""The tree builder's ``split_region`` as it was before its growth and repair
-loops were rewritten, kept verbatim as the oracle that
-``tests/test_tree_properties.py`` compares the current one against.  The two
-must return None together and otherwise parts that hold the same blocks.
-"""
-import heapq
+"""Earlier versions of two tree builder steps, kept verbatim as the oracles
+that ``tests/test_tree_properties.py`` compares the current ones against.
 
-from mmdistrict.tree import _stays_connected
+``split_region`` is as it was before its growth and repair loops were
+rewritten; the two must return None together and otherwise parts that hold
+the same blocks.  ``select_centers`` and ``_weighted_choice`` are as they were
+before every pick was drawn from running totals over all positions of the
+region; on a connected region the two pickers must return the same centers
+and distance lists from the same RNG state.
+"""
+import bisect
+import heapq
+import itertools
+
+from mmdistrict.tree import _bfs_distances, _stays_connected
+
+
+def _weighted_choice(items, weights, rng):
+    """The first item whose running weight total reaches a uniform draw."""
+    # The weights are ints or all 1.0, so the last total is their exact sum (on
+    # Python 3.12+ sum() compensates other floats); a draw below it hits an item.
+    totals = list(itertools.accumulate(weights))
+    return items[bisect.bisect_left(totals, rng.random() * totals[-1])]
+
+
+def select_centers(neighbors, pops, n_children: int, rng):
+    """Spread centers: first population-weighted, then pop * hop-distance^2.
+
+    ``neighbors`` and ``pops`` are the region's graph (see ``region_graph``).
+    One breadth-first search runs from each center as it is picked.  The
+    distance that weights the next pick, a block's hop distance to the
+    nearest center so far, is the element-wise minimum of those lists; a
+    block no center reaches weighs 0.  Returns ``(centers, dist_maps)``:
+    ``dist_maps[i]`` is ``_bfs_distances`` from ``centers[i]``, for
+    ``_voronoi_cell_pops`` and ``split_region`` to reuse.
+    """
+    m = len(neighbors)
+    if n_children > m:
+        raise ValueError(f"region of {m} blocks cannot host {n_children} centers")
+    if n_children == m:
+        return list(range(m)), [_bfs_distances(neighbors, b) for b in range(m)]
+    centers = [_weighted_choice(range(m), pops, rng)]
+    dist_maps = [_bfs_distances(neighbors, centers[0])]
+    nearest = dist_maps[0]
+    while len(centers) < n_children:
+        rest = [b for b in range(m) if b not in centers]
+        weights = [pops[b] * (d * d) if (d := nearest[b]) < m else 0 for b in rest]
+        centers.append(_weighted_choice(rest, weights if any(weights) else [1.0] * len(rest), rng))
+        dist = _bfs_distances(neighbors, centers[-1])
+        dist_maps.append(dist)
+        if len(centers) < n_children:
+            nearest = [d if d < e else e for d, e in zip(nearest, dist)]
+    return centers, dist_maps
 
 
 def split_region(region, neighbors, pops, centers, dist_maps, child_seats,

@@ -22,7 +22,7 @@ from mmdistrict.analysis import (
     seat_histograms,
     sweep_k,
 )
-from mmdistrict.model import (Block, District, Plan, SizeAllocation, StateInstance,
+from mmdistrict.model import (Block, District, Plan, StateInstance,
                               district_vote_share, generate_synthetic_state)
 from mmdistrict.rules import RULES, STV, UncertaintyModel, deterministic_seats, expected_seats
 from mmdistrict.tree import SampleTree, TreeNode, build_tree, plan_from_leaves, sample_plans
@@ -66,8 +66,8 @@ def test_equal_regions_score_alike_however_their_sets_iterate():
     assert list(regions[0]) != list(regions[1])
     shares = []
     for region in regions:
-        leaf = TreeNode(node_id=1, region=region, seats=1, n_districts=1, n_small=1, n_large=0)
-        tree = SampleTree(leaf, SizeAllocation.for_seats(1, 1), {})
+        leaf = TreeNode(node_id=1, region=region, seats=1, n_small=1, n_large=0)
+        tree = SampleTree(leaf, {})
         shares.append(score_leaves(tree, state, STV, NO_NOISE)[1].vote_share)
         shares.append(district_vote_share(state, District(region, 1)))
     assert shares == [shares[0]] * 4

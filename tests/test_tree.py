@@ -65,8 +65,9 @@ def test_select_centers_exhaustion_and_determinism():
     b, maps_b = select_centers(*graph, 3, random.Random(5))
     assert a == b
     assert maps_a == maps_b
-    with pytest.raises(ValueError):
-        select_centers(*graph, 7, random.Random(0))
+    for n_children in (0, 7):
+        with pytest.raises(ValueError):
+            select_centers(*graph, n_children, random.Random(0))
 
 
 def test_select_centers_prefers_far_heavy_blocks():
@@ -90,7 +91,7 @@ def test_assign_child_sizes_preserves_totals():
         n_large = rng.randint(0, n_districts)
         n_small = n_districts - n_large
         cell_pops = [rng.uniform(1, 100) for _ in range(f)]
-        sizes = assign_child_sizes(n_districts, n_small, n_large, cell_pops)
+        sizes = assign_child_sizes(n_small, n_large, cell_pops)
         assert sum(s for s, _ in sizes) == n_small
         assert sum(l for _, l in sizes) == n_large
         assert all(s + l >= 1 for s, l in sizes)
@@ -98,12 +99,12 @@ def test_assign_child_sizes_preserves_totals():
 
 def test_assign_child_sizes_rejects_excess_children():
     with pytest.raises(ValueError):
-        assign_child_sizes(2, 2, 0, [1.0, 1.0, 1.0])
+        assign_child_sizes(2, 0, [1.0, 1.0, 1.0])
 
 
 def test_tree_node_invariants(grid_state):
     tree = build_tree(grid_state, 2, seed=1, root_samples=10, internal_samples=3)
-    j = tree.allocation.small_size
+    j = SizeAllocation.for_seats(grid_state.total_seats, 2).small_size
     for node in walk_nodes(tree):
         assert node.n_small + node.n_large == node.n_districts
         assert node.n_small * j + node.n_large * (j + 1) == node.seats

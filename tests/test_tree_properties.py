@@ -3,7 +3,7 @@ centering and splitting steps, and whole builds on path states.
 
 networkx serves only as an independent oracle for region graphs, distances
 and contiguity; ``split_region_reference`` keeps an earlier ``split_region``
-as the oracle for the current one.
+and an earlier ``select_centers`` as the oracles for the current ones.
 """
 import random
 
@@ -24,6 +24,7 @@ from mmdistrict.tree import (
     split_region,
 )
 from conftest import make_path_state
+from split_region_reference import select_centers as reference_select_centers
 from split_region_reference import split_region as reference_split_region
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -157,6 +158,27 @@ def test_select_centers_maps_are_single_source_distances(case, n_children, seed,
         assert nearest == nx.multi_source_dijkstra_path_length(graph, set(centers[:i + 1]))
 
 
+@settings(max_examples=300, deadline=None)
+@given(connected_subsets(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.integers(0, 9), min_size=36, max_size=36))
+# Every block but block 7 is empty, so the first center is block 7 and every
+# later pick finds all weights 0 and falls back to one per non-center.
+@example(case=(grid_adjacency(3, 4), frozenset(range(12))), n_children=5, seed=3,
+         pop_list=[5 if b == 7 else 0 for b in range(36)])
+def test_select_centers_matches_the_reference_draw_for_draw(case, n_children, seed, pop_list):
+    # The reference draws each later center from the blocks that are not yet
+    # centers; the current picker from every position, where a center weighs
+    # 0.  Both must pick the same centers and leave the RNG in the same state.
+    adjacency, region = case
+    n_children = min(n_children, len(region))
+    neighbors, pops = region_graph(sorted(region), adjacency, pop_list)
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        assert (select_centers(neighbors, pops, n_children, rng)
+                == reference_select_centers(neighbors, pops, n_children, reference_rng))
+        assert rng.getstate() == reference_rng.getstate()
+
+
 @SETTINGS
 @given(connected_subsets(min_size=4), st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
        st.lists(st.integers(1, 9), min_size=36, max_size=36),
@@ -173,7 +195,7 @@ def test_split_region_is_none_or_a_balanced_contiguous_partition(
     centers, maps = select_centers(*graph, fanout, rng)
     n_districts = fanout + rng.randint(0, 2)
     n_large = rng.randint(0, n_districts)
-    sizes = assign_child_sizes(n_districts, n_districts - n_large, n_large,
+    sizes = assign_child_sizes(n_districts - n_large, n_large,
                                [float(rng.randint(1, 9)) for _ in centers])
     child_seats = [s + 2 * l for s, l in sizes]
     # the region holds exactly its seats' share of a larger state

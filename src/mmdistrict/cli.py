@@ -22,7 +22,7 @@ from .stv import partisan_split, run_stv  # noqa: F401
 
 def _parse_k(text):
     try:
-        return int(str(text))
+        return int(text)
     except ValueError:
         raise ValueError(f"--k must be a whole district count, got {text!r}") from None
 
@@ -58,7 +58,8 @@ def _options(args):
 
 
 def _config(path, command, defaults):
-    """A config file's flag values, each checked by the flag's own type and choices."""
+    """A config file's flag values, each checked by the flag's own type and choices:
+    a JSON string or number, used as its text, or for ``verbose`` a JSON bool."""
     config = model.read_json(path)
     if not isinstance(config, dict):
         raise model.StateFormatError(f"{path}: config must be a JSON object")
@@ -68,8 +69,14 @@ def _config(path, command, defaults):
     for key, val in config.items():
         spec = FLAGS[key]
         try:
-            # The type sees the value as argparse sees a command-line one: as text.
-            config[key] = val = spec["type"](str(val)) if "type" in spec else val
+            if "action" in spec:
+                if type(val) is not bool:
+                    raise ValueError(f"{val!r} is not true or false")
+            elif type(val) not in (str, int, float):
+                raise ValueError(f"{val!r} is not a string or a number")
+            else:
+                # The flag sees the value as argparse sees a command-line one: as text.
+                config[key] = val = spec.get("type", str)(str(val))
             if "choices" in spec and val not in spec["choices"]:
                 raise ValueError(f"{val!r} is not one of {spec['choices']}")
         except ValueError as e:
@@ -124,7 +131,7 @@ def cmd_synth(opts):
 def cmd_sweep(opts):
     state = load_state(opts["state"])
     rule = get_rule(opts["rule"])
-    k_set = _parse_k_set(str(opts["k"]), state.total_seats)
+    k_set = _parse_k_set(opts["k"], state.total_seats)
     records, failures = analysis.sweep_k(
         state, rule, k_set, UncertaintyModel(opts["sigma"]), seed=opts["seed"],
         root_samples=opts["root_samples"], internal_samples=opts["internal_samples"])
@@ -221,7 +228,7 @@ def cmd_stv(opts):
 
 def cmd_diversity(opts):
     state = load_state(opts["state"])
-    k_set = _parse_k_set(str(opts["k"]), state.total_seats)
+    k_set = _parse_k_set(opts["k"], state.total_seats)
     if opts["ensemble_size"] < 1:
         raise ValueError(f"--ensemble-size must be >= 1, got {opts['ensemble_size']}")
     vfile = _voter_file(opts, state)

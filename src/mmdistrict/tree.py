@@ -18,11 +18,11 @@ and so does a growth heap's int key ``distance * m + position`` (m blocks),
 as ``(distance, position)``.  A leaf's region becomes its district's ids as is.
 
 A subdivision attempt runs one breadth-first search per center, inside the
-node's region: ``select_centers`` runs it as it picks the center, and the
-Voronoi cell populations and the growth heaps of ``split_region`` reuse those
-distance lists.  Every child region stays contiguous from growth through
-repair, so repair checks a boundary swap locally, around the moved block,
-rather than searching the whole donor district.
+node's region: ``select_centers`` runs it as it picks the center and puts each
+block in its nearest center's Voronoi cell, and ``split_region``'s growth
+heaps reuse those distance lists.  Every child region stays contiguous from
+growth through repair, so repair checks a boundary swap locally, around the
+moved block, rather than searching the whole donor district.
 
 Root sample ``i`` of a build draws everything, its internal samples
 included, from its own stream ``random.Random(f"{seed}:{i}")``, so no sample
@@ -150,23 +150,30 @@ def select_centers(neighbors, pops, n_children: int, rng):
     weighted by population, each later one by ``pops[b] * d * d``, ``d`` being
     ``nearest[b]``, the element-wise minimum of the breadth-first distances
     from the centers so far, so a center weighs 0; if every weight is 0, each
-    non-center weighs 1.  Returns ``(centers, dist_maps)``: ``dist_maps[i]``
-    is ``_bfs_distances`` from ``centers[i]``, for ``_voronoi_cell_pops`` and
-    ``split_region`` to reuse.
+    non-center weighs 1.  Returns ``(centers, dist_maps, cell)``: ``dist_maps[i]``
+    is ``_bfs_distances`` from ``centers[i]``, for ``split_region`` to reuse;
+    ``cell[b]`` is the index of ``b``'s nearest center, the earliest on a tie
+    and 0 if none reaches it, for ``_voronoi_cell_pops``.
     """
     m = len(neighbors)
     if not 1 <= n_children <= m:
         raise ValueError(f"region of {m} blocks cannot host {n_children} centers")
     if n_children == m:
-        return list(range(m)), [_bfs_distances(neighbors, b) for b in range(m)]
-    centers, dist_maps = [], []
+        return list(range(m)), [_bfs_distances(neighbors, b) for b in range(m)], list(range(m))
+    centers, dist_maps, cell = [], [], [0] * m
     totals = list(itertools.accumulate(pops))
     while True:
+        c = len(centers)
         centers.append(_weighted_choice(totals, rng))
-        dist_maps.append(dist := _bfs_distances(neighbors, centers[-1]))
-        if len(centers) == n_children:
-            return centers, dist_maps
-        nearest = dist if len(centers) == 1 else [d if d < e else e for d, e in zip(nearest, dist)]
+        dist_maps.append(dist := _bfs_distances(neighbors, centers[c]))
+        if c == 0:
+            nearest = dist[:]  # a copy, which the later centers lower in place
+        else:  # only a strictly nearer center takes a block; the scan reads b before b is written
+            for b in itertools.compress(range(m), map(operator.lt, dist, nearest)):
+                nearest[b] = dist[b]
+                cell[b] = c
+        if c + 1 == n_children:
+            return centers, dist_maps, cell
         totals = list(itertools.accumulate([p * (d * d) for p, d in zip(pops, nearest)]))
         if not totals[-1]:
             totals = list(itertools.accumulate([1 if d else 0 for d in nearest]))
@@ -237,7 +244,8 @@ def split_region(neighbors, pops, centers, dist_maps, child_seats,
     capacity-weighted nearest-frontier accretion, ordered by the hop
     distances ``dist_maps`` that ``select_centers`` returned with the
     centers, over the region's graph ``neighbors``, ``pops`` (see
-    ``region_graph``).  A frontier heap key is the int ``dist[v] * n + v``:
+    ``region_graph``), first taking every center, in index order, even one
+    that holds no people.  A frontier heap key is the int ``dist[v] * n + v``:
     ``n``, the region's size, exceeds every position, so the keys order as
     ``(dist[v], v)`` would, and ``key % n`` is the position; positions keep
     block order, so the keys order as ``(dist, block)`` too.  Repair moves a
@@ -246,38 +254,27 @@ def split_region(neighbors, pops, centers, dist_maps, child_seats,
     Growth only adds blocks next to a child and repair keeps every donor
     contiguous, so ``_stays_connected`` can decide that from the moved
     block's surroundings.  Returns each child's list of positions, in
-    ascending order, or None if any child misses its tolerance.
+    ascending order, or None if a center repeats or any child misses its
+    tolerance.
     """
     f, n = len(centers), len(neighbors)
+    if len(set(centers)) < f:
+        return None  # duplicate centers cannot seed distinct children
     targets = [state_pop * s / total_seats for s in child_seats]
     slack = [balance_slack(t, epsilon) for t in targets]
 
     owner = [-1] * n
     child_pop = [0.0] * f
-    heaps = [[] for _ in range(f)]
+    heaps = [[center] for center in centers]  # a center's key: distance 0, so its position
     pushed = [bytearray(n) for _ in range(f)]  # blocks ever on each child's frontier
     push, pop = heapq.heappush, heapq.heappop
 
-    def seed(b, c):
-        owner[b] = c
-        child_pop[c] += pops[b]
-        dist, heap, seen = dist_maps[c], heaps[c], pushed[c]
-        for v in neighbors[b]:
-            if owner[v] < 0 and not seen[v]:
-                seen[v] = 1
-                push(heap, dist[v] * n + v)
-
-    for c, center in enumerate(centers):
-        if owner[center] >= 0:
-            return None  # duplicate centers cannot seed distinct children
-        seed(center, c)
-
-    # The least full child grows next, equally full children by index.  A
-    # child gains frontier blocks only when it grows, so one whose frontier
-    # has run out leaves the queue for good.
-    growing = [(child_pop[c] / targets[c], c) for c in range(f)]
-    heapq.heapify(growing)
-    n_assigned = f
+    # The least full child grows next, equally full children by index; each
+    # starts below any fill, so each takes its center first.  A child gains frontier
+    # blocks only when it grows, so one whose frontier has run out leaves the
+    # queue for good.
+    growing = [(-1.0, c) for c in range(f)]
+    n_assigned = 0
     while n_assigned < n:
         if not growing:
             return None
@@ -451,9 +448,8 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
             return None
         parts = sizes = None
         for _ in range(SPLIT_RETRIES):
-            centers, dist_maps = select_centers(neighbors, pops, fanout, rng)
-            cell_pops = _voronoi_cell_pops(pops, dist_maps)
-            sizes = assign_child_sizes(n_small, n_large, cell_pops)
+            centers, dist_maps, cell = select_centers(neighbors, pops, fanout, rng)
+            sizes = assign_child_sizes(n_small, n_large, _voronoi_cell_pops(pops, cell, fanout))
             child_seats = [s * j + l * (j + 1) for s, l in sizes]
             parts = split_region(neighbors, pops, centers, dist_maps, child_seats,
                                  blocks.total_population, blocks.total_seats, EPSILON)
@@ -706,21 +702,12 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
     })
 
 
-def _voronoi_cell_pops(pops, dist_maps):
-    """Population of each center's Voronoi cell, from the centers' distance lists.
-
-    A block joins its nearest center by hop distance, the earliest center on
-    a tie, and a block no center reaches joins the first.  ``pops`` is the
-    region's population list, summed in position order.
+def _voronoi_cell_pops(pops, cell, n_cells):
+    """Population of each of ``n_cells`` Voronoi cells, position ``b`` being in
+    ``cell[b]`` as ``select_centers`` assigned it; ``pops`` is the region's
+    population list, summed in position order.
     """
-    nearest = dist_maps[0][:]
-    cell = [0] * len(nearest)
-    for i in range(1, len(dist_maps)):
-        for b, d in enumerate(dist_maps[i]):
-            if d < nearest[b]:
-                nearest[b] = d
-                cell[b] = i
-    cell_pops = [0.0] * len(dist_maps)
+    cell_pops = [0.0] * n_cells
     for c, p in zip(cell, pops):
         cell_pops[c] += p
     return cell_pops

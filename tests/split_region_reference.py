@@ -1,4 +1,4 @@
-"""Earlier versions of two tree builder steps, kept verbatim as the oracles
+"""Earlier versions of three tree builder steps, kept verbatim as the oracles
 that ``tests/test_tree_properties.py`` compares the current ones against.
 
 ``split_region`` is as it was before its growth and repair loops were
@@ -6,7 +6,10 @@ rewritten; the two must return None together and otherwise parts that hold
 the same blocks.  ``select_centers`` and ``_weighted_choice`` are as they were
 before every pick was drawn from running totals over all positions of the
 region; on a connected region the two pickers must return the same centers
-and distance lists from the same RNG state.
+and distance lists from the same RNG state.  ``_voronoi_cell_pops`` is as it
+was before ``select_centers`` assigned each block's cell while it picked the
+centers; from those centers' distance lists it must give the same cell
+populations as the current one does from that cell list.
 """
 import bisect
 import heapq
@@ -51,6 +54,26 @@ def select_centers(neighbors, pops, n_children: int, rng):
         if len(centers) < n_children:
             nearest = [d if d < e else e for d, e in zip(nearest, dist)]
     return centers, dist_maps
+
+
+def _voronoi_cell_pops(pops, dist_maps):
+    """Population of each center's Voronoi cell, from the centers' distance lists.
+
+    A block joins its nearest center by hop distance, the earliest center on
+    a tie, and a block no center reaches joins the first.  ``pops`` is the
+    region's population list, summed in position order.
+    """
+    nearest = dist_maps[0][:]
+    cell = [0] * len(nearest)
+    for i in range(1, len(dist_maps)):
+        for b, d in enumerate(dist_maps[i]):
+            if d < nearest[b]:
+                nearest[b] = d
+                cell[b] = i
+    cell_pops = [0.0] * len(dist_maps)
+    for c, p in zip(cell, pops):
+        cell_pops[c] += p
+    return cell_pops
 
 
 def split_region(region, neighbors, pops, centers, dist_maps, child_seats,

@@ -72,16 +72,20 @@ def test_synth_smooths_a_one_block_state_as_corr_0_leaves_it(tmp_path, corr):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def run_module(argv, **kwargs):
+    """``python -m mmdistrict`` with ``argv`` in a child process, this checkout's package first."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "mmdistrict", *argv],
+                          env=env, capture_output=True, text=True, timeout=120, **kwargs)
+
+
 def test_python_m_mmdistrict_writes_what_cli_main_writes(tmp_path):
     flags = ["synth", "--blocks", "16", "--seats", "4", "--r-share", "0.4", "--corr", "1",
              "--seed", "3"]
     assert run([*flags, "--out", str(tmp_path / "main.json")]) == 0
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "mmdistrict", *flags,
-                           "--out", str(tmp_path / "module.json")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = run_module([*flags, "--out", str(tmp_path / "module.json")])
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
 
@@ -621,7 +625,9 @@ def test_config_values_take_the_flag_type(state_file, tmp_path):
     ({"root_samples": "five"}, "root_samples: invalid literal for int()"),
     ({"root_samples": 2.5}, "root_samples: invalid literal for int()"),
     ({"rule": "borda"}, "rule: 'borda' is not one of"),
-], ids=["not_an_int", "float_for_int", "unknown_rule"])
+    # checked even though the --out flag wins over it
+    ({"out": ["plan"]}, "out: ['plan'] is not a string or a number"),
+], ids=["not_an_int", "float_for_int", "unknown_rule", "list_for_out"])
 def test_config_rejects_values_the_flag_would_reject(state_file, tmp_path, capsys,
                                                      values, reason):
     config = tmp_path / "config.json"
@@ -630,6 +636,31 @@ def test_config_rejects_values_the_flag_would_reject(state_file, tmp_path, capsy
     assert run(["optimize", "--state", str(state_file), "--k", "2", "--config", str(config),
                 "--out", str(out)]) == 1
     assert f"error: {config}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verbose", ["no", 0])
+def test_config_verbose_must_be_true_or_false(state_file, plan_file, tmp_path, capsys, verbose):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"verbose": verbose}))
+    out = tmp_path / "stv"
+    assert run(["stv", "--state", str(state_file), "--plan", str(plan_file),
+                "--config", str(config), "--out", str(out)]) == 1
+    assert f"error: {config}: verbose: {verbose!r} is not true or false" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_number_names_a_file_not_standard_input(state_file, tmp_path):
+    # {"state": 0} is the text "0", as --state 0 would be: a file named 0,
+    # which the working directory lacks, not the state piped to stdin.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"state": 0}))
+    out = tmp_path / "m.csv"
+    with open(state_file) as stdin:
+        proc = run_module(["sweep", "--config", str(config), "--k", "1", "--out", str(out)],
+                          stdin=stdin, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "No such file or directory: '0'" in proc.stderr
     assert not out.exists()
 
 

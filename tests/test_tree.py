@@ -59,10 +59,10 @@ def test_select_centers_exhaustion_and_determinism():
     pops = {b.id: b.population for b in state.blocks}
     # the region is the whole state, so each position is the block's id
     graph = region_graph(range(6), state.adjacency, pops)
-    centers, maps = select_centers(*graph, 6, random.Random(0))
+    centers, maps, _ = select_centers(*graph, 6, random.Random(0))
     assert sorted(centers) == list(range(6))
-    a, maps_a = select_centers(*graph, 3, random.Random(5))
-    b, maps_b = select_centers(*graph, 3, random.Random(5))
+    a, maps_a, _ = select_centers(*graph, 3, random.Random(5))
+    b, maps_b, _ = select_centers(*graph, 3, random.Random(5))
     assert a == b
     assert maps_a == maps_b
     for n_children in (0, 7):
@@ -77,7 +77,7 @@ def test_select_centers_prefers_far_heavy_blocks():
     graph = region_graph(range(12), state.adjacency, pops)
     hits = 0
     for seed in range(400):
-        centers, maps = select_centers(*graph, 2, random.Random(seed))
+        centers, maps, _ = select_centers(*graph, 2, random.Random(seed))
         if set(centers) == {0, 11}:
             hits += 1
     assert hits / 400 > 0.9

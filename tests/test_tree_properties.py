@@ -2,8 +2,9 @@
 centering and splitting steps, and whole builds on path states.
 
 networkx serves only as an independent oracle for region graphs, distances
-and contiguity; ``split_region_reference`` keeps an earlier ``split_region``
-and an earlier ``select_centers`` as the oracles for the current ones.
+and contiguity; ``split_region_reference`` keeps an earlier ``split_region``,
+an earlier ``select_centers`` and an earlier Voronoi pass as the oracles for
+the current ones.
 """
 import random
 
@@ -16,6 +17,7 @@ from mmdistrict.model import (EPSILON, District, Plan, generate_synthetic_state,
 from mmdistrict.tree import (
     _bfs_distances,
     _stays_connected,
+    _voronoi_cell_pops,
     assign_child_sizes,
     build_tree,
     region_graph,
@@ -24,6 +26,7 @@ from mmdistrict.tree import (
     split_region,
 )
 from conftest import make_path_state
+from split_region_reference import _voronoi_cell_pops as reference_voronoi_cell_pops
 from split_region_reference import select_centers as reference_select_centers
 from split_region_reference import split_region as reference_split_region
 
@@ -146,7 +149,7 @@ def test_select_centers_maps_are_single_source_distances(case, n_children, seed,
     n_children = min(n_children, len(region))
     order = sorted(region)
     neighbors, pops = region_graph(order, adjacency, pop_list)
-    centers, maps = select_centers(neighbors, pops, n_children, random.Random(seed))
+    centers, maps, _ = select_centers(neighbors, pops, n_children, random.Random(seed))
     assert len(set(centers)) == len(centers) == len(maps) == n_children
     graph = relabelled(adjacency, order)
     for i, (center, dist) in enumerate(zip(centers, maps)):
@@ -169,14 +172,20 @@ def test_select_centers_matches_the_reference_draw_for_draw(case, n_children, se
     # The reference draws each later center from the blocks that are not yet
     # centers; the current picker from every position, where a center weighs
     # 0.  Both must pick the same centers and leave the RNG in the same state.
+    # The reference Voronoi pass assigns the cells from the distance lists
+    # afterwards; the current picker assigns them as it goes.  Both sum the
+    # populations in position order, so the cell populations are equal exactly.
     adjacency, region = case
     n_children = min(n_children, len(region))
     neighbors, pops = region_graph(sorted(region), adjacency, pop_list)
     rng, reference_rng = random.Random(seed), random.Random(seed)
     for _ in range(3):
-        assert (select_centers(neighbors, pops, n_children, rng)
-                == reference_select_centers(neighbors, pops, n_children, reference_rng))
+        found = select_centers(neighbors, pops, n_children, rng)
+        expected = reference_select_centers(neighbors, pops, n_children, reference_rng)
+        assert found[:2] == expected
         assert rng.getstate() == reference_rng.getstate()
+        assert (_voronoi_cell_pops(pops, found[2], n_children)
+                == reference_voronoi_cell_pops(pops, expected[1]))
 
 
 @SETTINGS
@@ -192,7 +201,7 @@ def test_split_region_is_none_or_a_balanced_contiguous_partition(
     order = sorted(region)
     graph = region_graph(order, adjacency, pops)
     rng = random.Random(seed)
-    centers, maps = select_centers(*graph, fanout, rng)
+    centers, maps, _ = select_centers(*graph, fanout, rng)
     n_districts = fanout + rng.randint(0, 2)
     n_large = rng.randint(0, n_districts)
     sizes = assign_child_sizes(n_districts - n_large, n_large,
@@ -218,6 +227,7 @@ def test_split_region_is_none_or_a_balanced_contiguous_partition(
 @settings(max_examples=400, deadline=None)
 @given(connected_subsets(min_size=2), st.integers(2, 4), st.integers(0, 2 ** 32 - 1),
        st.one_of(st.lists(st.integers(1, 2), min_size=36, max_size=36),
+                 st.lists(st.integers(0, 2), min_size=36, max_size=36),
                  st.lists(st.integers(1, 9), min_size=36, max_size=36),
                  st.lists(st.floats(0.1, 9.0), min_size=36, max_size=36)),
        st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.5]), st.sampled_from([False] * 7 + [True]),
@@ -245,13 +255,14 @@ def test_split_region_matches_the_reference_part_for_part(
     pops = dict(enumerate(pop_list))
     neighbors, region_pops = region_graph(order, adjacency, pops)
     rng = random.Random(seed)
-    centers, maps = select_centers(neighbors, region_pops, fanout, rng)
+    centers, maps, _ = select_centers(neighbors, region_pops, fanout, rng)
     if duplicate:
         centers[-1], maps[-1] = centers[0], maps[0]
     child_seats = ([rng.randint(1, 3)] * fanout if equal_seats
                    else [rng.randint(1, 3) for _ in centers])
     total_seats = seat_scale * sum(child_seats)
-    state_pop = pop_scale * seat_scale * sum(pops[b] for b in region)
+    # A state has people (load_state rejects one without), even where the region has none.
+    state_pop = pop_scale * seat_scale * (sum(pops[b] for b in region) or 1)
     # Both get the region's graph; the reference's block b is state id ids[b].
     ids = [3 * b + 100 for b in order]
     args = (neighbors, region_pops, centers, maps, child_seats, state_pop, total_seats,
@@ -264,6 +275,21 @@ def test_split_region_matches_the_reference_part_for_part(
     else:
         assert parts is not None
         assert [sorted(ids[b] for b in p) for p in parts] == [sorted(p) for p in expected]
+
+
+def test_a_center_with_no_people_is_taken_before_any_child_grows_past_its_center():
+    # Child 0's center, block 1, holds no people, so child 0 is still the
+    # least full child once it has taken it.  Its nearest frontier block is
+    # block 0, child 1's center, which child 1 must take first: were child 0
+    # to grow again before child 1 is seeded, child 1 would be left empty.
+    neighbors = [(1,), (0, 2), (1, 3), (2,)]
+    pops = [1, 0, 1, 1]
+    centers = [1, 0]
+    maps = [_bfs_distances(neighbors, c) for c in centers]
+    # targets 1.5 and 1.5, each within 0.75
+    args = (neighbors, pops, centers, maps, [1, 1], 3, 2, 0.5)
+    assert reference_split_region(range(4), *args, range(4)) == [{1, 2, 3}, {0}]
+    assert split_region(*args) == [[1, 2, 3], [0]]
 
 
 def test_repair_moves_a_block_to_the_lower_child_on_a_tied_gain():
@@ -304,7 +330,7 @@ def test_split_region_succeeds_on_an_easy_grid():
     graph = region_graph(sorted(state.block_ids), state.adjacency, pops)
     successes = 0
     for seed in range(10):
-        centers, maps = select_centers(*graph, 4, random.Random(seed))
+        centers, maps, _ = select_centers(*graph, 4, random.Random(seed))
         parts = split_region(*graph, centers, maps, [1, 1, 1, 1], state.total_population, 4,
                              EPSILON)
         if parts is not None:

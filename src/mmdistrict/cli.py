@@ -327,7 +327,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command][0](_options(args))
-    except (model.StateFormatError, tree_mod.TreeBuildError, ValueError, OSError) as e:
+    except (model.StateFormatError, tree_mod.TreeBuildError, tree_mod.WorkerExitError, ValueError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -28,16 +28,17 @@ Root sample ``i`` of a build draws everything, its internal samples
 included, from its own stream ``random.Random(f"{seed}:{i}")``, so no sample
 reads another's RNG state.  ``build_trees`` plans a command's builds on one
 state, one per district count, up front in one root-sample pool.  When the
-builds' summed estimated work reaches ``POOL_MIN_WORK``, the pool forks one
-worker per usable CPU, once, with the state's blocks and the planned builds.
-It sends ``IN_FLIGHT`` ``(build, sample index)`` tasks per worker, in build
-order, then one more for each result it reads, in the calling thread with no
-helper thread; so the workers start the next build while the caller scores
-the last, and a worker that dies raises.  ``build_tree`` merges the results
-in sample order.  Smaller commands, and platforms without ``fork``, run the
-same per-sample function serially.  ``build_tree`` on its own opens a pool
-for its build alone.  The tree, its node ids and its diagnostics do not
-depend on the number of cores.
+builds' summed estimated work reaches ``POOL_MIN_WORK``, the caller and
+workers forked once, with the blocks and the builds, one process per usable
+CPU in all, claim ``(build, sample index)`` tasks in plan order.  A worker
+claims one per permit: the caller sends ``IN_FLIGHT`` per worker, then one
+per result it reads, with no helper thread, so the workers start the next
+build while it scores the last, and a worker that dies raises.  While the
+result it needs has not come, the caller runs a task itself.  ``build_tree``
+merges the results in sample order.  Smaller commands, and platforms without
+``fork``, run the same function serially, and ``build_tree`` alone opens a
+pool for its build.  The tree, its node ids and its diagnostics do not depend
+on the number of cores.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ import contextlib
 import functools
 import heapq
 import itertools
+import mmap
 import operator
 import os
 import random
@@ -369,13 +371,13 @@ SPLIT_RETRIES = 20
 MAX_FANOUT = 4
 #: Smallest estimated work, in block visits summed over one command's builds,
 #: for which a ``_RootSamplePool`` forks workers; see ``_pool_size``.  Timed
-#: on a 2-core VM, one build per two-worker pool against the same build
-#: serially (median of 15 alternating builds each): opening and closing the
-#: pool takes about 4 ms, and the pool wins from about 15,000 on.  144
-#: blocks, k = 2: 7,200 took 1.09x the serial time, 14,400 1.00x, 28,800
-#: 0.85x; 400 blocks, k = 2: 20,000 0.87x; 144 blocks, k = 4, 2 internal
-#: samples: 28,800 0.87x.  A command pays the start-up once, so the
-#: threshold applies to its sum.
+#: on a 2-core VM, one build per pool of the caller and one worker against
+#: the same build serially (median of 15 alternating builds each, two runs):
+#: opening and closing the pool takes about 4 ms, and the pool wins from
+#: 14,400 on.  144 blocks, k = 2: 7,200 took 1.22-1.23x the serial time,
+#: 14,400 0.77-0.86x, 28,800 0.66-0.85x; 400 blocks, k = 2: 20,000
+#: 0.80-0.88x; 144 blocks, k = 4, 2 internal samples: 28,800 0.63-0.96x.  A
+#: command pays the start-up once, so the threshold applies to its sum.
 POOL_MIN_WORK = 20_000
 
 
@@ -497,8 +499,8 @@ def _decode(encoded, id_offset, ids):
 
 
 def _pool_size(work, n_samples):
-    """Worker processes for ``work`` estimated block visits in builds of at
-    most ``n_samples`` root samples; 1 runs them serially."""
+    """Processes, the caller included, for ``work`` estimated block visits in
+    builds of at most ``n_samples`` root samples; 1 runs them serially."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if work < POOL_MIN_WORK or cpus < 2:
         return 1
@@ -509,26 +511,41 @@ def _pool_size(work, n_samples):
     return min(cpus, n_samples)
 
 
-#: Root-sample tasks a pooled ``_RootSamplePool`` keeps outstanding per
-#: worker.  It bounds the results that wait in the pipe and that the parent
-#: holds out of order; a task is two small ints, so the parent's writes never
-#: fill the task pipe and block while a worker blocks on its result write.
+#: Permits, each good for one root-sample task, a ``_RootSamplePool`` keeps
+#: outstanding per forked worker.  It bounds the results that wait in the pipe
+#: and that the parent holds out of order; a permit is an empty message, so the
+#: parent's writes never fill the permit pipe while a worker blocks on a result.
 IN_FLIGHT = 3
 
 
-def _work(blocks, plan, tasks, task_lock, results, result_lock, parent_ends):
-    """A pool worker: ``(build, i)`` tasks in, ``(build, i, ok, result or
-    (exception, traceback text))`` out, until the parent closes the task pipe
-    or kills it."""
+class WorkerExitError(RuntimeError):
+    """Raised when a root-sample worker exits while its pool is open."""
+
+
+def _claim(tasks, claimed, lock):
+    """The next unclaimed task of ``tasks``, or None; ``claimed`` is the shared count."""
+    with lock:
+        t = int.from_bytes(claimed, "little")
+        claimed[:] = min(t + 1, len(tasks)).to_bytes(8, "little")
+    return tasks[t] if t < len(tasks) else None
+
+
+def _work(blocks, plan, claim, permits, permit_lock, results, result_lock, parent_ends):
+    """A pool worker: for each permit it reads, it claims a ``(build, i)`` task
+    and sends ``(build, i, ok, result or (exception, traceback text))``, until
+    the parent closes the permit pipe or kills it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-    for end in parent_ends:  # so the task pipe reaches EOF when the parent exits
+    for end in parent_ends:  # so the permit pipe reaches EOF when the parent exits
         end.close()
     while True:
-        with task_lock:
+        with permit_lock:
             try:
-                b, i = tasks.recv()
+                permits.recv_bytes()
             except EOFError:
                 return
+        if (task := claim()) is None:
+            continue
+        b, i = task
         try:
             message = (b, i, True, _root_sample(blocks, plan[b], i))
         except Exception as e:  # raised in the parent when it reaches sample i
@@ -548,48 +565,53 @@ class _RootSamplePool:
     times, so the builds' work is estimated as the sum of root samples *
     blocks * (1 + n_internal * (k - 2)).
 
-    At ``POOL_MIN_WORK`` or more the pool forks its workers here, once, with
-    the state's blocks and the planned builds.  It queues every build's
-    tasks in order and sends ``IN_FLIGHT`` per worker; each result it takes
-    in sends the next, so the workers start on the next build while the
-    caller still works on the last tree.  The parent has no helper thread.
-    It reads results in the calling thread, waiting on the result pipe and
-    the workers' sentinels, so a worker that exits raises an error naming its
-    exit code.  Below ``POOL_MIN_WORK``, and without ``fork``, each build's
-    samples run serially as the caller takes them.  Fork, not spawn, because
+    At ``POOL_MIN_WORK`` or more the caller is one of ``_pool_size``
+    processes; it forks the others here, once, with the blocks and the
+    builds.  Each claims the lowest unclaimed task through one shared count,
+    a worker one per permit: ``IN_FLIGHT`` per worker, then one per result
+    taken in, so the workers start on the next build while the caller works
+    on the last tree.  While the result it needs next has not come and none
+    waits, the caller runs a task itself, and raises its exception as is on
+    reaching that sample.  It reads results in the calling thread, with no
+    helper thread, waiting on the result pipe and the workers' sentinels, so
+    a worker that exits raises ``WorkerExitError``.  Below ``POOL_MIN_WORK``,
+    and without ``fork``, the samples run serially.  Fork, not spawn, because
     a spawned worker would import the package and receive the state again;
     the workers run pure Python, so forking after numpy has started threads
     is safe here.  Close it; callers wrap it in ``contextlib.closing``.
     """
 
     def __init__(self, blocks: _Blocks, plan):
-        self.blocks = blocks
+        self.blocks, self._plan = blocks, plan
         self._next_build = enumerate(plan)
         work = sum(b.n_root * len(blocks.ids)
                    * (1 + b.n_internal * (b.allocation.small_count + b.allocation.large_count - 2))
                    for b in plan)
-        workers = _pool_size(work, max((b.n_root for b in plan), default=1))
+        processes = _pool_size(work, max((b.n_root for b in plan), default=1))
         self._workers = []
-        if workers < 2:
+        if processes < 2:
             return
         import multiprocessing.connection
 
         ctx = multiprocessing.get_context("fork")
         self._wait = multiprocessing.connection.wait
-        task_reader, self._tasks = ctx.Pipe(duplex=False)
-        self._results, result_writer = ctx.Pipe(duplex=False)
-        args = (blocks, plan, task_reader, ctx.Lock(), result_writer, ctx.Lock(),
-                (self._tasks, self._results))
+        self._claimed = mmap.mmap(-1, 8)  # anonymous, so the forks share it with no descriptor
+        self._claim = functools.partial(
+            _claim, [(b, i) for b, build in enumerate(plan) for i in range(build.n_root)],
+            self._claimed, ctx.Lock())
+        permit_reader, self._permits = ctx.Pipe(duplex=False)
+        # The parent keeps a result writer, so a dead worker shows as its sentinel, never as EOF.
+        self._results, self._result_writer = ctx.Pipe(duplex=False)
+        args = (blocks, plan, self._claim, permit_reader, ctx.Lock(), self._result_writer,
+                ctx.Lock(), (self._permits, self._results))
         self._workers = [ctx.Process(target=_work, args=args, daemon=True)
-                         for _ in range(workers)]
+                         for _ in range(processes - 1)]
         for p in self._workers:
             p.start()
-        task_reader.close()
-        result_writer.close()
-        self._queue = ((b, i) for b, build in enumerate(plan) for i in range(build.n_root))
-        self._done = {}  # (build, i) -> (ok, value) of a result received ahead of use
-        for task in itertools.islice(self._queue, IN_FLIGHT * workers):
-            self._tasks.send(task)
+        permit_reader.close()
+        self._done = {}  # (build, i) -> (ok, result or exception) of a task done ahead of use
+        for _ in range(IN_FLIGHT * len(self._workers)):
+            self._permits.send_bytes(b"")
 
     def samples(self):
         """``_root_sample`` results of the next planned build, in sample order."""
@@ -601,11 +623,16 @@ class _RootSamplePool:
     def _collect(self, b, n_samples):
         for i in range(n_samples):
             while (b, i) not in self._done:
-                self._receive()
+                if self._results.poll() or (task := self._claim()) is None:
+                    self._receive()
+                    continue
+                try:  # the caller runs a task while no result waits
+                    self._done[task] = True, _root_sample(self.blocks, self._plan[task[0]], task[1])
+                except Exception as e:  # raised when the caller reaches the sample
+                    self._done[task] = False, e
             ok, value = self._done.pop((b, i))
             if not ok:
-                error, worker_traceback = value
-                raise error from RuntimeError(f"in a root-sample worker:\n{worker_traceback}")
+                raise value
             yield value
 
     def _receive(self):
@@ -613,11 +640,15 @@ class _RootSamplePool:
         for p in self._workers:
             if p.sentinel in ready:
                 p.join()
-                raise RuntimeError(f"root-sample worker {p.pid} exited with code {p.exitcode}")
+                how = (f"was killed by signal {-p.exitcode}" if p.exitcode < 0
+                       else f"exited with code {p.exitcode}")
+                raise WorkerExitError(f"root-sample worker {p.pid} {how}")
         b, i, ok, value = self._results.recv()
+        if not ok:
+            value, worker_traceback = value
+            value.__cause__ = RuntimeError(f"in a root-sample worker:\n{worker_traceback}")
         self._done[b, i] = ok, value
-        if (task := next(self._queue, None)) is not None:  # one in, one out
-            self._tasks.send(task)
+        self._permits.send_bytes(b"")  # one in, one out
 
     def close(self):
         if self._workers:
@@ -625,8 +656,8 @@ class _RootSamplePool:
                 p.kill()
             for p in self._workers:
                 p.join()
-            self._tasks.close()
-            self._results.close()
+            for end in (self._permits, self._results, self._result_writer, self._claimed):
+                end.close()
             self._workers = []
 
 

@@ -9,8 +9,10 @@ import multiprocessing
 import multiprocessing.process
 import operator
 import os
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -769,7 +771,7 @@ def test_one_sweep_forks_one_pool_and_writes_the_serial_bytes(state_file, tmp_pa
     assert worker_starts == []
     monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
     assert run(argv + ["--out", str(tmp_path / "pooled.csv")]) == 0
-    assert len(worker_starts) == 2
+    assert len(worker_starts) == 1  # the caller is the pool's second process
     assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert multiprocessing.active_children() == []
 
@@ -788,7 +790,7 @@ def test_a_k_that_fails_to_build_keeps_the_pool_for_later_k(tmp_path, monkeypatc
     built = {row[0] for row in read_csv(out)[1:] if row[2] != "failed"}
     failed = {row[0] for row in read_csv(out)[1:] if row[2] == "failed"}
     assert (built, failed) == ({"1", "3"}, {"2"})
-    assert len(worker_starts) == 2
+    assert len(worker_starts) == 1  # the caller is the pool's second process
     assert multiprocessing.active_children() == []
 
 
@@ -803,7 +805,31 @@ def test_a_worker_exception_ends_the_command_and_its_pool(state_file, tmp_path, 
     with pytest.raises(RuntimeError, match="split failed in a worker"):
         run(["sweep", "--state", str(state_file), "--k", "all", "--root-samples", "6",
              "--internal-samples", "2", "--out", str(tmp_path / "metrics.csv")])
-    assert len(worker_starts) == 2
+    assert len(worker_starts) == 1  # the caller is the pool's second process
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("die, reads", [(lambda: os._exit(9), "exited with code 9"),
+                                        (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                         "was killed by signal 9")], ids=["exit", "signal"])
+def test_a_dead_worker_is_an_error_not_a_traceback(state_file, tmp_path, monkeypatch, capsys,
+                                                   worker_starts, die, reads):
+    parent, split_region = os.getpid(), tree_mod.split_region
+
+    def die_in_a_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            die()
+        time.sleep(0.01)  # the caller runs samples too; this lets the worker claim one
+        return split_region(*args, **kwargs)
+
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "split_region", die_in_a_worker)
+    out = tmp_path / "plan"
+    assert run(["optimize", "--state", str(state_file), "--k", "2", "--root-samples", "8",
+                "--internal-samples", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: root-sample worker {worker_starts[0].pid} {reads}\n"
+    assert not out.exists()
     assert multiprocessing.active_children() == []
 
 
@@ -825,7 +851,7 @@ def test_an_exception_between_trees_ends_the_command_and_its_pool(state_file, tm
         run(["sweep", "--state", str(state_file), "--k", "all", "--root-samples", "6",
              "--internal-samples", "2", "--out", str(tmp_path / "metrics.csv")])
     assert scored == [1, 2]
-    assert len(worker_starts) == 2
+    assert len(worker_starts) == 1  # the caller is the pool's second process
     assert multiprocessing.active_children() == []
 
 

@@ -154,7 +154,7 @@ def test_stv_reading_the_golden_voter_file_matches_the_generated_run(tmp_path):
 @pytest.mark.parametrize("name", sorted(n for n, case in CASES.items() if case[0] != "stv"))
 def test_command_matches_golden_outputs_with_two_workers(name, tmp_path, monkeypatch):
     # Most golden builds are too small to be pooled; this forces every one into
-    # a two-worker pool, which must write the same bytes as a serial build.
+    # a pool of the caller and one worker, which must write a serial build's bytes.
     monkeypatch.setattr(tree, "_pool_size", lambda work, n_samples: 2)
     assert_matches_golden(name, tmp_path)
 

@@ -239,8 +239,8 @@ def _tree_dump(tree):
 def test_trees_do_not_depend_on_the_pool_size(monkeypatch):
     # At k = 6, seed 13 rejects internal samples after creating their
     # children, so the node id offsets and the failure counts are compared too.
-    # The last build has fewer root samples than three workers, so one of
-    # them never gets a task.
+    # The last build has fewer root samples than three processes, so one of
+    # them never gets a task of it.
     state = generate_synthetic_state(36, 6, 0.4, 0, seed=1)
     dumps = {}
     for workers in (1, 2, 3):
@@ -348,7 +348,7 @@ def test_a_pooled_build_starts_no_thread_in_the_parent(grid_state, monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", record_thread)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record_process)
     build_tree(grid_state, 4, seed=1, root_samples=4, internal_samples=2)
-    assert (len(processes), threads) == (2, [])
+    assert (len(processes), threads) == (1, [])  # the caller is the second process
     assert multiprocessing.active_children() == []
 
 
@@ -378,6 +378,7 @@ def test_a_dead_worker_raises_instead_of_hanging(grid_state, monkeypatch):
     def exit_in_a_worker(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(3)
+        time.sleep(0.01)  # the caller runs samples too; this lets the worker claim one
         return split_region(*args, **kwargs)
 
     def hung(signum, frame):
@@ -416,45 +417,74 @@ def test_worker_exception_reaches_the_caller(grid_state, monkeypatch):
 
 
 @needs_fork
-@pytest.mark.parametrize("workers", [2, 3])
-def test_a_pool_sends_every_task_once_and_one_more_per_result(grid_state, monkeypatch, workers):
-    # The parent's only pipe writes are tasks and its only reads are results,
-    # so record both there: it fills a window of IN_FLIGHT tasks per worker,
-    # then sends the next queued task after each result until none is left.
-    parent, events = os.getpid(), []
-    send, recv = multiprocessing.connection.Connection.send, multiprocessing.connection.Connection.recv
+@pytest.mark.parametrize("processes", [2, 3])
+def test_a_pool_runs_every_task_once_and_the_caller_runs_some(grid_state, monkeypatch, tmp_path,
+                                                              processes):
+    # Every run of a root sample, in a worker or in the caller, appends its
+    # process and task to one file.  The parent's only permit-pipe writes are
+    # permits and its only result-pipe reads are results, so record both
+    # there: it sends IN_FLIGHT permits per forked worker, then one per result.
+    parent, events, runs = os.getpid(), [], tmp_path / "runs"
+    root_sample = tree_mod._root_sample
+    send_bytes, recv = multiprocessing.connection.Connection.send_bytes, \
+        multiprocessing.connection.Connection.recv
 
-    def recorded_send(self, obj):
+    def recorded_root_sample(blocks, build, i):
+        with open(runs, "a") as f:
+            f.write(f"{os.getpid()} {build.seed} {i}\n")
+        return root_sample(blocks, build, i)
+
+    def recorded_send_bytes(self, buf, *args):
         if os.getpid() == parent:
-            events.append(("sent", obj))
-        send(self, obj)
+            events.append(1)
+        send_bytes(self, buf, *args)
 
     def recorded_recv(self):
         obj = recv(self)
         if os.getpid() == parent:
-            events.append(("received", obj[:2]))
+            events.append(-1)
         return obj
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
-    monkeypatch.setattr(multiprocessing.connection.Connection, "send", recorded_send)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: processes)
+    monkeypatch.setattr(tree_mod, "_root_sample", recorded_root_sample)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send_bytes", recorded_send_bytes)
     monkeypatch.setattr(multiprocessing.connection.Connection, "recv", recorded_recv)
     ks, n_root = (1, 2, 3, 4), 5
     built = list(tree_mod.build_trees(grid_state, ks, 1, root_samples=n_root, internal_samples=2))
     assert [k for k, _ in built] == list(ks)
-    tasks = [(b, i) for b in range(len(ks) - 1) for i in range(n_root)]  # k = 1 has none
-    window = tree_mod.IN_FLIGHT * workers
-    assert [task for kind, task in events if kind == "sent"] == tasks
-    assert sorted(task for kind, task in events if kind == "received") == tasks
-    outstanding = list(itertools.accumulate(1 if kind == "sent" else -1 for kind, _ in events))
-    assert max(outstanding) <= window
-    assert [kind for kind, _ in events] == (["sent"] * window
-                                            + ["received", "sent"] * (len(tasks) - window)
-                                            + ["received"] * window)
+    ran = [line.split() for line in runs.read_text().splitlines()]
+    assert sorted((int(seed), int(i)) for _, seed, i in ran) == [
+        (1 * 100003 + k, i) for k in ks[1:] for i in range(n_root)]  # k = 1 has none
+    assert str(parent) in {pid for pid, _, _ in ran}
+    window = tree_mod.IN_FLIGHT * (processes - 1)
+    assert events.count(1) == window + events.count(-1)
+    assert max(itertools.accumulate(events)) <= window
     assert multiprocessing.active_children() == []
 
 
-#: Runs a two-worker build whose workers sleep in every split, printing each
-#: worker's pid as it starts.
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors via /proc")
+@pytest.mark.parametrize("processes", [2, 3])
+def test_an_error_in_a_sample_the_caller_runs_is_raised_as_is(grid_state, monkeypatch, processes):
+    parent, split_region = os.getpid(), tree_mod.split_region
+
+    def fail_in_the_caller(*args, **kwargs):
+        if os.getpid() == parent:
+            raise RuntimeError("split failed in the caller")
+        return split_region(*args, **kwargs)
+
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: processes)
+    monkeypatch.setattr(tree_mod, "split_region", fail_in_the_caller)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(RuntimeError, match="split failed in the caller") as raised:
+        build_tree(grid_state, 4, seed=1, root_samples=12, internal_samples=2)
+    assert raised.value.__cause__ is None  # no "in a root-sample worker" chain
+    assert multiprocessing.active_children() == []
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+#: Runs a three-process build, the caller and two forked workers, whose
+#: workers sleep in every split, printing each worker's pid as it starts.
 SLOW_POOLED_BUILD = """
 import multiprocessing.process, os, time
 import mmdistrict.tree as tree_mod
@@ -472,7 +502,7 @@ def announced_start(self):
     start(self)
     print(self.pid, flush=True)
 
-tree_mod._pool_size = lambda work, n_samples: 2
+tree_mod._pool_size = lambda work, n_samples: 3
 tree_mod.split_region = slow_split
 multiprocessing.process.BaseProcess.start = announced_start
 tree_mod.build_tree(generate_synthetic_state(16, 4, 0.4, 1, seed=3), 4, seed=1,

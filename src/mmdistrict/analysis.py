@@ -167,8 +167,8 @@ def sweep_k(state, rule: SeatShareRule, k_set, u: UncertaintyModel,
 
     Returns (records, failures): one max_R / max_D / min_gap / median record
     per k that built, and a reason string per k that did not.  The trees
-    come from ``build_trees``, whose pool starts each k's build while the
-    last k's tree is scored.
+    come from ``build_trees``, whose pool workers build the next k's tree
+    while the last k's tree is scored.
     """
     y = state.statewide_vote_share()
     n = state.total_seats

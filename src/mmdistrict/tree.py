@@ -31,14 +31,13 @@ state, one per district count, up front in one root-sample pool.  When the
 builds' summed estimated work reaches ``POOL_MIN_WORK``, the caller and
 workers forked once, with the blocks and the builds, one process per usable
 CPU in all, claim ``(build, sample index)`` tasks in plan order.  A worker
-claims one per permit: the caller sends ``IN_FLIGHT`` per worker, then one
-per result it reads, with no helper thread, so the workers start the next
-build while it scores the last, and a worker that dies raises.  While the
-result it needs has not come, the caller runs a task itself.  ``build_tree``
-merges the results in sample order.  Smaller commands, and platforms without
-``fork``, run the same function serially, and ``build_tree`` alone opens a
-pool for its build.  The tree, its node ids and its diagnostics do not depend
-on the number of cores.
+claims tasks until none is left, held back only by the result pipe, so it
+builds the next k while the caller scores the last tree, and a worker that
+dies raises.  While the result it needs has not come, the caller runs a task
+itself.  ``build_tree`` merges the results in sample order.  Smaller
+commands, and platforms without ``fork``, run the same function serially,
+and ``build_tree`` alone opens a pool for its build.  The tree, its node ids
+and its diagnostics do not depend on the number of cores.
 """
 from __future__ import annotations
 
@@ -511,13 +510,6 @@ def _pool_size(work, n_samples):
     return min(cpus, n_samples)
 
 
-#: Permits, each good for one root-sample task, a ``_RootSamplePool`` keeps
-#: outstanding per forked worker.  It bounds the results that wait in the pipe
-#: and that the parent holds out of order; a permit is an empty message, so the
-#: parent's writes never fill the permit pipe while a worker blocks on a result.
-IN_FLIGHT = 3
-
-
 class WorkerExitError(RuntimeError):
     """Raised when a root-sample worker exits while its pool is open."""
 
@@ -530,21 +522,15 @@ def _claim(tasks, claimed, lock):
     return tasks[t] if t < len(tasks) else None
 
 
-def _work(blocks, plan, claim, permits, permit_lock, results, result_lock, parent_ends):
-    """A pool worker: for each permit it reads, it claims a ``(build, i)`` task
-    and sends ``(build, i, ok, result or (exception, traceback text))``, until
-    the parent closes the permit pipe or kills it."""
+def _work(blocks, plan, claim, idle, results, result_lock, parent_ends):
+    """A pool worker: it claims ``(build, i)`` tasks until none is left, sending
+    ``(build, i, ok, result or (exception, traceback text))`` for each, then
+    reads ``idle``, which the parent never writes, until the parent kills it or
+    exits."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-    for end in parent_ends:  # so the permit pipe reaches EOF when the parent exits
+    for end in parent_ends:  # so, once the parent is gone, ``idle`` hits EOF and sends fail
         end.close()
-    while True:
-        with permit_lock:
-            try:
-                permits.recv_bytes()
-            except EOFError:
-                return
-        if (task := claim()) is None:
-            continue
+    while (task := claim()) is not None:
         b, i = task
         try:
             message = (b, i, True, _root_sample(blocks, plan[b], i))
@@ -555,6 +541,8 @@ def _work(blocks, plan, claim, permits, permit_lock, results, result_lock, paren
                 results.send(message)
             except BrokenPipeError:  # the parent is gone, so no one reads the result
                 return
+    with contextlib.suppress(EOFError):
+        idle.recv_bytes()
 
 
 class _RootSamplePool:
@@ -567,18 +555,20 @@ class _RootSamplePool:
 
     At ``POOL_MIN_WORK`` or more the caller is one of ``_pool_size``
     processes; it forks the others here, once, with the blocks and the
-    builds.  Each claims the lowest unclaimed task through one shared count,
-    a worker one per permit: ``IN_FLIGHT`` per worker, then one per result
-    taken in, so the workers start on the next build while the caller works
-    on the last tree.  While the result it needs next has not come and none
-    waits, the caller runs a task itself, and raises its exception as is on
-    reaching that sample.  It reads results in the calling thread, with no
-    helper thread, waiting on the result pipe and the workers' sentinels, so
-    a worker that exits raises ``WorkerExitError``.  Below ``POOL_MIN_WORK``,
-    and without ``fork``, the samples run serially.  Fork, not spawn, because
-    a spawned worker would import the package and receive the state again;
-    the workers run pure Python, so forking after numpy has started threads
-    is safe here.  Close it; callers wrap it in ``contextlib.closing``.
+    builds.  Each claims the lowest unclaimed task through one shared count.
+    A worker claims tasks until none is left, sending each result; only a
+    full result pipe holds it back, so it runs on into the next build while
+    the caller works on the last tree.  While the result it needs next has
+    not come and none waits, the caller runs a task itself, and raises its
+    exception as is on reaching that sample.  It reads results in the
+    calling thread, with no helper thread, waiting on the result pipe and
+    the workers' sentinels, so a worker that exits raises
+    ``WorkerExitError``; a worker with no task left waits, alive, until the
+    pool closes.  Below ``POOL_MIN_WORK``, and without ``fork``, the samples
+    run serially.  Fork, not spawn, because a spawned worker would import the
+    package and receive the state again; the workers run pure Python, so
+    forking after numpy has started threads is safe here.  Close it; callers
+    wrap it in ``contextlib.closing``.
     """
 
     def __init__(self, blocks: _Blocks, plan):
@@ -588,30 +578,33 @@ class _RootSamplePool:
                    * (1 + b.n_internal * (b.allocation.small_count + b.allocation.large_count - 2))
                    for b in plan)
         processes = _pool_size(work, max((b.n_root for b in plan), default=1))
-        self._workers = []
+        self._workers, self._ends = [], ()
         if processes < 2:
             return
         import multiprocessing.connection
 
         ctx = multiprocessing.get_context("fork")
         self._wait = multiprocessing.connection.wait
-        self._claimed = mmap.mmap(-1, 8)  # anonymous, so the forks share it with no descriptor
+        claimed = mmap.mmap(-1, 8)  # anonymous, so the forks share it with no descriptor
         self._claim = functools.partial(
             _claim, [(b, i) for b, build in enumerate(plan) for i in range(build.n_root)],
-            self._claimed, ctx.Lock())
-        permit_reader, self._permits = ctx.Pipe(duplex=False)
+            claimed, ctx.Lock())
+        idle_reader, idle = ctx.Pipe(duplex=False)
         # The parent keeps a result writer, so a dead worker shows as its sentinel, never as EOF.
-        self._results, self._result_writer = ctx.Pipe(duplex=False)
-        args = (blocks, plan, self._claim, permit_reader, ctx.Lock(), self._result_writer,
-                ctx.Lock(), (self._permits, self._results))
-        self._workers = [ctx.Process(target=_work, args=args, daemon=True)
-                         for _ in range(processes - 1)]
-        for p in self._workers:
-            p.start()
-        permit_reader.close()
+        self._results, result_writer = ctx.Pipe(duplex=False)
+        self._ends = (idle, self._results, result_writer, claimed)
+        args = (blocks, plan, self._claim, idle_reader, result_writer, ctx.Lock(),
+                (idle, self._results))
+        try:
+            for _ in range(processes - 1):
+                (p := ctx.Process(target=_work, args=args, daemon=True)).start()
+                self._workers.append(p)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            idle_reader.close()
         self._done = {}  # (build, i) -> (ok, result or exception) of a task done ahead of use
-        for _ in range(IN_FLIGHT * len(self._workers)):
-            self._permits.send_bytes(b"")
 
     def samples(self):
         """``_root_sample`` results of the next planned build, in sample order."""
@@ -648,17 +641,15 @@ class _RootSamplePool:
             value, worker_traceback = value
             value.__cause__ = RuntimeError(f"in a root-sample worker:\n{worker_traceback}")
         self._done[b, i] = ok, value
-        self._permits.send_bytes(b"")  # one in, one out
 
     def close(self):
-        if self._workers:
-            for p in self._workers:
-                p.kill()
-            for p in self._workers:
-                p.join()
-            for end in (self._permits, self._results, self._result_writer, self._claimed):
-                end.close()
-            self._workers = []
+        for p in self._workers:
+            p.kill()
+        for p in self._workers:
+            p.join()
+        for end in self._ends:
+            end.close()
+        self._workers, self._ends = [], ()
 
 
 def build_trees(state, ks, seed: int, root_samples: int = None, internal_samples: int = None):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import itertools
 import multiprocessing
 import multiprocessing.connection
@@ -416,23 +417,42 @@ def test_worker_exception_reaches_the_caller(grid_state, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _slowed_in_workers(split_region, parent):
+    """``split_region`` sleeping 10 ms first in any process but ``parent``, so
+    the caller claims a task before the workers, which run ahead, claim them all."""
+    def slow_split(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(0.01)
+        return split_region(*args, **kwargs)
+    return slow_split
+
+
+def _recording(root_sample, runs):
+    """``root_sample`` appending the process, the build's seed and the sample index to ``runs``."""
+    def recorded_root_sample(blocks, build, i):
+        with open(runs, "a") as f:
+            f.write(f"{os.getpid()} {build.seed} {i}\n")
+        return root_sample(blocks, build, i)
+    return recorded_root_sample
+
+
+def _runs(runs):
+    """``(pid, seed, i)`` of every run ``_recording`` logged to ``runs`` so far."""
+    if not runs.exists():
+        return []
+    return [tuple(map(int, line.split())) for line in runs.read_text().splitlines()]
+
+
 @needs_fork
 @pytest.mark.parametrize("processes", [2, 3])
 def test_a_pool_runs_every_task_once_and_the_caller_runs_some(grid_state, monkeypatch, tmp_path,
                                                               processes):
     # Every run of a root sample, in a worker or in the caller, appends its
-    # process and task to one file.  The parent's only permit-pipe writes are
-    # permits and its only result-pipe reads are results, so record both
-    # there: it sends IN_FLIGHT permits per forked worker, then one per result.
+    # process and task to one file.  The parent writes to no pipe, and its
+    # only result-pipe reads are results, one per task a worker ran.
     parent, events, runs = os.getpid(), [], tmp_path / "runs"
-    root_sample = tree_mod._root_sample
     send_bytes, recv = multiprocessing.connection.Connection.send_bytes, \
         multiprocessing.connection.Connection.recv
-
-    def recorded_root_sample(blocks, build, i):
-        with open(runs, "a") as f:
-            f.write(f"{os.getpid()} {build.seed} {i}\n")
-        return root_sample(blocks, build, i)
 
     def recorded_send_bytes(self, buf, *args):
         if os.getpid() == parent:
@@ -446,19 +466,19 @@ def test_a_pool_runs_every_task_once_and_the_caller_runs_some(grid_state, monkey
         return obj
 
     monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: processes)
-    monkeypatch.setattr(tree_mod, "_root_sample", recorded_root_sample)
+    monkeypatch.setattr(tree_mod, "_root_sample", _recording(tree_mod._root_sample, runs))
+    monkeypatch.setattr(tree_mod, "split_region", _slowed_in_workers(tree_mod.split_region, parent))
     monkeypatch.setattr(multiprocessing.connection.Connection, "send_bytes", recorded_send_bytes)
     monkeypatch.setattr(multiprocessing.connection.Connection, "recv", recorded_recv)
     ks, n_root = (1, 2, 3, 4), 5
     built = list(tree_mod.build_trees(grid_state, ks, 1, root_samples=n_root, internal_samples=2))
     assert [k for k, _ in built] == list(ks)
-    ran = [line.split() for line in runs.read_text().splitlines()]
-    assert sorted((int(seed), int(i)) for _, seed, i in ran) == [
+    ran = _runs(runs)
+    assert sorted((seed, i) for _, seed, i in ran) == [
         (1 * 100003 + k, i) for k in ks[1:] for i in range(n_root)]  # k = 1 has none
-    assert str(parent) in {pid for pid, _, _ in ran}
-    window = tree_mod.IN_FLIGHT * (processes - 1)
-    assert events.count(1) == window + events.count(-1)
-    assert max(itertools.accumulate(events)) <= window
+    assert parent in {pid for pid, _, _ in ran}
+    assert events.count(1) == 0
+    assert events.count(-1) == sum(pid != parent for pid, _, _ in ran)
     assert multiprocessing.active_children() == []
 
 
@@ -466,7 +486,8 @@ def test_a_pool_runs_every_task_once_and_the_caller_runs_some(grid_state, monkey
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors via /proc")
 @pytest.mark.parametrize("processes", [2, 3])
 def test_an_error_in_a_sample_the_caller_runs_is_raised_as_is(grid_state, monkeypatch, processes):
-    parent, split_region = os.getpid(), tree_mod.split_region
+    parent = os.getpid()
+    split_region = _slowed_in_workers(tree_mod.split_region, parent)
 
     def fail_in_the_caller(*args, **kwargs):
         if os.getpid() == parent:
@@ -483,10 +504,97 @@ def test_an_error_in_a_sample_the_caller_runs_is_raised_as_is(grid_state, monkey
     assert len(os.listdir("/proc/self/fd")) == before
 
 
-#: Runs a three-process build, the caller and two forked workers, whose
+@needs_fork
+def test_a_worker_builds_the_next_k_while_the_last_tree_is_used(grid_state, monkeypatch, tmp_path):
+    # The caller's splits are slow, so it runs one task, or two if the worker
+    # is still on k = 2's last when it looks.  While the consumer holds
+    # k = 2's tree, all eight root samples of k = 3 must run, the worker's
+    # share with them, not stop a few tasks ahead.
+    parent, runs, n_root = os.getpid(), tmp_path / "runs", 8
+    split_region = tree_mod.split_region
+
+    def slow_in_the_caller(*args, **kwargs):
+        if os.getpid() == parent:
+            time.sleep(0.1)
+        return split_region(*args, **kwargs)
+
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_root_sample", _recording(tree_mod._root_sample, runs))
+    monkeypatch.setattr(tree_mod, "split_region", slow_in_the_caller)
+    with contextlib.closing(tree_mod.build_trees(grid_state, (2, 3), 1, root_samples=n_root,
+                                                 internal_samples=2)) as trees:
+        assert next(trees)[0] == 2
+
+        def ahead():
+            return [(pid, i) for pid, seed, i in _runs(runs) if seed == 1 * 100003 + 3]
+
+        deadline = time.monotonic() + 10
+        while len(ahead()) < n_root and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert sorted(i for _, i in ahead()) == list(range(n_root))
+        assert sum(pid != parent for pid, _ in ahead()) >= n_root - 1
+        k, tree = next(trees)
+        assert k == 3 and len(tree.root.samples) > 0
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_a_worker_with_no_task_left_waits_until_the_pool_closes(grid_state, monkeypatch, tmp_path):
+    runs = tmp_path / "runs"
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_root_sample", _recording(tree_mod._root_sample, runs))
+    plan = [tree_mod._Build.of(grid_state.total_seats, k, k, 3, 2) for k in (2, 3)]
+    blocks = tree_mod._Blocks.of(grid_state)
+    pool = tree_mod._RootSamplePool(blocks, plan)
+    try:
+        (worker,) = multiprocessing.active_children()
+        deadline = time.monotonic() + 10
+        while len(_runs(runs)) < 6 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert len(_runs(runs)) == 6  # the caller has claimed none, so the worker ran all
+        time.sleep(0.2)
+        assert worker.is_alive()
+        assert [list(pool.samples()) for _ in plan] == [
+            [tree_mod._root_sample(blocks, build, i) for i in range(build.n_root)]
+            for build in plan]
+        assert worker.is_alive()
+    finally:
+        pool.close()
+    assert not worker.is_alive()
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors via /proc")
+def test_a_failed_pool_start_leaves_nothing_running(grid_state, monkeypatch):
+    start, starts = multiprocessing.process.BaseProcess.start, itertools.count(1)
+
+    def second_start_fails(self):
+        if next(starts) == 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        start(self)
+
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 3)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", second_start_fails)
+    before = len(os.listdir("/proc/self/fd"))
+    try:
+        with pytest.raises(OSError, match="temporarily unavailable"):
+            build_tree(grid_state, 4, seed=1, root_samples=4, internal_samples=2)
+        assert multiprocessing.active_children() == []
+        assert len(os.listdir("/proc/self/fd")) == before
+    finally:
+        for p in multiprocessing.active_children():
+            p.kill()
+            p.join()
+
+
+#: Runs a three-process pool, the caller and two forked workers, whose
 #: workers sleep in every split, printing each worker's pid as it starts.
+#: With ``busy`` the pool runs a build of more root samples than the test
+#: waits for; with ``idle`` it runs two, then prints ``idle`` and sleeps
+#: with the pool open, so its workers have no task left.
 SLOW_POOLED_BUILD = """
-import multiprocessing.process, os, time
+import multiprocessing.process, os, sys, time
 import mmdistrict.tree as tree_mod
 from mmdistrict.model import generate_synthetic_state
 
@@ -505,8 +613,15 @@ def announced_start(self):
 tree_mod._pool_size = lambda work, n_samples: 3
 tree_mod.split_region = slow_split
 multiprocessing.process.BaseProcess.start = announced_start
-tree_mod.build_tree(generate_synthetic_state(16, 4, 0.4, 1, seed=3), 4, seed=1,
-                    root_samples=100_000, internal_samples=2)
+state = generate_synthetic_state(16, 4, 0.4, 1, seed=3)
+if sys.argv[1] == "busy":
+    tree_mod.build_tree(state, 4, seed=1, root_samples=100_000, internal_samples=2)
+else:
+    pool = tree_mod._RootSamplePool(tree_mod._Blocks.of(state),
+                                    [tree_mod._Build.of(state.total_seats, 4, 1, 2, 2)])
+    list(pool.samples())
+    print("idle", flush=True)
+    time.sleep(600)
 """
 
 
@@ -518,27 +633,29 @@ def _gone_or_zombie(pid):
         return True
 
 
-@needs_fork
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states via /proc")
-def test_workers_do_not_outlive_a_killed_parent(tmp_path):
-    # A SIGKILLed parent runs no cleanup: its workers end only because the
-    # task pipe reaches EOF, since each worker closed its copy of the parent's
-    # ends.  A worker whose result finds no reader exits quietly, too.
+def _kill_the_parent_of_a_slow_pool(tmp_path, mode):
+    """Runs ``SLOW_POOLED_BUILD`` in ``mode``, SIGKILLs it once its two workers
+    are mid-build (``busy``) or have no task left (``idle``), and checks that
+    both workers end, with no traceback."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     pids, stderr = tmp_path / "pids", tmp_path / "stderr"
     with open(pids, "w") as out, open(stderr, "w") as err:
-        proc = subprocess.Popen([sys.executable, "-c", SLOW_POOLED_BUILD], env=env,
+        proc = subprocess.Popen([sys.executable, "-c", SLOW_POOLED_BUILD, mode], env=env,
                                 stdout=out, stderr=err)
-    workers = []
+    workers, ready = [], False
     try:
         deadline = time.monotonic() + 30
-        while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+        while not ready and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.05)
-            workers = [int(line) for line in pids.read_text().split()]
+            lines = pids.read_text().split()
+            workers = [int(line) for line in lines if line.isdigit()]
+            ready = len(workers) == 2 and (mode == "busy" or "idle" in lines)
         assert len(workers) == 2, "the build did not start two workers"
-        time.sleep(0.5)  # the workers are mid-build
+        assert ready, f"the pool did not get {mode}"
+        if mode == "busy":
+            time.sleep(0.5)  # the workers are mid-build
         proc.kill()
         proc.wait(timeout=30)
         deadline = time.monotonic() + 30
@@ -552,3 +669,20 @@ def test_workers_do_not_outlive_a_killed_parent(tmp_path):
         for pid in workers:
             if not _gone_or_zombie(pid):
                 os.kill(pid, signal.SIGKILL)
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states via /proc")
+def test_workers_do_not_outlive_a_killed_parent(tmp_path):
+    # A SIGKILLed parent runs no cleanup, and these workers still have tasks
+    # left: each ends only because its next result finds no reader, since each
+    # worker closed its copy of the parent's ends, and it exits quietly.
+    _kill_the_parent_of_a_slow_pool(tmp_path, "busy")
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states via /proc")
+def test_idle_workers_do_not_outlive_a_killed_parent(tmp_path):
+    # Workers with no task left wait on a pipe only the parent holds open for
+    # writing, so they end when the killed parent's copy closes.
+    _kill_the_parent_of_a_slow_pool(tmp_path, "idle")

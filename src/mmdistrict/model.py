@@ -262,7 +262,7 @@ def read_json(path):
     try:
         with open(path) as f:
             return json.load(f)
-    except ValueError as e:  # also an int past Python's digit limit, or text that is not UTF-8
+    except (ValueError, RecursionError) as e:  # also too many digits, non-UTF-8 text, deep nesting
         raise StateFormatError(f"{path}: invalid JSON: {e}") from e
 
 

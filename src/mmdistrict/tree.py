@@ -21,8 +21,8 @@ A subdivision attempt runs one breadth-first search per center, inside the
 node's region: ``select_centers`` runs it as it picks the center and puts each
 block in its nearest center's Voronoi cell, and ``split_region``'s growth
 heaps reuse those distance lists.  Every child region stays contiguous from
-growth through repair, so repair checks a boundary swap locally, around the
-moved block, rather than searching the whole donor district.
+growth through repair, so repair checks that a move keeps its donor whole
+around the moved block, rather than searching the whole donor district.
 
 Root sample ``i`` of a build draws everything, its internal samples
 included, from its own stream ``random.Random(f"{seed}:{i}")``, so no sample
@@ -239,7 +239,7 @@ def _stays_connected(owner, b, neighbors):
 
 def split_region(neighbors, pops, centers, dist_maps, child_seats,
                  state_pop, total_seats, epsilon):
-    """Grow child regions from centers, then boundary-swap toward balance.
+    """Grow child regions from centers, then move blocks between them toward balance.
 
     Each child targets state_pop * seats / total_seats people.  Growth is
     capacity-weighted nearest-frontier accretion, ordered by the hop
@@ -249,9 +249,9 @@ def split_region(neighbors, pops, centers, dist_maps, child_seats,
     that holds no people.  A frontier heap key is the int ``dist[v] * n + v``:
     ``n``, the region's size, exceeds every position, so the keys order as
     ``(dist[v], v)`` would, and ``key % n`` is the position; positions keep
-    block order, so the keys order as ``(dist, block)`` too.  Repair moves a
-    boundary block to the adjacent child that lowers total balance error
-    most, the lowest-numbered on a tie, if the donor stays contiguous.
+    block order, so the keys order as ``(dist, block)`` too.  Each repair
+    pass scans the positions in order, moving a block to the adjacent child
+    that lowers total balance error most, the lowest on a tie, if its donor stays contiguous.
     Growth only adds blocks next to a child and repair keeps every donor
     contiguous, so ``_stays_connected`` can decide that from the moved
     block's surroundings.  Returns each child's list of positions, in
@@ -303,23 +303,15 @@ def split_region(neighbors, pops, centers, dist_maps, child_seats,
     def balanced():
         return all(abs(err[i]) <= slack[i] for i in range(f))
 
-    # Only a block with a neighbour in another child can move.  Each pass
-    # visits the blocks on a boundary in sorted order; a swap changes the
-    # boundary only around the moved block, so neighbours that join it and
-    # sort after the moved block are still visited in the same pass.  Most
-    # splits need repair (5,071 of 7,278 in a 144-block sweep of k = 1..6),
-    # and most visits find no move that lowers the error (88,089 of 108,000).
-    boundary = set() if balanced() else {
-        b for b in range(n) for v in neighbors[b] if owner[v] != owner[b]}
+    # Most splits need repair (5,813 of 8,449 in a 144-block sweep of k = 1..6),
+    # and most visits move nothing (434,014 of 454,416): a block with no
+    # neighbour in another child has no child to move to.
     child_size = [owner.count(c) for c in range(f)]
     max_swaps = 10 * n
     swaps = 0
     while not balanced() and swaps < max_swaps:
         improved = False
-        queue = sorted(boundary)
-        queued = set(queue)
-        while queue:
-            b = pop(queue)
+        for b in range(n):
             a = owner[b]
             if child_size[a] <= 1:
                 continue
@@ -340,15 +332,6 @@ def split_region(neighbors, pops, centers, dist_maps, child_seats,
             child_size[best_t] += 1
             err[a] -= p
             err[best_t] += p
-            for u in (b, *neighbors[b]):
-                ou = owner[u]
-                if all(owner[v] == ou for v in neighbors[u]):
-                    boundary.discard(u)
-                    continue
-                boundary.add(u)
-                if u > b and u not in queued:
-                    queued.add(u)
-                    push(queue, u)
             swaps += 1
             improved = True
             if swaps >= max_swaps:

@@ -97,6 +97,9 @@ def generate_voter_file(state, voters_per_block: int, score_spread: float,
         raise ValueError("voters_per_block must be >= 1")
     if not 0 < score_spread < math.inf:
         raise ValueError(f"score_spread must be finite and positive, got {score_spread}")
+    outside = next((b.id for b in state.blocks if not -2**63 <= b.id < 2**63), None)
+    if outside is not None:
+        raise ValueError(f"block id {outside} is outside the int64 range of a voter file")
     rng = np.random.default_rng(seed)
     mean_pop = state.total_population / len(state.blocks)
     blocks, parties, scores, xs, ys = [], [], [], [], []
@@ -221,13 +224,15 @@ def load_voter_file(path) -> VoterFile:
     """Load a voter file; a malformed one raises StateFormatError naming the path and line."""
     columns = ([], [], [], [], [], [])  # in the CSV's column order
     line_of = {}  # voter id -> line it was read from
-    with open(path, newline="") as f:
+    # A byte that is not UTF-8 reads as a lone surrogate, which fails the check of
+    # the field holding it, on its own line; strict decoding fails a chunk ahead.
+    with open(path, newline="", errors="surrogateescape") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if not header or header[0] != "voter_id":
-            raise StateFormatError(f"{path}: line 1: expected a voter_id header, got {header}")
-        for row in reader:
-            try:
+        try:
+            header = next(reader, None)
+            if not header or header[0] != "voter_id":
+                raise ValueError(f"expected a voter_id header, got {header}")
+            for row in reader:
                 if len(row) != 6 or row[2] not in ("R", "D"):
                     raise ValueError(f"expected 6 fields with party R or D, got {row}")
                 voter_id, block_id = int(row[0]), int(row[1])
@@ -240,9 +245,10 @@ def load_voter_file(path) -> VoterFile:
                         raise ValueError(f"{name} {value} is not finite")
                 if voter_id in line_of:
                     raise ValueError(f"voter id {voter_id} repeats line {line_of[voter_id]}")
-            except ValueError as e:
-                raise StateFormatError(f"{path}: line {reader.line_num}: {e}") from e
-            line_of[voter_id] = reader.line_num
-            for column, value in zip(columns, (voter_id, block_id, row[2], score, x, y)):
-                column.append(value)
+                line_of[voter_id] = reader.line_num
+                for column, value in zip(columns, (voter_id, block_id, row[2], score, x, y)):
+                    column.append(value)
+        except (ValueError, csv.Error) as e:  # csv.Error: a field past csv.field_size_limit()
+            # An empty file fails at line 1, where its header belongs.
+            raise StateFormatError(f"{path}: line {max(reader.line_num, 1)}: {e}") from e
     return VoterFile.of(*columns)

@@ -21,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 import mmdistrict.tree as tree_mod
 from mmdistrict import analysis, cli
-from mmdistrict.model import (StateFormatError, load_plan, load_state, save_state,
-                              validate_plan)
+from mmdistrict.model import (Block, StateFormatError, StateInstance, load_plan, load_state,
+                              save_state, validate_plan)
 from mmdistrict.voters import generate_voter_file
 from conftest import make_path_state, needs_fork, save_voter_file
 
@@ -257,6 +257,19 @@ def test_sweep_names_a_state_file_that_json_cannot_read(tmp_path, capsys, text, 
                 "--internal-samples", "1", "--out", str(tmp_path / "m.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: invalid JSON: ") and reason in err
+
+
+@pytest.mark.parametrize("which", ["state", "plan", "config"])
+def test_deeply_nested_json_is_invalid_json_naming_the_file(
+        state_file, plan_file, tmp_path, capsys, which):
+    bad = tmp_path / f"{which}.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    out = ["--out", str(tmp_path / "x")]
+    argv = {"state": ["sweep", "--state", str(bad), "--k", "1", *out],
+            "plan": ["stv", "--state", str(state_file), "--plan", str(bad), *out],
+            "config": ["optimize", "--state", str(state_file), "--config", str(bad), *out]}
+    assert run(argv[which]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON: ")
 
 
 @pytest.mark.parametrize("total_seats", [1e308, 10 ** 30, 16001], ids=["1e308", "1e30", "one_more"])
@@ -548,7 +561,10 @@ def _set_field(row, i, value):
      f"voter_id {10 ** 30} is outside the int64 range"),
     (lambda lines: _corrupt(lines, 1, _set_field(lines[1], 1, 10 ** 30)), 2,
      f"block_id {10 ** 30} is outside the int64 range"),
-], ids=["empty", "short_row", "unknown_party", "voter_id_past_int64", "block_id_past_int64"])
+    (lambda lines: _corrupt(lines, 2, _set_field(lines[2], 3, "1" * 131073)), 3,
+     "field larger than field limit"),
+], ids=["empty", "short_row", "unknown_party", "voter_id_past_int64", "block_id_past_int64",
+        "field_past_csv_limit"])
 def test_stv_rejects_malformed_voter_file_naming_path_and_line(
         state_file, plan_file, tmp_path, capsys, corrupt, line, reason):
     voters = tmp_path / "voters.csv"
@@ -558,6 +574,19 @@ def test_stv_rejects_malformed_voter_file_naming_path_and_line(
                 "--voter-file", str(voters), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert f"error: {voters}: line {line}: " in err and reason in err
+
+
+def test_stv_names_the_line_of_a_voter_file_byte_that_is_not_utf8(
+        state_file, plan_file, tmp_path, capsys):
+    # Line 500 of about 640 lies past the first 8 KiB a text reader decodes at once.
+    voters = tmp_path / "voters.csv"
+    save_voter_file(generate_voter_file(load_state(state_file), 40, 0.5, seed=1), voters)
+    lines = voters.read_bytes().splitlines(keepends=True)
+    lines[499] = lines[499].replace(b",", b",\xff", 1)
+    voters.write_bytes(b"".join(lines))
+    assert run(["stv", "--state", str(state_file), "--plan", str(plan_file),
+                "--voter-file", str(voters), "--out", str(tmp_path / "x")]) == 1
+    assert f"error: {voters}: line 500: " in capsys.readouterr().err
 
 
 def voters_in_a_block_the_state_lacks(state_file, tmp_path):
@@ -590,6 +619,26 @@ def test_diversity_rejects_voters_in_a_block_the_state_lacks(state_file, tmp_pat
     assert (f"error: {voters}: voter 2 is in block 999, which the state does not have"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["stv", "diversity"])
+def test_election_commands_reject_a_block_id_outside_int64(tmp_path, capsys, command):
+    # load_state takes the id and optimize writes its plan; the voter file cannot hold it.
+    ids = [0, 1, 2, 2 ** 63]  # a path
+    state_path = tmp_path / "state.json"
+    save_state(StateInstance(
+        [Block(b, 100, 40.0, 40.0, float(i), 0.0) for i, b in enumerate(ids)],
+        {b: {ids[j] for j in (i - 1, i + 1) if 0 <= j < len(ids)} for i, b in enumerate(ids)},
+        2), state_path)
+    common = ["--state", str(state_path), "--k", "1", "--root-samples", "2",
+              "--internal-samples", "1"]
+    assert run(["optimize", *common, "--out", str(tmp_path / "plan")]) == 0
+    argv = (["stv", "--state", str(state_path), "--plan", str(tmp_path / "plan" / "plan.json")]
+            if command == "stv" else ["diversity", *common, "--ensemble-size", "1"])
+    assert run([*argv, "--out", str(tmp_path / "x")]) == 1
+    assert (f"error: block id {2 ** 63} is outside the int64 range"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_must_be_a_json_object(state_file, tmp_path, capsys):

@@ -27,17 +27,16 @@ around the moved block, rather than searching the whole donor district.
 Root sample ``i`` of a build draws everything, its internal samples
 included, from its own stream ``random.Random(f"{seed}:{i}")``, so no sample
 reads another's RNG state.  ``build_trees`` plans a command's builds on one
-state, one per district count, up front in one root-sample pool.  When the
-builds' summed estimated work reaches ``POOL_MIN_WORK``, the caller and
-workers forked once, with the blocks and the builds, one process per usable
-CPU in all, claim ``(build, sample index)`` tasks in plan order.  A worker
-claims tasks until none is left, held back only by the result pipe, so it
-builds the next k while the caller scores the last tree, and a worker that
-dies raises.  While the result it needs has not come, the caller runs a task
-itself.  ``build_tree`` merges the results in sample order.  Smaller
-commands, and platforms without ``fork``, run the same function serially,
-and ``build_tree`` alone opens a pool for its build.  The tree, its node ids
-and its diagnostics do not depend on the number of cores.
+state, one per district count, up front in one root-sample pool, whose
+caller claims ``(build, sample index)`` tasks in plan order and runs one
+whenever the result it needs has not come.  From ``POOL_MIN_WORK`` summed
+estimated work on, workers forked once with the blocks and the builds, one
+process per usable CPU with the caller, claim tasks too, held back only by
+the result pipe, so they build the next k while the caller scores the last
+tree; a worker with no task left exits, and one that dies raises.
+``build_tree`` merges the results in sample order, and alone opens a pool
+for its build.  The tree, its node ids and its diagnostics do not depend on
+the number of cores.
 """
 from __future__ import annotations
 
@@ -505,14 +504,14 @@ def _claim(tasks, claimed, lock):
     return tasks[t] if t < len(tasks) else None
 
 
-def _work(blocks, plan, claim, idle, results, result_lock, parent_ends):
+def _work(blocks, plan, claim, results, result_lock, parent_results):
     """A pool worker: it claims ``(build, i)`` tasks until none is left, sending
     ``(build, i, ok, result or (exception, traceback text))`` for each, then
-    reads ``idle``, which the parent never writes, until the parent kills it or
-    exits."""
+    exits.  It returns only when ``claim()`` gives None, by which time every
+    result it claimed is in the pipe the parent holds open, or when a send
+    finds no reader, which needs the parent to be gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
-    for end in parent_ends:  # so, once the parent is gone, ``idle`` hits EOF and sends fail
-        end.close()
+    parent_results.close()  # so, once the parent is gone, sends fail
     while (task := claim()) is not None:
         b, i = task
         try:
@@ -524,8 +523,6 @@ def _work(blocks, plan, claim, idle, results, result_lock, parent_ends):
                 results.send(message)
             except BrokenPipeError:  # the parent is gone, so no one reads the result
                 return
-    with contextlib.suppress(EOFError):
-        idle.recv_bytes()
 
 
 class _RootSamplePool:
@@ -536,48 +533,45 @@ class _RootSamplePool:
     times, so the builds' work is estimated as the sum of root samples *
     blocks * (1 + n_internal * (k - 2)).
 
-    At ``POOL_MIN_WORK`` or more the caller is one of ``_pool_size``
-    processes; it forks the others here, once, with the blocks and the
-    builds.  Each claims the lowest unclaimed task through one shared count.
-    A worker claims tasks until none is left, sending each result; only a
-    full result pipe holds it back, so it runs on into the next build while
-    the caller works on the last tree.  While the result it needs next has
-    not come and none waits, the caller runs a task itself, and raises its
-    exception as is on reaching that sample.  It reads results in the
-    calling thread, with no helper thread, waiting on the result pipe and
-    the workers' sentinels, so a worker that exits raises
-    ``WorkerExitError``; a worker with no task left waits, alive, until the
-    pool closes.  Below ``POOL_MIN_WORK``, and without ``fork``, the samples
-    run serially.  Fork, not spawn, because a spawned worker would import the
-    package and receive the state again; the workers run pure Python, so
-    forking after numpy has started threads is safe here.  Close it; callers
-    wrap it in ``contextlib.closing``.
+    The caller claims tasks in plan order, and runs one whenever the result
+    it needs next has not come and none waits, raising its exception as is
+    on reaching that sample.  Below ``POOL_MIN_WORK``, and without ``fork``,
+    it claims alone, from an iterator over the tasks.  Otherwise it forks
+    ``_pool_size`` - 1 workers here, once, with the blocks and the builds,
+    and all claim through one shared count; a worker claims until no task is
+    left, held back only by a full result pipe, so it runs on into the next
+    build while the caller works on the last tree, then exits.  The caller
+    waits in its own thread on the result pipe and the workers' sentinels,
+    so a worker that exits with an error or a signal raises
+    ``WorkerExitError``.  Fork, not spawn, because a spawned worker would
+    import the package and receive the state again; the workers run pure
+    Python, so forking after numpy has started threads is safe here.  Close
+    it; callers wrap it in ``contextlib.closing``.
     """
 
     def __init__(self, blocks: _Blocks, plan):
         self.blocks, self._plan = blocks, plan
         self._next_build = enumerate(plan)
+        tasks = [(b, i) for b, build in enumerate(plan) for i in range(build.n_root)]
         work = sum(b.n_root * len(blocks.ids)
                    * (1 + b.n_internal * (b.allocation.small_count + b.allocation.large_count - 2))
                    for b in plan)
         processes = _pool_size(work, max((b.n_root for b in plan), default=1))
-        self._workers, self._ends = [], ()
+        self._workers, self._ends, self._results = [], (), None
+        self._done = {}  # (build, i) -> (ok, result or exception) of a task done ahead of use
         if processes < 2:
+            self._claim = functools.partial(next, iter(tasks), None)
             return
         import multiprocessing.connection
 
         ctx = multiprocessing.get_context("fork")
         self._wait = multiprocessing.connection.wait
         claimed = mmap.mmap(-1, 8)  # anonymous, so the forks share it with no descriptor
-        self._claim = functools.partial(
-            _claim, [(b, i) for b, build in enumerate(plan) for i in range(build.n_root)],
-            claimed, ctx.Lock())
-        idle_reader, idle = ctx.Pipe(duplex=False)
+        self._claim = functools.partial(_claim, tasks, claimed, ctx.Lock())
         # The parent keeps a result writer, so a dead worker shows as its sentinel, never as EOF.
         self._results, result_writer = ctx.Pipe(duplex=False)
-        self._ends = (idle, self._results, result_writer, claimed)
-        args = (blocks, plan, self._claim, idle_reader, result_writer, ctx.Lock(),
-                (idle, self._results))
+        self._ends = (self._results, result_writer, claimed)
+        args = (blocks, plan, self._claim, result_writer, ctx.Lock(), self._results)
         try:
             for _ in range(processes - 1):
                 (p := ctx.Process(target=_work, args=args, daemon=True)).start()
@@ -585,21 +579,16 @@ class _RootSamplePool:
         except BaseException:
             self.close()
             raise
-        finally:
-            idle_reader.close()
-        self._done = {}  # (build, i) -> (ok, result or exception) of a task done ahead of use
 
     def samples(self):
         """``_root_sample`` results of the next planned build, in sample order."""
         b, build = next(self._next_build)
-        if not self._workers:
-            return (_root_sample(self.blocks, build, i) for i in range(build.n_root))
         return self._collect(b, build.n_root)
 
     def _collect(self, b, n_samples):
         for i in range(n_samples):
             while (b, i) not in self._done:
-                if self._results.poll() or (task := self._claim()) is None:
+                if self._results and self._results.poll() or (task := self._claim()) is None:
                     self._receive()
                     continue
                 try:  # the caller runs a task while no result waits
@@ -613,17 +602,19 @@ class _RootSamplePool:
 
     def _receive(self):
         ready = self._wait([self._results, *(p.sentinel for p in self._workers)])
-        for p in self._workers:
-            if p.sentinel in ready:
-                p.join()
+        for p in [p for p in self._workers if p.sentinel in ready]:
+            p.join()
+            if p.exitcode:
                 how = (f"was killed by signal {-p.exitcode}" if p.exitcode < 0
                        else f"exited with code {p.exitcode}")
                 raise WorkerExitError(f"root-sample worker {p.pid} {how}")
-        b, i, ok, value = self._results.recv()
-        if not ok:
-            value, worker_traceback = value
-            value.__cause__ = RuntimeError(f"in a root-sample worker:\n{worker_traceback}")
-        self._done[b, i] = ok, value
+            self._workers.remove(p)  # it ran out of tasks, after sending every result
+        if self._results in ready:
+            b, i, ok, value = self._results.recv()
+            if not ok:
+                value, worker_traceback = value
+                value.__cause__ = RuntimeError(f"in a root-sample worker:\n{worker_traceback}")
+            self._done[b, i] = ok, value
 
     def close(self):
         for p in self._workers:

@@ -229,9 +229,9 @@ def load_voter_file(path) -> VoterFile:
     with open(path, newline="", errors="surrogateescape") as f:
         reader = csv.reader(f)
         try:
-            header = next(reader, None)
-            if not header or header[0] != "voter_id":
-                raise ValueError(f"expected a voter_id header, got {header}")
+            expected = ["voter_id", "block_id", "party", "partisan_score", "x", "y"]
+            if (header := next(reader, None)) != expected:
+                raise ValueError(f"expected the voter_id header {','.join(expected)}, got {header}")
             for row in reader:
                 if len(row) != 6 or row[2] not in ("R", "D"):
                     raise ValueError(f"expected 6 fields with party R or D, got {row}")

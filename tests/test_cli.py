@@ -563,8 +563,11 @@ def _set_field(row, i, value):
      f"block_id {10 ** 30} is outside the int64 range"),
     (lambda lines: _corrupt(lines, 2, _set_field(lines[2], 3, "1" * 131073)), 3,
      "field larger than field limit"),
+    (lambda lines: _corrupt(lines, 0, "voter_id,foo,bar,baz,qux,quux"), 1, "voter_id header"),
+    (lambda lines: _corrupt(lines, 0, "voter_id,block_id,party,partisan_score,y,x"), 1,
+     "voter_id header"),
 ], ids=["empty", "short_row", "unknown_party", "voter_id_past_int64", "block_id_past_int64",
-        "field_past_csv_limit"])
+        "field_past_csv_limit", "header_other_columns", "header_reordered"])
 def test_stv_rejects_malformed_voter_file_naming_path_and_line(
         state_file, plan_file, tmp_path, capsys, corrupt, line, reason):
     voters = tmp_path / "voters.csv"

@@ -444,12 +444,13 @@ def _runs(runs):
 
 
 @needs_fork
-@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("processes", [1, 2, 3])
 def test_a_pool_runs_every_task_once_and_the_caller_runs_some(grid_state, monkeypatch, tmp_path,
                                                               processes):
     # Every run of a root sample, in a worker or in the caller, appends its
     # process and task to one file.  The parent writes to no pipe, and its
-    # only result-pipe reads are results, one per task a worker ran.
+    # only result-pipe reads are results, one per task a worker ran.  A
+    # one-process pool runs every task in the caller.
     parent, events, runs = os.getpid(), [], tmp_path / "runs"
     send_bytes, recv = multiprocessing.connection.Connection.send_bytes, \
         multiprocessing.connection.Connection.recv
@@ -477,6 +478,7 @@ def test_a_pool_runs_every_task_once_and_the_caller_runs_some(grid_state, monkey
     assert sorted((seed, i) for _, seed, i in ran) == [
         (1 * 100003 + k, i) for k in ks[1:] for i in range(n_root)]  # k = 1 has none
     assert parent in {pid for pid, _, _ in ran}
+    assert len({pid for pid, _, _ in ran}) <= processes
     assert events.count(1) == 0
     assert events.count(-1) == sum(pid != parent for pid, _, _ in ran)
     assert multiprocessing.active_children() == []
@@ -484,7 +486,7 @@ def test_a_pool_runs_every_task_once_and_the_caller_runs_some(grid_state, monkey
 
 @needs_fork
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors via /proc")
-@pytest.mark.parametrize("processes", [2, 3])
+@pytest.mark.parametrize("processes", [1, 2, 3])
 def test_an_error_in_a_sample_the_caller_runs_is_raised_as_is(grid_state, monkeypatch, processes):
     parent = os.getpid()
     split_region = _slowed_in_workers(tree_mod.split_region, parent)
@@ -539,7 +541,8 @@ def test_a_worker_builds_the_next_k_while_the_last_tree_is_used(grid_state, monk
 
 
 @needs_fork
-def test_a_worker_with_no_task_left_waits_until_the_pool_closes(grid_state, monkeypatch, tmp_path):
+def test_a_worker_with_no_task_left_exits_and_its_results_still_arrive(grid_state, monkeypatch,
+                                                                       tmp_path):
     runs = tmp_path / "runs"
     monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
     monkeypatch.setattr(tree_mod, "_root_sample", _recording(tree_mod._root_sample, runs))
@@ -547,20 +550,15 @@ def test_a_worker_with_no_task_left_waits_until_the_pool_closes(grid_state, monk
     blocks = tree_mod._Blocks.of(grid_state)
     pool = tree_mod._RootSamplePool(blocks, plan)
     try:
-        (worker,) = multiprocessing.active_children()
-        deadline = time.monotonic() + 10
-        while len(_runs(runs)) < 6 and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert len(_runs(runs)) == 6  # the caller has claimed none, so the worker ran all
-        time.sleep(0.2)
-        assert worker.is_alive()
+        (worker,) = pool._workers  # active_children() would drop it once it exits
+        worker.join(timeout=10)  # the caller has claimed none, so the worker runs all
+        assert worker.exitcode == 0
+        assert len(_runs(runs)) == 6
         assert [list(pool.samples()) for _ in plan] == [
             [tree_mod._root_sample(blocks, build, i) for i in range(build.n_root)]
             for build in plan]
-        assert worker.is_alive()
     finally:
         pool.close()
-    assert not worker.is_alive()
     assert multiprocessing.active_children() == []
 
 
@@ -592,7 +590,8 @@ def test_a_failed_pool_start_leaves_nothing_running(grid_state, monkeypatch):
 #: workers sleep in every split, printing each worker's pid as it starts.
 #: With ``busy`` the pool runs a build of more root samples than the test
 #: waits for; with ``idle`` it runs two, then prints ``idle`` and sleeps
-#: with the pool open, so its workers have no task left.
+#: with the pool open, so its workers have no task left and have exited or
+#: are exiting.
 SLOW_POOLED_BUILD = """
 import multiprocessing.process, os, sys, time
 import mmdistrict.tree as tree_mod
@@ -683,6 +682,7 @@ def test_workers_do_not_outlive_a_killed_parent(tmp_path):
 @needs_fork
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states via /proc")
 def test_idle_workers_do_not_outlive_a_killed_parent(tmp_path):
-    # Workers with no task left wait on a pipe only the parent holds open for
-    # writing, so they end when the killed parent's copy closes.
+    # Workers with no task left exit on their own while the pool is open, so
+    # they are gone, or zombies the killed parent never reaped, and none
+    # writes a traceback.
     _kill_the_parent_of_a_slow_pool(tmp_path, "idle")

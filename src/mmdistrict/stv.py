@@ -53,6 +53,8 @@ class BallotGroup:
     voter_ids: tuple
 
     def __post_init__(self):
+        if not self.voter_ids:
+            raise ValueError(f"ballot group ranking {self.ranking} has no voters")
         if len(set(self.ranking)) != len(self.ranking):
             raise ValueError(f"ballot {self.voter_ids[0]} ranks a candidate twice")
         if not 0 < self.weight <= 1:
@@ -157,14 +159,20 @@ def run_stv(ballots, candidates, seats: int, seed: int = 0) -> ElectionResult:
     Stops when all seats are filled or the continuing candidates exactly
     cover the remaining seats (those are elected in descending vote order).
     """
+    party = {}
+    for c in candidates:
+        if c.id in party:
+            raise ValueError(f"candidate id {c.id} is repeated")
+        if c.party not in ("R", "D"):
+            raise ValueError(f"candidate {c.id} has party {c.party!r}, not 'R' or 'D'")
+        party[c.id] = c.party
     if seats < 1:
         raise ValueError("seats must be >= 1")
-    if seats > len(candidates):
-        raise ValueError(f"seats {seats} exceeds candidate count {len(candidates)}")
+    if seats > len(party):
+        raise ValueError(f"seats {seats} exceeds candidate count {len(party)}")
     if not ballots:
         raise ValueError("no ballots")
-    cand_ids = {c.id for c in candidates}
-    party = {c.id: c.party for c in candidates}
+    cand_ids = set(party)
     groups = _group(ballots)
     for wb in groups:
         unknown = set(wb.ranking) - cand_ids

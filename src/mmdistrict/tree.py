@@ -30,7 +30,7 @@ reads another's RNG state.  ``build_trees`` plans a command's builds on one
 state, one per district count, up front in one root-sample pool, whose
 caller claims ``(build, sample index)`` tasks in plan order and runs one
 whenever the result it needs has not come.  From ``POOL_MIN_WORK`` summed
-estimated work on, workers forked once with the blocks and the builds, one
+estimated work on, workers forked once with the state and the builds, one
 process per usable CPU with the caller, claim tasks too, held back only by
 the result pipe, so they build the next k while the caller scores the last
 tree; a worker with no task left exits, and one that dies raises.
@@ -208,16 +208,17 @@ def _stays_connected(owner, b, neighbors):
     """Whether ``b``'s child stays connected without ``b``, given that it is connected.
 
     The child is every block ``v`` with ``owner[v] == owner[b]``.  A block
-    with at most one neighbour in its child can always leave.  Otherwise
-    every remaining block still reaches one of those neighbours, so a search
-    from the first of them, avoiding ``b``, decides: it stops as soon as it
-    has reached the others, and only at a cut block does it search the whole
-    of its side.
+    with one neighbour in its child can always leave.  One with none is the
+    child's only block, as the child is connected, and must stay, or the
+    child would be empty.  Otherwise every remaining block still reaches one
+    of those neighbours, so a search from the first of them, avoiding ``b``,
+    decides: it stops as soon as it has reached the others, and only at a
+    cut block does it search the whole of its side.
     """
     a = owner[b]
     ends = [v for v in neighbors[b] if owner[v] == a]
     if len(ends) <= 1:
-        return True
+        return bool(ends)
     missing = set(ends[1:])
     seen = {b, ends[0]}
     frontier = [ends[0]]
@@ -305,15 +306,12 @@ def split_region(neighbors, pops, centers, dist_maps, child_seats,
     # Most splits need repair (5,813 of 8,449 in a 144-block sweep of k = 1..6),
     # and most visits move nothing (434,014 of 454,416): a block with no
     # neighbour in another child has no child to move to.
-    child_size = [owner.count(c) for c in range(f)]
     max_swaps = 10 * n
     swaps = 0
     while not balanced() and swaps < max_swaps:
         improved = False
         for b in range(n):
             a = owner[b]
-            if child_size[a] <= 1:
-                continue
             p = pops[b]
             moved_a, kept_a = abs(err[a] - p), abs(err[a])
             best_delta, best_t = -1e-12, None
@@ -327,8 +325,6 @@ def split_region(neighbors, pops, centers, dist_maps, child_seats,
             if best_t is None or not _stays_connected(owner, b, neighbors):
                 continue
             owner[b] = best_t
-            child_size[a] -= 1
-            child_size[best_t] += 1
             err[a] -= p
             err[best_t] += p
             swaps += 1
@@ -362,25 +358,13 @@ MAX_FANOUT = 4
 POOL_MIN_WORK = 20_000
 
 
-@dataclass(frozen=True)
-class _Blocks:
-    """A state's blocks on dense indices, which every root sample reads.
-
-    Block ``i`` is ``ids[i]``, the ``i``-th smallest id.
-    """
-    ids: tuple
-    neighbors: tuple
-    pops: tuple
-    total_population: float
-    total_seats: int
-
-    @classmethod
-    def of(cls, state):
-        ids = tuple(state.block_map)
-        index = {b: i for i, b in enumerate(ids)}
-        return cls(ids, tuple(tuple(index[v] for v in state.adjacency[b]) for b in ids),
-                   tuple(b.population for b in state.blocks),
-                   state.total_population, state.total_seats)
+def _state_graph(state):
+    """``(neighbors, pops)`` of the state's blocks on dense indices, which every root
+    sample reads: block ``i`` is ``state.blocks[i]``, its neighbours in
+    ``state.adjacency`` order."""
+    index = {b: i for i, b in enumerate(state.block_map)}
+    return (tuple(tuple(index[v] for v in state.adjacency[b]) for b in state.block_map),
+            tuple(b.population for b in state.blocks))
 
 
 @dataclass(frozen=True)
@@ -404,8 +388,9 @@ class _Build:
         return cls(alloc, *counts, seed)
 
 
-def _root_sample(blocks: _Blocks, build: _Build, i: int):
-    """Root sample ``i`` of ``build`` and its whole subtree, from its own stream.
+def _root_sample(state, graph, build: _Build, i: int):
+    """Root sample ``i`` of ``build`` on ``state``, whose ``_state_graph`` is
+    ``graph``, and its whole subtree, from its own stream.
 
     Every draw, the internal samples' included, comes from
     ``random.Random(f"{seed}:{i}")``.  Returns ``(children, created,
@@ -435,7 +420,7 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
             sizes = assign_child_sizes(n_small, n_large, _voronoi_cell_pops(pops, cell, fanout))
             child_seats = [s * j + l * (j + 1) for s, l in sizes]
             parts = split_region(neighbors, pops, centers, dist_maps, child_seats,
-                                 blocks.total_population, blocks.total_seats, EPSILON)
+                                 state.total_population, state.total_seats, EPSILON)
             if parts is not None:
                 break
         if parts is None:
@@ -464,7 +449,7 @@ def _root_sample(blocks: _Blocks, build: _Build, i: int):
             failures[depth] = failures.get(depth, 0) + 1
         return children
 
-    children = try_sample(range(len(blocks.ids)), blocks.neighbors, blocks.pops,
+    children = try_sample(range(len(state.blocks)), *graph,
                           build.allocation.small_count, build.allocation.large_count, 0)
     return children, next(node_ids) - 1, attempts, failures
 
@@ -504,7 +489,7 @@ def _claim(tasks, claimed, lock):
     return tasks[t] if t < len(tasks) else None
 
 
-def _work(blocks, plan, claim, results, result_lock, parent_results):
+def _work(state, graph, plan, claim, results, result_lock, parent_results):
     """A pool worker: it claims ``(build, i)`` tasks until none is left, sending
     ``(build, i, ok, result or (exception, traceback text))`` for each, then
     exits.  It returns only when ``claim()`` gives None, by which time every
@@ -515,7 +500,7 @@ def _work(blocks, plan, claim, results, result_lock, parent_results):
     while (task := claim()) is not None:
         b, i = task
         try:
-            message = (b, i, True, _root_sample(blocks, plan[b], i))
+            message = (b, i, True, _root_sample(state, graph, plan[b], i))
         except Exception as e:  # raised in the parent when it reaches sample i
             message = (b, i, False, (e, traceback.format_exc()))
         with result_lock:
@@ -526,7 +511,7 @@ def _work(blocks, plan, claim, results, result_lock, parent_results):
 
 
 class _RootSamplePool:
-    """Runs the root samples of ``plan``, a list of ``_Build``s with k > 1, on ``blocks``.
+    """Runs the root samples of ``plan``, a list of ``_Build``s with k > 1, on ``state``.
 
     A k-district build's root sample splits the state's blocks once, then
     each of up to k - 2 internal nodes below the root about ``n_internal``
@@ -537,23 +522,23 @@ class _RootSamplePool:
     it needs next has not come and none waits, raising its exception as is
     on reaching that sample.  Below ``POOL_MIN_WORK``, and without ``fork``,
     it claims alone, from an iterator over the tasks.  Otherwise it forks
-    ``_pool_size`` - 1 workers here, once, with the blocks and the builds,
-    and all claim through one shared count; a worker claims until no task is
-    left, held back only by a full result pipe, so it runs on into the next
-    build while the caller works on the last tree, then exits.  The caller
-    waits in its own thread on the result pipe and the workers' sentinels,
-    so a worker that exits with an error or a signal raises
+    ``_pool_size`` - 1 workers here, once, with the state, its graph and the
+    builds, and all claim through one shared count; a worker claims until no
+    task is left, held back only by a full result pipe, so it runs on into
+    the next build while the caller works on the last tree, then exits.  The
+    caller waits in its own thread on the result pipe and the workers'
+    sentinels, so a worker that exits with an error or a signal raises
     ``WorkerExitError``.  Fork, not spawn, because a spawned worker would
     import the package and receive the state again; the workers run pure
     Python, so forking after numpy has started threads is safe here.  Close
     it; callers wrap it in ``contextlib.closing``.
     """
 
-    def __init__(self, blocks: _Blocks, plan):
-        self.blocks, self._plan = blocks, plan
+    def __init__(self, state, plan):
+        self._sample_args, self._plan = (state, _state_graph(state)), plan
         self._next_build = enumerate(plan)
         tasks = [(b, i) for b, build in enumerate(plan) for i in range(build.n_root)]
-        work = sum(b.n_root * len(blocks.ids)
+        work = sum(b.n_root * len(state.blocks)
                    * (1 + b.n_internal * (b.allocation.small_count + b.allocation.large_count - 2))
                    for b in plan)
         processes = _pool_size(work, max((b.n_root for b in plan), default=1))
@@ -571,7 +556,7 @@ class _RootSamplePool:
         # The parent keeps a result writer, so a dead worker shows as its sentinel, never as EOF.
         self._results, result_writer = ctx.Pipe(duplex=False)
         self._ends = (self._results, result_writer, claimed)
-        args = (blocks, plan, self._claim, result_writer, ctx.Lock(), self._results)
+        args = (*self._sample_args, plan, self._claim, result_writer, ctx.Lock(), self._results)
         try:
             for _ in range(processes - 1):
                 (p := ctx.Process(target=_work, args=args, daemon=True)).start()
@@ -592,7 +577,8 @@ class _RootSamplePool:
                     self._receive()
                     continue
                 try:  # the caller runs a task while no result waits
-                    self._done[task] = True, _root_sample(self.blocks, self._plan[task[0]], task[1])
+                    self._done[task] = True, _root_sample(*self._sample_args, self._plan[task[0]],
+                                                          task[1])
                 except Exception as e:  # raised when the caller reaches the sample
                     self._done[task] = False, e
             ok, value = self._done.pop((b, i))
@@ -637,7 +623,7 @@ def build_trees(state, ks, seed: int, root_samples: int = None, internal_samples
     builds = [(k, seed * 100003 + k) for k in ks]
     plan = [_Build.of(state.total_seats, k, k_seed, root_samples, internal_samples)
             for k, k_seed in builds if k > 1]
-    with contextlib.closing(_RootSamplePool(_Blocks.of(state), plan)) as pool:
+    with contextlib.closing(_RootSamplePool(state, plan)) as pool:
         for k, k_seed in builds:
             try:  # build_tree through its module name, which perfbench/tracer.py times
                 yield k, build_tree(state, k, k_seed, root_samples, internal_samples, pool)
@@ -670,13 +656,12 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
     if k > 1:
         with contextlib.ExitStack() as own:
             if pool is None:
-                pool = own.enter_context(
-                    contextlib.closing(_RootSamplePool(_Blocks.of(state), [build])))
+                pool = own.enter_context(contextlib.closing(_RootSamplePool(state, [build])))
             # Node ids run in creation order, as if the samples ran one after another.
             id_offset = root.node_id
             for children, created, sample_attempts, sample_failures in pool.samples():
                 if children is not None:
-                    root.samples.append([_decode(c, id_offset, pool.blocks.ids) for c in children])
+                    root.samples.append([_decode(c, id_offset, root.region) for c in children])
                 id_offset += created
                 for total, counts in ((attempts, sample_attempts), (failures, sample_failures)):
                     for depth, n in counts.items():

@@ -267,6 +267,10 @@ def test_input_validation():
         Ballot(0, (0,), weight=0.0)
     with pytest.raises(ValueError):
         Ballot(0, (0,), weight=1.5)
+    with pytest.raises(ValueError, match="candidate id 0 is repeated"):
+        run_stv([Ballot(0, (0,))], [Candidate(0, "R"), Candidate(0, "D")], 2)
+    with pytest.raises(ValueError, match="candidate 0 has party 'Q'"):
+        run_stv([Ballot(0, (0,))], [Candidate(0, "Q"), D1], 1)
 
 
 def test_partisan_split_counts():
@@ -463,6 +467,10 @@ def test_same_ranking_with_different_weights_is_not_merged():
 
 
 def test_group_checks_name_the_first_voter():
+    # A group needs a first voter: one with none is rejected before any other check.
+    for ranking in ((0, 0), (0,)):
+        with pytest.raises(ValueError, match="has no voters"):
+            BallotGroup(ranking, 1.0, ())
     with pytest.raises(ValueError, match="ballot 7 ranks a candidate twice"):
         BallotGroup((0, 2, 0), 1.0, (7, 3))
     for weight in (0.0, -0.5, 1.5):

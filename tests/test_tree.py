@@ -429,10 +429,10 @@ def _slowed_in_workers(split_region, parent):
 
 def _recording(root_sample, runs):
     """``root_sample`` appending the process, the build's seed and the sample index to ``runs``."""
-    def recorded_root_sample(blocks, build, i):
+    def recorded_root_sample(state, graph, build, i):
         with open(runs, "a") as f:
             f.write(f"{os.getpid()} {build.seed} {i}\n")
-        return root_sample(blocks, build, i)
+        return root_sample(state, graph, build, i)
     return recorded_root_sample
 
 
@@ -547,15 +547,15 @@ def test_a_worker_with_no_task_left_exits_and_its_results_still_arrive(grid_stat
     monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
     monkeypatch.setattr(tree_mod, "_root_sample", _recording(tree_mod._root_sample, runs))
     plan = [tree_mod._Build.of(grid_state.total_seats, k, k, 3, 2) for k in (2, 3)]
-    blocks = tree_mod._Blocks.of(grid_state)
-    pool = tree_mod._RootSamplePool(blocks, plan)
+    graph = tree_mod._state_graph(grid_state)
+    pool = tree_mod._RootSamplePool(grid_state, plan)
     try:
         (worker,) = pool._workers  # active_children() would drop it once it exits
         worker.join(timeout=10)  # the caller has claimed none, so the worker runs all
         assert worker.exitcode == 0
         assert len(_runs(runs)) == 6
         assert [list(pool.samples()) for _ in plan] == [
-            [tree_mod._root_sample(blocks, build, i) for i in range(build.n_root)]
+            [tree_mod._root_sample(grid_state, graph, build, i) for i in range(build.n_root)]
             for build in plan]
     finally:
         pool.close()
@@ -616,8 +616,7 @@ state = generate_synthetic_state(16, 4, 0.4, 1, seed=3)
 if sys.argv[1] == "busy":
     tree_mod.build_tree(state, 4, seed=1, root_samples=100_000, internal_samples=2)
 else:
-    pool = tree_mod._RootSamplePool(tree_mod._Blocks.of(state),
-                                    [tree_mod._Build.of(state.total_seats, 4, 1, 2, 2)])
+    pool = tree_mod._RootSamplePool(state, [tree_mod._Build.of(state.total_seats, 4, 1, 2, 2)])
     list(pool.samples())
     print("idle", flush=True)
     time.sleep(600)

@@ -101,7 +101,8 @@ def test_prime_block_count_gives_a_path_state_whose_plans_validate(n, data, seed
 
 
 @SETTINGS
-@given(connected_subsets(min_size=2), st.integers(0, 10 ** 6))
+@given(connected_subsets(), st.integers(0, 10 ** 6))
+@example((grid_adjacency(1, 2), frozenset({1})), 0)  # a child's only block cannot leave
 def test_local_contiguity_check_agrees_with_whole_region_search(case, pick):
     adjacency, blocks = case
     b = sorted(blocks)[pick % len(blocks)]
@@ -303,6 +304,22 @@ def test_repair_moves_a_block_to_the_lower_child_on_a_tied_gain():
     # targets 2.5, 2.5 and 1.5: growth leaves errors -1.5, -1.5 and 2
     parts = split_region(neighbors, pops, centers, maps, [5, 5, 3], 6.5, 13, 0.7)
     assert parts == [[0, 1], [2], [3]]
+
+
+def test_repair_never_moves_a_childs_only_block():
+    # A 2 x 2 grid.  Growth gives child 0 blocks 1 and 3, child 1 block 2
+    # and child 2 block 0: errors 2.5, -4 and 1.5 against targets 3.5, 7
+    # and 3.5.  The scan reaches block 0 first, and moving it to child 1
+    # would lower the total error, but it is child 2's only block, whose
+    # move would leave child 2 empty and the split failed.  Block 3 moves to
+    # child 1 instead, which balances every child.
+    neighbors = [(1, 2), (0, 3), (0, 3), (1, 2)]
+    pops = [5, 5, 3, 1]
+    centers = [3, 2, 0]
+    maps = [_bfs_distances(neighbors, c) for c in centers]
+    args = (neighbors, pops, centers, maps, [1, 2, 1], 14, 4, 0.5)
+    assert reference_split_region(range(4), *args, range(4)) == [{1}, {2, 3}, {0}]
+    assert split_region(*args) == [[1], [2, 3], [0]]
 
 
 @pytest.mark.parametrize("pops, balanced", [

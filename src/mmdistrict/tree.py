@@ -33,10 +33,10 @@ whenever the result it needs has not come.  From ``POOL_MIN_WORK`` summed
 estimated work on, workers forked once with the state and the builds, one
 process per usable CPU with the caller, claim tasks too, held back only by
 the result pipe, so they build the next k while the caller scores the last
-tree; a worker with no task left exits, and one that dies raises.
-``build_tree`` merges the results in sample order, and alone opens a pool
-for its build.  The tree, its node ids and its diagnostics do not depend on
-the number of cores.
+tree or runs its elections; a worker with no task left exits, and one that
+dies raises.  ``build_tree`` merges the results in sample order, and alone
+opens a pool for its build.  The tree, its node ids and its diagnostics do
+not depend on the number of cores.
 """
 from __future__ import annotations
 
@@ -349,13 +349,16 @@ MAX_FANOUT = 4
 #: Smallest estimated work, in block visits summed over one command's builds,
 #: for which a ``_RootSamplePool`` forks workers; see ``_pool_size``.  Timed
 #: on a 2-core VM, one build per pool of the caller and one worker against
-#: the same build serially (median of 15 alternating builds each, two runs):
-#: opening and closing the pool takes about 4 ms, and the pool wins from
-#: 14,400 on.  144 blocks, k = 2: 7,200 took 1.22-1.23x the serial time,
-#: 14,400 0.77-0.86x, 28,800 0.66-0.85x; 400 blocks, k = 2: 20,000
-#: 0.80-0.88x; 144 blocks, k = 4, 2 internal samples: 28,800 0.63-0.96x.  A
-#: command pays the start-up once, so the threshold applies to its sum.
-POOL_MIN_WORK = 20_000
+#: the same build serially (pooled / serial median of 21 or 31 alternating
+#: builds each, seven runs; median and range over the runs): the pool wins
+#: in every run from 10,800 on.  144 blocks, k = 2: 2,880 took 1.44x
+#: (1.01-1.58), 4,320 1.16x (0.98-1.30), 5,760 1.09x (0.78-1.16), 6,480
+#: 0.96x (0.85-1.11), 7,200 0.91x (0.86-1.09), 10,800 0.85x (0.71-0.95),
+#: 14,400 0.81x (0.62-0.86); 64 blocks, k = 2: 1,920 1.64x (1.36-1.83);
+#: 64 blocks, k = 4, 4 internal samples: 5,760 1.26x (1.03-1.48), 17,280
+#: 0.81x (0.74-0.93).  A command pays the start-up once, so the threshold
+#: applies to its sum.
+POOL_MIN_WORK = 10_800
 
 
 def _state_graph(state):

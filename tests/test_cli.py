@@ -907,6 +907,73 @@ def test_an_exception_between_trees_ends_the_command_and_its_pool(state_file, tm
     assert multiprocessing.active_children() == []
 
 
+DIVERSITY_FLAGS = ["--k", "1,2,4", "--seed", "2", "--voters-per-block", "5",
+                   "--ensemble-size", "3", "--root-samples", "6", "--internal-samples", "2"]
+
+
+@needs_fork
+def test_one_diversity_forks_one_pool_and_writes_the_serial_bytes(state_file, tmp_path,
+                                                                  monkeypatch, worker_starts):
+    argv = ["diversity", "--state", str(state_file), *DIVERSITY_FLAGS]
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 1)
+    assert run(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
+    assert worker_starts == []
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    assert run(argv + ["--out", str(tmp_path / "pooled.csv")]) == 0
+    assert len(worker_starts) == 1  # the caller is the pool's second process
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors via /proc")
+def test_an_exception_in_the_elections_ends_the_diversity_command_and_its_pool(
+        state_file, tmp_path, monkeypatch, worker_starts):
+    intra_party_analysis = analysis.intra_party_analysis
+    analysed = []
+
+    def fail_at_the_second_k(state, plans, *args, **kwargs):
+        analysed.append(len(plans[0].districts))
+        if len(analysed) == 2:
+            raise RuntimeError("election failed")
+        return intra_party_analysis(state, plans, *args, **kwargs)
+
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(analysis, "intra_party_analysis", fail_at_the_second_k)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(RuntimeError, match="election failed"):
+        run(["diversity", "--state", str(state_file), *DIVERSITY_FLAGS,
+             "--out", str(tmp_path / "diversity.csv")])
+    assert analysed == [1, 2]
+    assert len(worker_starts) == 1  # the caller is the pool's second process
+    assert multiprocessing.active_children() == []
+    for p in worker_starts:  # the fixture keeps each Process, and so its two sentinel pipe ends
+        p.close()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
+@needs_fork
+def test_pool_min_work_pools_a_diversity_64_sized_command_on_two_cpus(tmp_path, monkeypatch,
+                                                                      worker_starts):
+    # diversity-64's builds: 30 root samples of 64 blocks at k = 2, and at k = 4
+    # each with 2 internal nodes of 4 samples.  A k = 4 build of 10 root samples
+    # alone is below the threshold.
+    assert 64 * 10 * (1 + 4 * 2) < tree_mod.POOL_MIN_WORK <= 64 * 30 + 64 * 30 * (1 + 4 * 2)
+    state = tmp_path / "state64.json"
+    assert run(["synth", "--blocks", "64", "--seats", "4", "--r-share", "0.4", "--corr", "2",
+                "--seed", "11", "--out", str(state)]) == 0
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["diversity", "--state", str(state), "--seed", "1", "--voters-per-block", "2",
+            "--ensemble-size", "2", "--internal-samples", "4"]
+    assert run(argv + ["--k", "1,2,4", "--root-samples", "30",
+                       "--out", str(tmp_path / "pooled.csv")]) == 0
+    assert len(worker_starts) == 1  # the caller is the pool's second process
+    assert run(argv + ["--k", "1,4", "--root-samples", "10",
+                       "--out", str(tmp_path / "serial.csv")]) == 0
+    assert len(worker_starts) == 1
+    assert multiprocessing.active_children() == []
+
+
 #: What the input fuzz puts in place of a value.
 FUZZ_VALUES = [True, None, "x", [1, 2], 0.5, 10 ** 400, 1e308]
 

@@ -32,10 +32,10 @@ def _parse_k_set(text: str, n_seats: int):
         return list(range(1, n_seats + 1))
     ks = sorted({_parse_k(part) for part in text.split(",") if part})
     if not ks:
-        raise SystemExit(f"error: --k {text!r} names no district count")
+        raise ValueError(f"--k {text!r} names no district count")
     bad = [k for k in ks if not 1 <= k <= n_seats]
     if bad:
-        raise SystemExit(f"error: k values {bad} outside 1..{n_seats}")
+        raise ValueError(f"k values {bad} outside 1..{n_seats}")
     return ks
 
 
@@ -49,7 +49,7 @@ def _options(args):
                 if key in defaults and val is not None)
     missing = ["--" + key.replace("_", "-") for key in required if opts[key] is None]
     if missing:
-        raise SystemExit(f"error: {args.command} requires {', '.join(missing)}")
+        raise ValueError(f"{args.command} requires {', '.join(missing)}")
     if opts["seed"] < 0:
         raise ValueError(f"--seed must be >= 0, got {opts['seed']}")
     if opts.get("per_party") is not None and opts["per_party"] < 1:
@@ -327,8 +327,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command][0](_options(args))
-    except (model.StateFormatError, tree_mod.TreeBuildError, tree_mod.WorkerExitError, ValueError,
-            OSError) as e:
+    except (tree_mod.TreeBuildError, tree_mod.WorkerExitError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

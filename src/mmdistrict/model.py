@@ -3,10 +3,12 @@
 A state is an adjacency graph of atomic blocks carrying population and
 two-party vote counts.  A plan partitions the blocks into contiguous,
 population-balanced districts, each with a seat count.  All objects are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads; a state
+computes its position graph, the same every time, on first use.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -117,6 +119,14 @@ class StateInstance:
     @property
     def block_ids(self):
         return frozenset(self.block_map)
+
+    @functools.cached_property
+    def graph(self):
+        """``(neighbors, pops)`` on positions, built on first use, which every root sample
+        reads: block ``i`` is ``blocks[i]``, its neighbours' positions in ``adjacency`` order."""
+        index = {b: i for i, b in enumerate(self.block_map)}
+        return (tuple(tuple(index[v] for v in self.adjacency[b]) for b in self.block_map),
+                tuple(b.population for b in self.blocks))
 
     def statewide_vote_share(self) -> float:
         """Statewide R share of the two-party vote, summed in ascending id order, as every region is."""

@@ -9,10 +9,11 @@ The tree therefore encodes a product-sum number of distinct plans.
 Block ``i`` is the state's ``i``-th block, which ``StateInstance`` lists in
 ascending id order.  A region is an ascending tuple of block indices in the
 builder, and an ascending tuple of the state's own id objects in the tree.
-Each node works on its region's graph (``region_graph``), taken from its
-parent's: position ``i`` is block ``region[i]``, its neighbours are a tuple
-of positions, and populations, distances and owners are lists as long as the
-region, so below the root no node's work grows with the state.  Positions
+The root works on the state's own ``graph``, and each other node on its
+region's graph (``region_graph``), taken from its parent's: position ``i``
+is block ``region[i]``, its neighbours are a tuple of positions, and
+populations, distances and owners are lists as long as the region, so
+below the root no node's work grows with the state.  Positions
 keep id order, so every sorted scan and tie-break orders as it would on ids,
 and so does a growth heap's int key ``distance * m + position`` (m blocks),
 as ``(distance, position)``.  A leaf's region becomes its district's ids as is.
@@ -41,6 +42,7 @@ not depend on the number of cores.
 from __future__ import annotations
 
 import bisect
+import collections
 import contextlib
 import functools
 import heapq
@@ -361,15 +363,6 @@ MAX_FANOUT = 4
 POOL_MIN_WORK = 10_800
 
 
-def _state_graph(state):
-    """``(neighbors, pops)`` of the state's blocks on dense indices, which every root
-    sample reads: block ``i`` is ``state.blocks[i]``, its neighbours in
-    ``state.adjacency`` order."""
-    index = {b: i for i, b in enumerate(state.block_map)}
-    return (tuple(tuple(index[v] for v in state.adjacency[b]) for b in state.block_map),
-            tuple(b.population for b in state.blocks))
-
-
 @dataclass(frozen=True)
 class _Build:
     """One build's parameters, which each of its root samples reads."""
@@ -391,9 +384,9 @@ class _Build:
         return cls(alloc, *counts, seed)
 
 
-def _root_sample(state, graph, build: _Build, i: int):
-    """Root sample ``i`` of ``build`` on ``state``, whose ``_state_graph`` is
-    ``graph``, and its whole subtree, from its own stream.
+def _root_sample(state, build: _Build, i: int):
+    """Root sample ``i`` of ``build`` on ``state``, split on ``state.graph``, and
+    its whole subtree, from its own stream.
 
     Every draw, the internal samples' included, comes from
     ``random.Random(f"{seed}:{i}")``.  Returns ``(children, created,
@@ -401,8 +394,8 @@ def _root_sample(state, graph, build: _Build, i: int):
     n_small, n_large, samples)`` with nested tuples, or None when the sample
     is rejected; how many nodes the sample created, rejected ones included,
     numbered 1..created in creation order; and its attempts and failures per
-    depth.  It must not call numpy: pool workers are forked from a process
-    whose BLAS threads may hold locks.
+    depth, as ``Counter``s in first-occurrence order.  It must not call numpy:
+    pool workers are forked from a process whose BLAS threads may hold locks.
 
     The root region is every block, and ``split_region`` lists each child's
     positions in ascending order, so every region is ascending.  ``_decode``
@@ -411,13 +404,12 @@ def _root_sample(state, graph, build: _Build, i: int):
     rng = random.Random(f"{build.seed}:{i}")
     j = build.allocation.small_size
     node_ids = itertools.count(1)
-    attempts, failures = {}, {}
+    attempts, failures = collections.Counter(), collections.Counter()
 
     def subdivide(region, neighbors, pops, n_small, n_large, depth):
         fanout = rng.randint(2, min(MAX_FANOUT, n_small + n_large))
         if fanout > len(region):
             return None
-        parts = sizes = None
         for _ in range(SPLIT_RETRIES):
             centers, dist_maps, cell = select_centers(neighbors, pops, fanout, rng)
             sizes = assign_child_sizes(n_small, n_large, _voronoi_cell_pops(pops, cell, fanout))
@@ -426,7 +418,7 @@ def _root_sample(state, graph, build: _Build, i: int):
                                  state.total_population, state.total_seats, EPSILON)
             if parts is not None:
                 break
-        if parts is None:
+        else:
             return None
         # Every child is numbered before any child's own samples are drawn.
         child_ids = [next(node_ids) for _ in parts]
@@ -446,13 +438,13 @@ def _root_sample(state, graph, build: _Build, i: int):
         return tuple(children)
 
     def try_sample(region, neighbors, pops, n_small, n_large, depth):
-        attempts[depth] = attempts.get(depth, 0) + 1
+        attempts[depth] += 1
         children = subdivide(region, neighbors, pops, n_small, n_large, depth)
         if children is None:
-            failures[depth] = failures.get(depth, 0) + 1
+            failures[depth] += 1
         return children
 
-    children = try_sample(range(len(state.blocks)), *graph,
+    children = try_sample(range(len(state.blocks)), *state.graph,
                           build.allocation.small_count, build.allocation.large_count, 0)
     return children, next(node_ids) - 1, attempts, failures
 
@@ -492,18 +484,19 @@ def _claim(tasks, claimed, lock):
     return tasks[t] if t < len(tasks) else None
 
 
-def _work(state, graph, plan, claim, results, result_lock, parent_results):
-    """A pool worker: it claims ``(build, i)`` tasks until none is left, sending
-    ``(build, i, ok, result or (exception, traceback text))`` for each, then
-    exits.  It returns only when ``claim()`` gives None, by which time every
-    result it claimed is in the pipe the parent holds open, or when a send
-    finds no reader, which needs the parent to be gone."""
+def _work(state, plan, claim, results, result_lock, parent_results):
+    """A pool worker: it claims ``(build, i)`` tasks of ``plan`` on ``state`` until
+    none is left, sending ``(build, i, ok, result or (exception, traceback
+    text))`` for each, then exits.  It returns only when ``claim()`` gives
+    None, by which time every result it claimed is in the pipe the parent
+    holds open, or when a send finds no reader, which needs the parent to be
+    gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C
     parent_results.close()  # so, once the parent is gone, sends fail
     while (task := claim()) is not None:
         b, i = task
         try:
-            message = (b, i, True, _root_sample(state, graph, plan[b], i))
+            message = (b, i, True, _root_sample(state, plan[b], i))
         except Exception as e:  # raised in the parent when it reaches sample i
             message = (b, i, False, (e, traceback.format_exc()))
         with result_lock:
@@ -525,8 +518,9 @@ class _RootSamplePool:
     it needs next has not come and none waits, raising its exception as is
     on reaching that sample.  Below ``POOL_MIN_WORK``, and without ``fork``,
     it claims alone, from an iterator over the tasks.  Otherwise it forks
-    ``_pool_size`` - 1 workers here, once, with the state, its graph and the
-    builds, and all claim through one shared count; a worker claims until no
+    ``_pool_size`` - 1 workers here, once, with the state and the builds,
+    and all claim through one shared count; a process builds ``state.graph``
+    on its first task, unless it already has it.  A worker claims until no
     task is left, held back only by a full result pipe, so it runs on into
     the next build while the caller works on the last tree, then exits.  The
     caller waits in its own thread on the result pipe and the workers'
@@ -538,7 +532,7 @@ class _RootSamplePool:
     """
 
     def __init__(self, state, plan):
-        self._sample_args, self._plan = (state, _state_graph(state)), plan
+        self._state, self._plan = state, plan
         self._next_build = enumerate(plan)
         tasks = [(b, i) for b, build in enumerate(plan) for i in range(build.n_root)]
         work = sum(b.n_root * len(state.blocks)
@@ -559,7 +553,7 @@ class _RootSamplePool:
         # The parent keeps a result writer, so a dead worker shows as its sentinel, never as EOF.
         self._results, result_writer = ctx.Pipe(duplex=False)
         self._ends = (self._results, result_writer, claimed)
-        args = (*self._sample_args, plan, self._claim, result_writer, ctx.Lock(), self._results)
+        args = (state, plan, self._claim, result_writer, ctx.Lock(), self._results)
         try:
             for _ in range(processes - 1):
                 (p := ctx.Process(target=_work, args=args, daemon=True)).start()
@@ -571,17 +565,13 @@ class _RootSamplePool:
     def samples(self):
         """``_root_sample`` results of the next planned build, in sample order."""
         b, build = next(self._next_build)
-        return self._collect(b, build.n_root)
-
-    def _collect(self, b, n_samples):
-        for i in range(n_samples):
+        for i in range(build.n_root):
             while (b, i) not in self._done:
                 if self._results and self._results.poll() or (task := self._claim()) is None:
                     self._receive()
                     continue
                 try:  # the caller runs a task while no result waits
-                    self._done[task] = True, _root_sample(*self._sample_args, self._plan[task[0]],
-                                                          task[1])
+                    self._done[task] = True, _root_sample(self._state, self._plan[task[0]], task[1])
                 except Exception as e:  # raised when the caller reaches the sample
                     self._done[task] = False, e
             ok, value = self._done.pop((b, i))
@@ -655,7 +645,7 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
     alloc = build.allocation
     root = TreeNode(node_id=1, region=tuple(state.block_map), seats=state.total_seats,
                     n_small=alloc.small_count, n_large=alloc.large_count)
-    attempts, failures = {}, {}
+    attempts, failures = collections.Counter(), collections.Counter()
     if k > 1:
         with contextlib.ExitStack() as own:
             if pool is None:
@@ -666,11 +656,10 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
                 if children is not None:
                     root.samples.append([_decode(c, id_offset, root.region) for c in children])
                 id_offset += created
-                for total, counts in ((attempts, sample_attempts), (failures, sample_failures)):
-                    for depth, n in counts.items():
-                        total[depth] = total.get(depth, 0) + n
+                attempts.update(sample_attempts)
+                failures.update(sample_failures)
         if not root.samples:
-            tried = ", ".join(f"{d}: {failures.get(d, 0)}/{n}" for d, n in sorted(attempts.items()))
+            tried = ", ".join(f"{d}: {failures[d]}/{n}" for d, n in sorted(attempts.items()))
             raise TreeBuildError(
                 f"no feasible {k}-district map found for seed {seed}: all {build.n_root} root "
                 f"samples rejected (failed/tried per depth: {tried})")
@@ -680,8 +669,8 @@ def build_tree(state, k: int, seed: int = 0, root_samples: int = None,
         "k": k,
         "node_count": len(nodes),
         "leaf_count": sum(node.is_leaf for node in nodes),
-        "sample_attempts_per_depth": attempts,
-        "sample_failures_per_depth": failures,
+        "sample_attempts_per_depth": dict(attempts),
+        "sample_failures_per_depth": dict(failures),
         "implicit_plan_count": count_plans(root),
     })
 

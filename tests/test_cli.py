@@ -92,9 +92,9 @@ def test_python_m_mmdistrict_writes_what_cli_main_writes(tmp_path):
     assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
 
 
-def test_synth_requires_flags():
-    with pytest.raises(SystemExit):
-        run(["synth", "--blocks", "16", "--seats", "4"])
+def test_synth_requires_flags(capsys):
+    assert run(["synth", "--blocks", "16", "--seats", "4"]) == 1
+    assert capsys.readouterr().err == "error: synth requires --r-share, --out\n"
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -121,10 +121,11 @@ def test_sweep_all_k_default_rule(state_file, tmp_path):
             assert float(r[5]) < 1 / 4
 
 
-def test_sweep_rejects_out_of_range_k(state_file, tmp_path):
-    with pytest.raises(SystemExit):
-        run(["sweep", "--state", str(state_file), "--k", "9",
-             "--out", str(tmp_path / "m.csv")])
+def test_sweep_rejects_out_of_range_k(state_file, tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert run(["sweep", "--state", str(state_file), "--k", "9", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: k values [9] outside 1..4\n"
+    assert not out.exists()
 
 
 def test_sweep_missing_state_file_fails(tmp_path):
@@ -733,11 +734,10 @@ def test_diversity_keeps_every_k_that_built(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["sweep", "diversity"])
-def test_k_list_without_a_value_is_an_error(state_file, tmp_path, command):
+def test_k_list_without_a_value_is_an_error(state_file, tmp_path, capsys, command):
     out = tmp_path / "m.csv"
-    with pytest.raises(SystemExit) as exit_info:
-        run([command, "--state", str(state_file), "--k", ",", "--out", str(out)])
-    assert exit_info.value.code == "error: --k ',' names no district count"
+    assert run([command, "--state", str(state_file), "--k", ",", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --k ',' names no district count\n"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -141,6 +142,35 @@ def test_states_list_shuffled_relabelled_blocks_in_id_order(n_blocks, seed, rng)
     ids = [b.id for b in state.blocks]
     assert ids == list(state.block_map) == sorted(ids)
     assert state.statewide_vote_share().hex() == ordered.statewide_vote_share().hex()
+
+
+def _state_graph(state):
+    """``StateInstance.graph`` spelled out as a reference: ids to positions, then neighbours."""
+    index = {b: i for i, b in enumerate(state.block_map)}
+    return (tuple(tuple(index[v] for v in state.adjacency[b]) for b in state.block_map),
+            tuple(b.population for b in state.blocks))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2 ** 32), st.randoms(use_true_random=False))
+def test_a_state_builds_its_position_graph_on_first_use(n_blocks, seed, rng):
+    # Only the tree builder reads the graph, so making or loading a state must not build it.
+    base = generate_synthetic_state(n_blocks, 1, 0.4, 2, seed=seed)
+    assert "graph" not in vars(base)
+    blocks = [Block(1000 + 7 * b.id, b.population, b.votes_r, b.votes_d, b.x, b.y)
+              for b in base.blocks]
+    adjacency = {1000 + 7 * b: {1000 + 7 * v for v in nbrs} for b, nbrs in base.adjacency.items()}
+    ordered = StateInstance(blocks, adjacency, 1)
+    rng.shuffle(blocks)
+    state = StateInstance(blocks, adjacency, 1)
+    assert "graph" not in vars(state)
+    assert state.graph == _state_graph(state) == ordered.graph
+    assert state.graph is state.graph
+    with tempfile.TemporaryDirectory() as d:
+        save_state(state, f"{d}/state.json")
+        loaded = load_state(f"{d}/state.json")
+    assert "graph" not in vars(loaded)
+    assert loaded.graph == _state_graph(loaded)
 
 
 def test_district_requires_blocks_and_seats():

@@ -30,12 +30,12 @@ included, from its own stream ``random.Random(f"{seed}:{i}")``, so no sample
 reads another's RNG state.  ``build_trees`` plans a command's builds on one
 state, one per district count, up front in one root-sample pool, whose
 caller claims ``(build, sample index)`` tasks in plan order and runs one
-whenever the result it needs has not come.  From ``POOL_MIN_WORK`` summed
-estimated work on, workers forked once with the state and the builds, one
-process per usable CPU with the caller, claim tasks too, held back only by
-the result pipe, so they build the next k while the caller scores the last
-tree or runs its elections; a worker with no task left exits, and one that
-dies raises.  ``build_tree`` merges the results in sample order, and alone
+whenever the result it needs has not come.  On two or more usable CPUs,
+where ``fork`` exists, workers forked once with the state and the builds,
+one process per usable CPU with the caller, claim tasks too, held back only
+by the result pipe, so they build the next k while the caller scores the
+last tree or runs its elections; a worker with no task left exits, and one
+that dies raises.  ``build_tree`` merges the results in sample order, and alone
 opens a pool for its build.  The tree, its node ids and its diagnostics do
 not depend on the number of cores.
 """
@@ -47,7 +47,6 @@ import contextlib
 import functools
 import heapq
 import itertools
-import mmap
 import operator
 import os
 import random
@@ -348,19 +347,6 @@ def split_region(neighbors, pops, centers, dist_maps, child_seats,
 SPLIT_RETRIES = 20
 #: Largest number of children a node subdivision may have.
 MAX_FANOUT = 4
-#: Smallest estimated work, in block visits summed over one command's builds,
-#: for which a ``_RootSamplePool`` forks workers; see ``_pool_size``.  Timed
-#: on a 2-core VM, one build per pool of the caller and one worker against
-#: the same build serially (pooled / serial median of 21 or 31 alternating
-#: builds each, seven runs; median and range over the runs): the pool wins
-#: in every run from 10,800 on.  144 blocks, k = 2: 2,880 took 1.44x
-#: (1.01-1.58), 4,320 1.16x (0.98-1.30), 5,760 1.09x (0.78-1.16), 6,480
-#: 0.96x (0.85-1.11), 7,200 0.91x (0.86-1.09), 10,800 0.85x (0.71-0.95),
-#: 14,400 0.81x (0.62-0.86); 64 blocks, k = 2: 1,920 1.64x (1.36-1.83);
-#: 64 blocks, k = 4, 4 internal samples: 5,760 1.26x (1.03-1.48), 17,280
-#: 0.81x (0.74-0.93).  A command pays the start-up once, so the threshold
-#: applies to its sum.
-POOL_MIN_WORK = 10_800
 
 
 @dataclass(frozen=True)
@@ -459,11 +445,12 @@ def _decode(encoded, id_offset, ids):
                     samples=[[_decode(c, id_offset, ids) for c in sample] for sample in samples])
 
 
-def _pool_size(work, n_samples):
-    """Processes, the caller included, for ``work`` estimated block visits in
-    builds of at most ``n_samples`` root samples; 1 runs them serially."""
+def _pool_size(n_samples):
+    """Processes, the caller included, for builds of at most ``n_samples`` root
+    samples: one per usable CPU, at most one per sample, where ``fork``
+    exists; 1 runs them serially."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if work < POOL_MIN_WORK or cpus < 2:
+    if cpus < 2:
         return 1
     import multiprocessing
 
@@ -476,11 +463,18 @@ class WorkerExitError(RuntimeError):
     """Raised when a root-sample worker exits while its pool is open."""
 
 
-def _claim(tasks, claimed, lock):
-    """The next unclaimed task of ``tasks``, or None; ``claimed`` is the shared count."""
-    with lock:
-        t = int.from_bytes(claimed, "little")
-        claimed[:] = min(t + 1, len(tasks)).to_bytes(8, "little")
+def _claim(tasks, claimed):
+    """The next unclaimed task of ``tasks``, or None; ``claimed`` is a file that
+    holds the shared count, under a ``lockf`` lock, which the kernel releases
+    when the process holding it dies, so a killed caller blocks no worker."""
+    import fcntl  # POSIX, as is the fork that shares the file
+
+    fcntl.lockf(claimed, fcntl.LOCK_EX)
+    try:
+        t = int.from_bytes(os.pread(claimed.fileno(), 8, 0), "little")  # b"" before any claim
+        os.pwrite(claimed.fileno(), min(t + 1, len(tasks)).to_bytes(8, "little"), 0)
+    finally:
+        fcntl.lockf(claimed, fcntl.LOCK_UN)
     return tasks[t] if t < len(tasks) else None
 
 
@@ -509,18 +503,14 @@ def _work(state, plan, claim, results, result_lock, parent_results):
 class _RootSamplePool:
     """Runs the root samples of ``plan``, a list of ``_Build``s with k > 1, on ``state``.
 
-    A k-district build's root sample splits the state's blocks once, then
-    each of up to k - 2 internal nodes below the root about ``n_internal``
-    times, so the builds' work is estimated as the sum of root samples *
-    blocks * (1 + n_internal * (k - 2)).
-
     The caller claims tasks in plan order, and runs one whenever the result
     it needs next has not come and none waits, raising its exception as is
-    on reaching that sample.  Below ``POOL_MIN_WORK``, and without ``fork``,
-    it claims alone, from an iterator over the tasks.  Otherwise it forks
-    ``_pool_size`` - 1 workers here, once, with the state and the builds,
-    and all claim through one shared count; a process builds ``state.graph``
-    on its first task, unless it already has it.  A worker claims until no
+    on reaching that sample.  On one usable CPU, without ``fork``, or when
+    no build has two root samples, it claims alone, from an iterator over
+    the tasks.  Otherwise it forks ``_pool_size`` - 1 workers here, once,
+    with the state and the builds, and all claim through one count in a
+    temporary file (see ``_claim``); a process builds ``state.graph`` on its
+    first task, unless it already has it.  A worker claims until no
     task is left, held back only by a full result pipe, so it runs on into
     the next build while the caller works on the last tree, then exits.  The
     caller waits in its own thread on the result pipe and the workers'
@@ -535,21 +525,19 @@ class _RootSamplePool:
         self._state, self._plan = state, plan
         self._next_build = enumerate(plan)
         tasks = [(b, i) for b, build in enumerate(plan) for i in range(build.n_root)]
-        work = sum(b.n_root * len(state.blocks)
-                   * (1 + b.n_internal * (b.allocation.small_count + b.allocation.large_count - 2))
-                   for b in plan)
-        processes = _pool_size(work, max((b.n_root for b in plan), default=1))
+        processes = _pool_size(max((b.n_root for b in plan), default=1))
         self._workers, self._ends, self._results = [], (), None
         self._done = {}  # (build, i) -> (ok, result or exception) of a task done ahead of use
         if processes < 2:
             self._claim = functools.partial(next, iter(tasks), None)
             return
         import multiprocessing.connection
+        import tempfile
 
         ctx = multiprocessing.get_context("fork")
         self._wait = multiprocessing.connection.wait
-        claimed = mmap.mmap(-1, 8)  # anonymous, so the forks share it with no descriptor
-        self._claim = functools.partial(_claim, tasks, claimed, ctx.Lock())
+        claimed = tempfile.TemporaryFile()  # the forks share its open file and so the count
+        self._claim = functools.partial(_claim, tasks, claimed)
         # The parent keeps a result writer, so a dead worker shows as its sentinel, never as EOF.
         self._results, result_writer = ctx.Pipe(duplex=False)
         self._ends = (self._results, result_writer, claimed)

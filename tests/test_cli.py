@@ -818,10 +818,10 @@ def test_one_sweep_forks_one_pool_and_writes_the_serial_bytes(state_file, tmp_pa
                                                                worker_starts):
     argv = ["sweep", "--state", str(state_file), "--k", "all", "--seed", "1",
             "--root-samples", "6", "--internal-samples", "2", "--ensemble-size", "10"]
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 1)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 1)
     assert run(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
     assert worker_starts == []
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     assert run(argv + ["--out", str(tmp_path / "pooled.csv")]) == 0
     assert len(worker_starts) == 1  # the caller is the pool's second process
     assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
@@ -834,7 +834,7 @@ def test_a_k_that_fails_to_build_keeps_the_pool_for_later_k(tmp_path, monkeypatc
     # On this path no two-district split balances, but three districts do.
     state = tmp_path / "path.json"
     save_state(make_path_state([1, 1, 2, 2], [0.6, 0.4, 0.5, 0.3], seats=6), state)
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     out = tmp_path / "metrics.csv"
     assert run(["sweep", "--state", str(state), "--k", "1,2,3", "--seed", "1",
                 "--root-samples", "6", "--internal-samples", "2", "--ensemble-size", "10",
@@ -852,7 +852,7 @@ def test_a_worker_exception_ends_the_command_and_its_pool(state_file, tmp_path, 
     def fail(*args, **kwargs):
         raise RuntimeError("split failed in a worker")
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     monkeypatch.setattr(tree_mod, "split_region", fail)
     with pytest.raises(RuntimeError, match="split failed in a worker"):
         run(["sweep", "--state", str(state_file), "--k", "all", "--root-samples", "6",
@@ -875,7 +875,7 @@ def test_a_dead_worker_is_an_error_not_a_traceback(state_file, tmp_path, monkeyp
         time.sleep(0.01)  # the caller runs samples too; this lets the worker claim one
         return split_region(*args, **kwargs)
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     monkeypatch.setattr(tree_mod, "split_region", die_in_a_worker)
     out = tmp_path / "plan"
     assert run(["optimize", "--state", str(state_file), "--k", "2", "--root-samples", "8",
@@ -897,7 +897,7 @@ def test_an_exception_between_trees_ends_the_command_and_its_pool(state_file, tm
             raise RuntimeError("scoring failed")
         return score_leaves(tree, *args, **kwargs)
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     monkeypatch.setattr(analysis, "score_leaves", fail_at_the_second_k)
     with pytest.raises(RuntimeError, match="scoring failed"):
         run(["sweep", "--state", str(state_file), "--k", "all", "--root-samples", "6",
@@ -915,10 +915,10 @@ DIVERSITY_FLAGS = ["--k", "1,2,4", "--seed", "2", "--voters-per-block", "5",
 def test_one_diversity_forks_one_pool_and_writes_the_serial_bytes(state_file, tmp_path,
                                                                   monkeypatch, worker_starts):
     argv = ["diversity", "--state", str(state_file), *DIVERSITY_FLAGS]
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 1)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 1)
     assert run(argv + ["--out", str(tmp_path / "serial.csv")]) == 0
     assert worker_starts == []
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     assert run(argv + ["--out", str(tmp_path / "pooled.csv")]) == 0
     assert len(worker_starts) == 1  # the caller is the pool's second process
     assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
@@ -938,7 +938,7 @@ def test_an_exception_in_the_elections_ends_the_diversity_command_and_its_pool(
             raise RuntimeError("election failed")
         return intra_party_analysis(state, plans, *args, **kwargs)
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     monkeypatch.setattr(analysis, "intra_party_analysis", fail_at_the_second_k)
     before = len(os.listdir("/proc/self/fd"))
     with pytest.raises(RuntimeError, match="election failed"):
@@ -953,25 +953,21 @@ def test_an_exception_in_the_elections_ends_the_diversity_command_and_its_pool(
 
 
 @needs_fork
-def test_pool_min_work_pools_a_diversity_64_sized_command_on_two_cpus(tmp_path, monkeypatch,
-                                                                      worker_starts):
-    # diversity-64's builds: 30 root samples of 64 blocks at k = 2, and at k = 4
-    # each with 2 internal nodes of 4 samples.  A k = 4 build of 10 root samples
-    # alone is below the threshold.
-    assert 64 * 10 * (1 + 4 * 2) < tree_mod.POOL_MIN_WORK <= 64 * 30 + 64 * 30 * (1 + 4 * 2)
-    state = tmp_path / "state64.json"
-    assert run(["synth", "--blocks", "64", "--seats", "4", "--r-share", "0.4", "--corr", "2",
-                "--seed", "11", "--out", str(state)]) == 0
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    argv = ["diversity", "--state", str(state), "--seed", "1", "--voters-per-block", "2",
-            "--ensemble-size", "2", "--internal-samples", "4"]
-    assert run(argv + ["--k", "1,2,4", "--root-samples", "30",
-                       "--out", str(tmp_path / "pooled.csv")]) == 0
-    assert len(worker_starts) == 1  # the caller is the pool's second process
-    assert run(argv + ["--k", "1,4", "--root-samples", "10",
-                       "--out", str(tmp_path / "serial.csv")]) == 0
-    assert len(worker_starts) == 1
-    assert multiprocessing.active_children() == []
+def test_a_command_pools_whenever_two_cpus_fork_and_two_root_samples_allow(tmp_path, monkeypatch,
+                                                                           worker_starts):
+    # A tiny build still pools: no estimate of its work holds it back.
+    argv = ["optimize", "--state", str(GOLDEN / "state16.json"), "--k", "2", "--seed", "1"]
+    runs = {"two_cpus": ({0, 1}, "2", ["fork"], 1), "one_cpu": ({0}, "2", ["fork"], 0),
+            "one_sample": ({0, 1}, "1", ["fork"], 0), "no_fork": ({0, 1}, "2", ["spawn"], 0)}
+    for name, (cpus, root_samples, methods, forked) in runs.items():
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        started = len(worker_starts)
+        assert run(argv + ["--root-samples", root_samples, "--out", str(tmp_path / name)]) == 0
+        assert len(worker_starts) - started == forked, name
+        assert multiprocessing.active_children() == []
+    for output in ["plan.json", "summary.json"]:
+        assert len({(tmp_path / name / output).read_bytes() for name in runs}) == 1, output
 
 
 #: What the input fuzz puts in place of a value.

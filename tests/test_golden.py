@@ -152,19 +152,19 @@ def test_stv_reading_the_golden_voter_file_matches_the_generated_run(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(n for n, case in CASES.items() if case[0] != "stv"))
 def test_command_matches_golden_outputs_serially(name, tmp_path, monkeypatch):
-    # sweep72 and optimize144_fair reach POOL_MIN_WORK, so on two or more CPUs
-    # they pool by default; this pins every case's serial build as well.
-    monkeypatch.setattr(tree, "_pool_size", lambda work, n_samples: 1)
+    # On two or more CPUs every case with k > 1 and at least two root samples
+    # pools by default; this pins every case's serial bytes as well.
+    monkeypatch.setattr(tree, "_pool_size", lambda n_samples: 1)
     assert_matches_golden(name, tmp_path)
 
 
 @needs_fork
 @pytest.mark.parametrize("name", sorted(n for n, case in CASES.items() if case[0] != "stv"))
 def test_command_matches_golden_outputs_with_two_workers(name, tmp_path, monkeypatch):
-    # Most golden builds are below POOL_MIN_WORK and run serially by default;
-    # this forces every one into a pool of the caller and one worker, which
-    # must write a serial build's bytes.
-    monkeypatch.setattr(tree, "_pool_size", lambda work, n_samples: 2)
+    # Every golden build with at least two root samples pools by default on
+    # two or more CPUs; this forces every one, on any machine, into a pool of
+    # the caller and one worker, which must write a serial build's bytes.
+    monkeypatch.setattr(tree, "_pool_size", lambda n_samples: 2)
     assert_matches_golden(name, tmp_path)
 
 

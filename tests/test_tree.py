@@ -245,7 +245,7 @@ def test_trees_do_not_depend_on_the_pool_size(monkeypatch):
     state = generate_synthetic_state(36, 6, 0.4, 0, seed=1)
     dumps = {}
     for workers in (1, 2, 3):
-        monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
+        monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: workers)
         dumps[workers] = [_tree_dump(build_tree(state, k, seed=seed, root_samples=n_root,
                                                 internal_samples=2))
                           for k, seed, n_root in ((2, 2, 6), (4, 2, 6), (6, 13, 6), (4, 5, 2))]
@@ -275,7 +275,7 @@ def test_trees_do_not_depend_on_block_ids_or_their_listing_order(monkeypatch, wo
     # builder's dense indices, and the order the blocks are listed in must
     # not matter at all.  The relabelling keeps id order, so every region,
     # an ascending tuple, maps back to the plain state's exactly.
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: workers)
     state = generate_synthetic_state(36, 6, 0.4, 0, seed=1)
     relabelled = _relabelled(state, lambda b: 1000 + 7 * b)
     blocks = list(state.blocks)
@@ -295,7 +295,7 @@ def test_regions_are_ascending_tuples_of_the_states_own_ids(monkeypatch, workers
     # Ids of 1,000 and more are int objects of their own, and one a worker
     # sent back would be a new object once unpickled: every region must hold
     # the state's block_map keys themselves, which the whole tree then shares.
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: workers)
     state = _relabelled(generate_synthetic_state(36, 6, 0.4, 0, seed=1), lambda b: 1000 + 7 * b)
     own = {b: b for b in state.block_map}
     tree = build_tree(state, 4, seed=2, root_samples=6, internal_samples=2)
@@ -316,7 +316,7 @@ def test_regions_are_ascending_tuples_of_the_states_own_ids(monkeypatch, workers
                                      pytest.param(3, marks=needs_fork)])
 def test_build_trees_match_single_builds(monkeypatch, workers):
     # On this path no two-district split balances, but three districts do.
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: workers)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: workers)
     state = make_path_state([1, 1, 2, 2], [0.6, 0.4, 0.5, 0.3], seats=6)
     seed, counts = 1, {"root_samples": 6, "internal_samples": 2}
     got = list(tree_mod.build_trees(state, (1, 2, 3), seed, **counts))
@@ -345,7 +345,7 @@ def test_a_pooled_build_starts_no_thread_in_the_parent(grid_state, monkeypatch):
         processes.append(self)
         process_start(self)
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     monkeypatch.setattr(threading.Thread, "start", record_thread)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record_process)
     build_tree(grid_state, 4, seed=1, root_samples=4, internal_samples=2)
@@ -362,7 +362,7 @@ def test_a_pooled_build_closes_its_pipes(grid_state, monkeypatch, fails):
     def fail(*args, **kwargs):
         raise RuntimeError("split failed in a worker")
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     if fails:
         monkeypatch.setattr(tree_mod, "split_region", fail)
     before = len(os.listdir("/proc/self/fd"))
@@ -385,7 +385,7 @@ def test_a_dead_worker_raises_instead_of_hanging(grid_state, monkeypatch):
     def hung(signum, frame):
         raise AssertionError("the build still waits on a dead worker")
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     monkeypatch.setattr(tree_mod, "split_region", exit_in_a_worker)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(20)
@@ -410,7 +410,7 @@ def test_worker_exception_reaches_the_caller(grid_state, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("split failed in a worker")
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     monkeypatch.setattr(tree_mod, "split_region", fail)
     with pytest.raises(RuntimeError, match="split failed in a worker"):
         build_tree(grid_state, 4, seed=1, root_samples=4, internal_samples=2)
@@ -466,7 +466,7 @@ def test_a_pool_runs_every_task_once_and_the_caller_runs_some(grid_state, monkey
             events.append(-1)
         return obj
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: processes)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: processes)
     monkeypatch.setattr(tree_mod, "_root_sample", _recording(tree_mod._root_sample, runs))
     monkeypatch.setattr(tree_mod, "split_region", _slowed_in_workers(tree_mod.split_region, parent))
     monkeypatch.setattr(multiprocessing.connection.Connection, "send_bytes", recorded_send_bytes)
@@ -496,7 +496,7 @@ def test_an_error_in_a_sample_the_caller_runs_is_raised_as_is(grid_state, monkey
             raise RuntimeError("split failed in the caller")
         return split_region(*args, **kwargs)
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: processes)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: processes)
     monkeypatch.setattr(tree_mod, "split_region", fail_in_the_caller)
     before = len(os.listdir("/proc/self/fd"))
     with pytest.raises(RuntimeError, match="split failed in the caller") as raised:
@@ -520,7 +520,7 @@ def test_a_worker_builds_the_next_k_while_the_last_tree_is_used(grid_state, monk
             time.sleep(0.1)
         return split_region(*args, **kwargs)
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     monkeypatch.setattr(tree_mod, "_root_sample", _recording(tree_mod._root_sample, runs))
     monkeypatch.setattr(tree_mod, "split_region", slow_in_the_caller)
     with contextlib.closing(tree_mod.build_trees(grid_state, (2, 3), 1, root_samples=n_root,
@@ -544,7 +544,7 @@ def test_a_worker_builds_the_next_k_while_the_last_tree_is_used(grid_state, monk
 def test_a_worker_with_no_task_left_exits_and_its_results_still_arrive(grid_state, monkeypatch,
                                                                        tmp_path):
     runs = tmp_path / "runs"
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 2)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 2)
     monkeypatch.setattr(tree_mod, "_root_sample", _recording(tree_mod._root_sample, runs))
     plan = [tree_mod._Build.of(grid_state.total_seats, k, k, 3, 2) for k in (2, 3)]
     pool = tree_mod._RootSamplePool(grid_state, plan)
@@ -571,7 +571,7 @@ def test_a_failed_pool_start_leaves_nothing_running(grid_state, monkeypatch):
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
         start(self)
 
-    monkeypatch.setattr(tree_mod, "_pool_size", lambda work, n_samples: 3)
+    monkeypatch.setattr(tree_mod, "_pool_size", lambda n_samples: 3)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", second_start_fails)
     before = len(os.listdir("/proc/self/fd"))
     try:
@@ -590,9 +590,10 @@ def test_a_failed_pool_start_leaves_nothing_running(grid_state, monkeypatch):
 #: With ``busy`` the pool runs a build of more root samples than the test
 #: waits for; with ``idle`` it runs two, then prints ``idle`` and sleeps
 #: with the pool open, so its workers have no task left and have exited or
-#: are exiting.
+#: are exiting; with ``locked`` the caller takes the claim lock of such a
+#: build, prints ``locked`` and sleeps, so its workers wait on that lock.
 SLOW_POOLED_BUILD = """
-import multiprocessing.process, os, sys, time
+import fcntl, multiprocessing.process, os, sys, time
 import mmdistrict.tree as tree_mod
 from mmdistrict.model import generate_synthetic_state
 
@@ -608,12 +609,17 @@ def announced_start(self):
     start(self)
     print(self.pid, flush=True)
 
-tree_mod._pool_size = lambda work, n_samples: 3
+tree_mod._pool_size = lambda n_samples: 3
 tree_mod.split_region = slow_split
 multiprocessing.process.BaseProcess.start = announced_start
 state = generate_synthetic_state(16, 4, 0.4, 1, seed=3)
 if sys.argv[1] == "busy":
     tree_mod.build_tree(state, 4, seed=1, root_samples=100_000, internal_samples=2)
+elif sys.argv[1] == "locked":
+    pool = tree_mod._RootSamplePool(state, [tree_mod._Build.of(state.total_seats, 4, 1, 100_000, 2)])
+    fcntl.lockf(pool._claim.args[1], fcntl.LOCK_EX)  # the count file _claim locks
+    print("locked", flush=True)
+    time.sleep(600)
 else:
     pool = tree_mod._RootSamplePool(state, [tree_mod._Build.of(state.total_seats, 4, 1, 2, 2)])
     list(pool.samples())
@@ -632,8 +638,9 @@ def _gone_or_zombie(pid):
 
 def _kill_the_parent_of_a_slow_pool(tmp_path, mode):
     """Runs ``SLOW_POOLED_BUILD`` in ``mode``, SIGKILLs it once its two workers
-    are mid-build (``busy``) or have no task left (``idle``), and checks that
-    both workers end, with no traceback."""
+    are mid-build (``busy``), have no task left (``idle``) or wait on the
+    claim lock the caller holds (``locked``), and checks that both workers
+    end, with no traceback."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -648,11 +655,11 @@ def _kill_the_parent_of_a_slow_pool(tmp_path, mode):
             time.sleep(0.05)
             lines = pids.read_text().split()
             workers = [int(line) for line in lines if line.isdigit()]
-            ready = len(workers) == 2 and (mode == "busy" or "idle" in lines)
+            ready = len(workers) == 2 and (mode == "busy" or mode in lines)
         assert len(workers) == 2, "the build did not start two workers"
         assert ready, f"the pool did not get {mode}"
-        if mode == "busy":
-            time.sleep(0.5)  # the workers are mid-build
+        if mode != "idle":
+            time.sleep(0.5)  # the workers are mid-build, or have finished a task and wait to claim
         proc.kill()
         proc.wait(timeout=30)
         deadline = time.monotonic() + 30
@@ -684,3 +691,11 @@ def test_idle_workers_do_not_outlive_a_killed_parent(tmp_path):
     # they are gone, or zombies the killed parent never reaped, and none
     # writes a traceback.
     _kill_the_parent_of_a_slow_pool(tmp_path, "idle")
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states via /proc")
+def test_workers_do_not_wait_for_ever_on_a_claim_lock_their_killed_parent_held(tmp_path):
+    # The kernel releases a lockf lock when the process holding it dies, so a
+    # waiting worker claims its next task, and ends at the send of its result.
+    _kill_the_parent_of_a_slow_pool(tmp_path, "locked")
